@@ -10,6 +10,7 @@ exhaustive oracle; `reduction` carries the matching hardness construction.
 from .legality import (
     NotAPermutationError,
     Schedule,
+    Verdict,
     WitnessCheck,
     check_pram_witness,
     is_legal,
@@ -48,7 +49,7 @@ from .reduction import (
     reduction_roundtrip,
     validate_instance,
 )
-from .rw_closure import Verdict, verify_rw_closure
+from .rw_closure import verify_rw_closure
 from .tracegen import MUTATIONS, gen_pram_trace, mutate_trace
 
 __version__ = "0.1.0"

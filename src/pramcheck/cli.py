@@ -154,6 +154,7 @@ def _cmd_verify(args) -> int:
     multi = len(focuses) > 1
 
     per_process = []
+    results = []
     any_violation = any_timeout = False
     for focus in focuses:
         algorithm = args.algorithm
@@ -207,6 +208,7 @@ def _cmd_verify(args) -> int:
                     file=sys.stderr,
                 )
         per_process.append(entry)
+        results.append(result)
 
     consistent: bool | None
     if any_violation:
@@ -227,18 +229,13 @@ def _cmd_verify(args) -> int:
     else:
         print(f"trace: {trace.n} operations, {len(trace.processes)} processes, variant {variant.value}")
         ops = {o.index: o for o in trace.ops}
-        for entry in per_process:
+        for entry, result in zip(per_process, results):
             line = f"focus {entry['focus']}: {entry['verdict']} ({entry['algorithm']})"
             print(line)
             if "reason" in entry:
                 print(f"  reason: {entry['reason']}")
             if "cycle" in entry:
-                nodes = entry["cycle"]["nodes"]
-                tags = entry["cycle"]["tags"]
-                parts = [ops[nodes[0]].pretty()]
-                for node, tag in zip(nodes[1:], tags):
-                    parts.append(f"-{tag}-> {ops[node].pretty()}")
-                print(f"  cycle: {' '.join(parts)}")
+                print(f"  cycle: {result.cycle.pretty(ops)}")
             if "witness_file" in entry:
                 print(f"  witness: {entry['witness_file']}")
             if "graph_file" in entry:
@@ -329,3 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,15 +5,18 @@ write on its variable; a read with no preceding write on its variable is
 illegal (there is no initial-value convention).  `check_pram_witness` bundles
 the full acceptance condition for a candidate witness schedule: it must be a
 permutation of the focus process's visible operations, legal, and must respect
-every process's program order.
+every process's program order.  `Verdict` is the outcome every verifier returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .model import Operation, Trace, UnknownProcessError, visible
+
+if TYPE_CHECKING:
+    from .opgraph import Cycle
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,23 @@ class Schedule:
 
     def positions(self) -> dict[int, int]:
         return {op: pos for pos, op in enumerate(self.seq)}
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of one focus-process verification.
+
+    `witness` is present on acceptance (a legal schedule), `cycle` on
+    rejections caused by a precedence cycle; rejections for a read without any
+    dictating write carry only `reason`.
+    """
+
+    consistent: bool
+    focus: str
+    algorithm: str
+    witness: Schedule | None = None
+    cycle: Cycle | None = None
+    reason: str | None = None
 
 
 class NotAPermutationError(ValueError):
@@ -97,11 +117,6 @@ def violated_pair(
         if pos[a] >= pos[b]:
             return (a, b)
     return None
-
-
-def respects(sched: Schedule, pairs: Iterable[tuple[int, int]]) -> bool:
-    """True iff `sched` orders a strictly before b for every pair (a, b)."""
-    return violated_pair(sched, pairs) is None
 
 
 def induced_read_mapping(sched: Schedule, ops: Mapping[int, Operation]) -> dict[int, int]:

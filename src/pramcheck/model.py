@@ -184,9 +184,6 @@ class VisibleProjection:
     def focus_reads(self) -> tuple[Operation, ...]:
         return tuple(o for o in self.by_process.get(self.focus, ()) if o.is_read)
 
-    def indices(self) -> set[int]:
-        return {o.index for o in self.ops}
-
 
 def visible(trace: Trace, focus: str) -> VisibleProjection:
     """Project `trace` onto what `focus` must schedule: every write + its own reads."""

@@ -2,17 +2,20 @@
 
 Nodes are operation indices; edges are tagged with why they exist: "PO"
 (program order), "WR" (a write precedes the reads it dictates), or "WpW" (an
-overwritten write must precede the overwriting one).  Transitive closure is
-kept as bitset rows (Python ints), one strict-reachability bit per node pair;
-`reaches` is reflexive on top of that.
+overwritten write must precede the overwriting one).  Both polynomial verifiers
+build their graph here; `downset` and `build_dag_schedule` walk the edges alone.
+Only rw-closure's rule loop needs `close()`, which keeps transitive closure as
+bitset rows (Python ints), one strict-reachability bit per node pair; `reaches`
+is reflexive on top of that.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import AbstractSet, Iterable, Iterator, Mapping
 
+from .legality import Schedule
 from .model import Operation, ReadMapping, VisibleProjection
 
 PO = "PO"
@@ -69,7 +72,6 @@ class OperationGraph:
         self.succs: dict[int, dict[int, str]] = {v: {} for v in self.nodes}
         self.preds: dict[int, set[int]] = {v: set() for v in self.nodes}
         self._rows: list[int] | None = None  # strict reachability, bit j of _rows[i]
-        self._cols: list[int] | None = None  # transpose of _rows
 
     # -- construction -------------------------------------------------------
 
@@ -93,9 +95,6 @@ class OperationGraph:
             for dst in sorted(self.succs[src]):
                 yield src, dst, self.succs[src][dst]
 
-    def edge_count(self) -> int:
-        return sum(len(s) for s in self.succs.values())
-
     # -- transitive closure -------------------------------------------------
 
     def close(self) -> None:
@@ -113,16 +112,7 @@ class OperationGraph:
             for i in range(n):
                 if rows[i] & bit:
                     rows[i] |= rows[k]
-        cols = [0] * n
-        for i, mask in enumerate(rows):
-            bit = 1 << i
-            m = mask
-            while m:
-                low = m & -m
-                cols[low.bit_length() - 1] |= bit
-                m ^= low
         self._rows = rows
-        self._cols = cols
 
     def _require_closed(self) -> list[int]:
         if self._rows is None:
@@ -141,19 +131,22 @@ class OperationGraph:
         rows = self._require_closed()
         return any(rows[i] >> i & 1 for i in range(len(self.nodes)))
 
-    def downset(self, node: int) -> set[int]:
-        """All operations that reach `node`, including `node` itself."""
-        self._require_closed()
-        assert self._cols is not None
-        out = {node}
-        m = self._cols[self.pos[node]]
-        while m:
-            low = m & -m
-            out.add(self.nodes[low.bit_length() - 1])
-            m ^= low
-        return out
-
     # -- orderings and cycles ------------------------------------------------
+
+    def downset(self, node: int, exclude: AbstractSet[int] = frozenset()) -> set[int]:
+        """`node` plus every operation reaching it by a path outside `exclude`.
+
+        Needs no close().  When `exclude` is down-closed (a union of downsets)
+        and lacks `node`, this is the downset of `node` minus `exclude`.
+        """
+        out = {node}
+        stack = [node]
+        while stack:
+            for p in self.preds[stack.pop()]:
+                if p not in out and p not in exclude:
+                    out.add(p)
+                    stack.append(p)
+        return out
 
     def topo_sort(self, subset: Iterable[int] | None = None) -> list[int]:
         """Topological order of `subset` (default: all nodes), ties by lowest index.
@@ -255,3 +248,21 @@ class OperationGraph:
         loop = [src] + path
         tags = tuple(self.succs[a][b] for a, b in zip(loop, loop[1:]))
         return Cycle(nodes=tuple(loop), tags=tags)
+
+
+def build_dag_schedule(graph: OperationGraph, proj: VisibleProjection) -> Schedule:
+    """Turn an acyclic precedence graph into a legal schedule.
+
+    Block per focus read, in program order: the read's downset minus
+    everything already scheduled, topologically sorted (ties by lowest
+    operation index); operations preceding no read form a final block.
+    """
+    out: list[int] = []
+    done: set[int] = set()
+    for r in proj.focus_reads():
+        delta = graph.downset(r.index, done)
+        out.extend(graph.topo_sort(delta))
+        done.update(delta)
+    rest = set(graph.nodes) - done
+    out.extend(graph.topo_sort(rest))
+    return Schedule(out)

@@ -13,9 +13,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .legality import Schedule
+from .legality import Schedule, Verdict
 from .model import Trace, visible
-from .rw_closure import Verdict
 
 ALGORITHM = "oracle"
 

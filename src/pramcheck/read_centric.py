@@ -1,9 +1,9 @@
 """Incremental verifier: process focus reads one at a time, no closure matrix.
 
-Same decision problem as `rw_closure`, different bookkeeping.  For each focus
-read r, only the newly reachable slice of the precedence graph (r's downset
-minus the previous read's) is examined.  Two dictionaries carry everything the
-overwrite-precedence rule needs:
+Same decision problem and `OperationGraph` as `rw_closure`, built incrementally
+and never closed.  For each focus read r, only the newly reachable slice of the
+graph (r's downset minus the previous read's) is examined.  Two dictionaries
+carry everything the overwrite-precedence rule needs:
 
 * `rr` - per write, the earliest focus read it currently reaches.  A write
   whose `rr` drops may have become ordered before further reads of its
@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
+from .legality import Verdict
 from .model import (
     DuplicateValueError,
     Operation,
@@ -33,8 +34,7 @@ from .model import (
     classify,
     visible,
 )
-from .opgraph import PO, WPW, WR, Cycle, OperationGraph
-from .rw_closure import Verdict, build_dag_schedule
+from .opgraph import PO, WPW, WR, Cycle, OperationGraph, build_dag_schedule
 
 ALGORITHM = "read-centric"
 
@@ -54,13 +54,10 @@ class ReadCentricChecker:
         self.focus = focus
         self.debug = debug_checks
         self.proj = visible(trace, focus)
-        self.op: dict[int, Operation] = {o.index: o for o in self.proj.ops}
+        self.graph = OperationGraph(self.proj.ops)
         self.mapping = None  # set in run(); a missing dictating write rejects there
         self.reads: tuple[Operation, ...] = self.proj.focus_reads()
         self.read_ord: dict[int, int] = {r.index: i for i, r in enumerate(self.reads)}
-
-        self.succs: dict[int, dict[int, str]] = {o.index: {} for o in self.proj.ops}
-        self.preds: dict[int, set[int]] = {o.index: set() for o in self.proj.ops}
 
         self.settled: set[int] = set()
         self.rr: dict[int, int] = {}  # write index -> earliest reachable focus read
@@ -76,13 +73,6 @@ class ReadCentricChecker:
         self.detected_in_topo = False
 
     # -- shared plumbing -----------------------------------------------------
-
-    def _add_edge(self, src: int, dst: int, tag: str) -> bool:
-        if dst in self.succs[src]:
-            return False
-        self.succs[src][dst] = tag
-        self.preds[dst].add(src)
-        return True
 
     def _earlier_read(self, a: int | None, b: int | None) -> int | None:
         if a is None:
@@ -100,29 +90,15 @@ class ReadCentricChecker:
         absent.  Adding it here makes the counterexample concrete.
         """
         if entry is not None and entry != dst:
-            self._add_edge(dst, entry, WPW)
-        parent: dict[int, int] = {dst: dst}
-        frontier = [dst]
-        while frontier and src not in parent:
-            nxt = []
-            for u in frontier:
-                for s in sorted(self.succs[u]):
-                    if s not in parent:
-                        parent[s] = u
-                        nxt.append(s)
-            frontier = nxt
-        if src not in parent:
+            self.graph.add_edge(dst, entry, WPW)
+        cycle = self.graph.shortest_cycle_through(src, dst)
+        if cycle is None:
             raise RuntimeError("cycle detector fired without a closing path")
-        back = [src]
-        while back[-1] != dst:
-            back.append(parent[back[-1]])
-        loop = [src] + list(reversed(back))
-        tags = tuple(self.succs[a][b] for a, b in zip(loop, loop[1:]))
         return Verdict(
             consistent=False,
             focus=self.focus,
             algorithm=ALGORITHM,
-            cycle=Cycle(nodes=tuple(loop), tags=tags),
+            cycle=cycle,
             reason="precedence cycle",
         )
 
@@ -141,7 +117,7 @@ class ReadCentricChecker:
             cur = dst.get(var)
             if cur is None or self.order_key[w] > self.order_key[cur]:
                 dst[var] = w
-        oop = self.op[o]
+        oop = self.graph.ops[o]
         if oop.is_write and o in self.order_key:
             cur = dst.get(oop.variable)
             if cur is None or self.order_key[o] > self.order_key[cur]:
@@ -155,7 +131,7 @@ class ReadCentricChecker:
         later, dst already precedes src.  Returns that preceding write on
         detection (the cycle runs through it), else None.
         """
-        var = self.op[src].variable
+        var = self.graph.ops[src].variable
         entry = self.pw.get(src, {}).get(var)
         if self.debug:
             self._debug_check_pw(src, var, entry, pending=(src, dst))
@@ -163,7 +139,7 @@ class ReadCentricChecker:
             return entry
         return None
 
-    def update_reachability(self, src: int, dst: int, r_loop: int) -> None:
+    def update_reachability(self, src: int, dst: int) -> None:
         """Propagate the consequences of the new edge src -> dst.
 
         src now reaches whatever dst reaches, and src precedes everything on
@@ -175,7 +151,7 @@ class ReadCentricChecker:
         stack = [dst]
         while stack:
             u = stack.pop()
-            for s in self.succs[u]:
+            for s in self.graph.succs[u]:
                 if s not in seen and s in self.settled:
                     seen.add(s)
                     stack.append(s)
@@ -184,23 +160,11 @@ class ReadCentricChecker:
 
     # -- per-read processing --------------------------------------------------
 
-    def _collect_delta(self, rid: int) -> set[int]:
-        """Everything reaching `rid` that previous reads did not already cover."""
-        seen = {rid}
-        stack = [rid]
-        while stack:
-            u = stack.pop()
-            for p in self.preds[u]:
-                if p not in seen and p not in self.settled:
-                    seen.add(p)
-                    stack.append(p)
-        return seen
-
     def init_reachability(self, r_prev: Operation | None, r: Operation) -> set[int]:
         """Absorb r's new downset slice: seed rr/lw, thread pw along both chains."""
-        delta = self._collect_delta(r.index)
+        delta = self.graph.downset(r.index, self.settled)
         for idx in delta:
-            o = self.op[idx]
+            o = self.graph.ops[idx]
             if o.is_write:
                 self.rr[idx] = r.index
                 self.rr_checked[idx] = r.index
@@ -217,12 +181,12 @@ class ReadCentricChecker:
         self.pw_update(prev, r.index)
 
         d = self.mapping.writer_for(r.index)
-        dproc = self.op[d].process
+        dproc = self.graph.ops[d].process
         grp_rr_set = {w.index for w in grp_rr}
         grp_ww = [
             idx
             for idx in sorted(delta)
-            if self.op[idx].process == dproc
+            if self.graph.ops[idx].process == dproc
             and idx != r.index
             and idx not in grp_rr_set
         ]
@@ -250,7 +214,7 @@ class ReadCentricChecker:
         """
         r_new = self.rr[src]
         lo, hi = self.read_ord[r_new], self.read_ord[r_old]
-        var = self.op[src].variable
+        var = self.graph.ops[src].variable
         for r_tmp in self.reads[lo:hi]:
             if r_tmp.variable == var:
                 tgt = self.mapping.writer_for(r_tmp.index)
@@ -259,7 +223,7 @@ class ReadCentricChecker:
                 return tgt
         return None
 
-    def apply_rule_c(self, src: int, r_loop: int):
+    def apply_rule_c(self, src: int):
         """One overwrite-precedence check for `src`.
 
         Returns ("cycle", dst) when the forced edge closes a cycle,
@@ -275,7 +239,7 @@ class ReadCentricChecker:
         tgt = self.identify_rule_c(src, r_old)
         if tgt is None:
             return ("none", None)
-        if not self._add_edge(src, tgt, WPW):
+        if not self.graph.add_edge(src, tgt, WPW):
             # The proactive pass at tgt's own read already ordered src -> tgt
             # (and checked it); later same-variable reads ride tgt's chain.
             return ("none", None)
@@ -283,7 +247,7 @@ class ReadCentricChecker:
         hit = self.cycle_detection(src, tgt)
         if hit is not None:
             return ("cycle", (tgt, hit))
-        self.update_reachability(src, tgt, r_loop)
+        self.update_reachability(src, tgt)
         return ("edge", tgt)
 
     def topo_schedule(self, r: Operation) -> Verdict | None:
@@ -296,26 +260,19 @@ class ReadCentricChecker:
         self.topo_calls += 1
         fired: dict[int, int] = {}
         d = self.mapping.writer_for(r.index)
-        dset = {d}
-        stack = [d]
-        while stack:
-            u = stack.pop()
-            for p in self.preds[u]:
-                if p not in dset:
-                    dset.add(p)
-                    stack.append(p)
-        suc = {u: [s for s in self.succs[u] if s in dset] for u in dset}
+        dset = self.graph.downset(d)
+        suc = {u: [s for s in self.graph.succs[u] if s in dset] for u in dset}
         count = {u: len(suc[u]) for u in dset}
-        pre = {u: [p for p in self.preds[u] if p in dset] for u in dset}
+        pre = {u: [p for p in self.graph.preds[u] if p in dset] for u in dset}
         done: set[int] = set()
         queue = deque([d])
         while queue:
             u = queue.popleft()
-            if self.op[u].is_write and u not in done:
+            if self.graph.ops[u].is_write and u not in done:
                 for s in suc[u]:
-                    other = s if self.op[s].is_read else self.rr.get(s)
+                    other = s if self.graph.ops[s].is_read else self.rr.get(s)
                     self.rr[u] = self._earlier_read(self.rr.get(u), other)
-                status, tgt = self.apply_rule_c(u, r.index)
+                status, tgt = self.apply_rule_c(u)
                 if status == "cycle":
                     self.detected_in_topo = True
                     dst, entry = tgt
@@ -347,14 +304,14 @@ class ReadCentricChecker:
         best: int | None = None
         while stack:
             u = stack.pop()
-            for s in self.succs[u]:
+            for s in self.graph.succs[u]:
                 if s not in seen:
                     seen.add(s)
                     stack.append(s)
-                    if self.op[s].is_read:
+                    if self.graph.ops[s].is_read:
                         best = self._earlier_read(best, s)
         assert self.rr.get(src) == best, (
-            f"stale reachable-read for {self.op[src].pretty()}: "
+            f"stale reachable-read for {self.graph.ops[src].pretty()}: "
             f"have {self.rr.get(src)}, graph says {best}"
         )
 
@@ -372,18 +329,18 @@ class ReadCentricChecker:
         best: int | None = None
         while stack:
             u = stack.pop()
-            for p in self.preds[u]:
+            for p in self.graph.preds[u]:
                 if pending is not None and (p, u) == pending:
                     continue
                 if p not in seen:
                     seen.add(p)
                     stack.append(p)
-                    o = self.op[p]
+                    o = self.graph.ops[p]
                     if o.is_write and o.variable == var and p in self.order_key:
                         if best is None or self.order_key[p] > self.order_key[best]:
                             best = p
         assert entry == best, (
-            f"stale preceding-write for {self.op[src].pretty()}[{var}]: "
+            f"stale preceding-write for {self.graph.ops[src].pretty()}[{var}]: "
             f"have {entry}, graph says {best}"
         )
 
@@ -405,15 +362,15 @@ class ReadCentricChecker:
 
         for seq in self.proj.by_process.values():
             for a, b in zip(seq, seq[1:]):
-                self._add_edge(a.index, b.index, PO)
+                self.graph.add_edge(a.index, b.index, PO)
         for r in self.reads:
-            self._add_edge(self.mapping.writer_for(r.index), r.index, WR)
+            self.graph.add_edge(self.mapping.writer_for(r.index), r.index, WR)
 
         focus_seq = self.proj.by_process.get(self.focus, ())
         fpos = self._fpos = {o.index: i for i, o in enumerate(focus_seq)}
         for r in self.reads:
             d = self.mapping.writer_for(r.index)
-            if self.op[d].process == self.focus and fpos[d] > fpos[r.index]:
+            if self.graph.ops[d].process == self.focus and fpos[d] > fpos[r.index]:
                 chain = focus_seq[fpos[r.index] : fpos[d] + 1]
                 nodes = tuple(o.index for o in chain) + (r.index,)
                 tags = (PO,) * (len(chain) - 1) + (WR,)
@@ -430,34 +387,27 @@ class ReadCentricChecker:
             delta = self.init_reachability(r_prev, r)
             d = self.mapping.writer_for(r.index)
             for src in sorted(self.lw.get(r.variable, ()) - {d}):
-                if d in self.succs[src]:
+                if not self.graph.add_edge(src, d, WPW):
                     continue
-                self._add_edge(src, d, WPW)
                 self.rulec_edges += 1
                 hit = self.cycle_detection(src, d)
                 if hit is not None:
                     return self._reject_cycle(src, d, hit)
-                self.update_reachability(src, d, r.index)
+                self.update_reachability(src, d)
             if d not in delta:
                 verdict = self.topo_schedule(r)
                 if verdict is not None:
                     return verdict
             r_prev = r
 
-        graph = self.final_graph()
-        witness = build_dag_schedule(graph, self.proj)
+        witness = build_dag_schedule(self.final_graph(), self.proj)
         return Verdict(
             consistent=True, focus=self.focus, algorithm=ALGORITHM, witness=witness
         )
 
     def final_graph(self) -> OperationGraph:
-        """The sparse edge set as a closed OperationGraph (for witnesses/dumps)."""
-        graph = OperationGraph(self.proj.ops)
-        for src, out in self.succs.items():
-            for dst, tag in out.items():
-                graph.add_edge(src, dst, tag)
-        graph.close()
-        return graph
+        """The live graph as built so far; never closed, so `reaches()` raises on it."""
+        return self.graph
 
 
 def verify_read_centric(
@@ -473,6 +423,8 @@ def verify_read_centric(
     Requires unique write values (raises DuplicateValueError otherwise).
     `stats`, when given, receives instrumentation counters; `debug_checks`
     cross-checks the incremental dictionaries against the graph at every use.
+    `on_graph` receives the checker's live graph: the sparse edges, never
+    closed, so its reachability queries (`reaches()`) raise.
     """
     checker = ReadCentricChecker(trace, focus, debug_checks=debug_checks)
     verdict = checker.run()

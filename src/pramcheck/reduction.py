@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .legality import Schedule, WitnessCheck, check_pram_witness
+from .legality import Schedule, Verdict, WitnessCheck, check_pram_witness
 from .model import READ, WRITE, Trace
 from .oracle import (
     DEFAULT_MAX_STATES,
@@ -30,7 +30,6 @@ from .oracle import (
     oracle_verify,
     solve_3partition,
 )
-from .rw_closure import Verdict
 
 VAR = "x"
 FOCUS = "P0"

@@ -11,57 +11,20 @@ counterexample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
-from .legality import Schedule
+from .legality import Verdict
 from .model import (
     DuplicateValueError,
     Trace,
     UnmatchedReadError,
-    VisibleProjection,
     build_read_mapping,
     classify,
     visible,
 )
-from .opgraph import WPW, Cycle, OperationGraph, add_rule_a_b
+from .opgraph import WPW, OperationGraph, add_rule_a_b, build_dag_schedule
 
 ALGORITHM = "rw-closure"
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of one focus-process verification.
-
-    `witness` is present on acceptance (a legal schedule), `cycle` on
-    rejections caused by a precedence cycle; rejections for a read without any
-    dictating write carry only `reason`.
-    """
-
-    consistent: bool
-    focus: str
-    algorithm: str
-    witness: Schedule | None = None
-    cycle: Cycle | None = None
-    reason: str | None = None
-
-
-def build_dag_schedule(graph: OperationGraph, proj: VisibleProjection) -> Schedule:
-    """Turn an acyclic, closed precedence graph into a legal schedule.
-
-    Block per focus read, in program order: the read's downset minus
-    everything already scheduled, topologically sorted (ties by lowest
-    operation index); operations preceding no read form a final block.
-    """
-    out: list[int] = []
-    done: set[int] = set()
-    for r in proj.focus_reads():
-        delta = graph.downset(r.index) - done
-        out.extend(graph.topo_sort(delta))
-        done.update(delta)
-    rest = set(graph.nodes) - done
-    out.extend(graph.topo_sort(rest))
-    return Schedule(out)
 
 
 def verify_rw_closure(

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pramcheck
 from pramcheck.cli import main
 
 OK = "p1 W x 1\np1 W x 2\np2 R x 1\np2 R x 2\n"
@@ -27,6 +32,19 @@ def test_verify_violation_exit_one_and_prints_cycle(tmp_path, capsys):
     assert "focus p2: inconsistent" in out
     assert "-WpW->" in out or "-PO->" in out
     assert "overall: inconsistent" in out
+
+
+def test_module_entry_point_reports_violation(tmp_path):
+    # `python -m pramcheck.cli` must run main() and pass its exit code on
+    src = str(Path(pramcheck.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pramcheck.cli", "verify", str(_trace(tmp_path, BAD))],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "overall: inconsistent" in proc.stdout
 
 
 def test_verify_single_focus(tmp_path, capsys):

@@ -43,7 +43,6 @@ def test_edges_and_duplicates():
     assert not g.add_edge(0, 1, WPW)  # second add is a no-op
     assert g.has_edge(0, 1)
     assert not g.has_edge(1, 0)
-    assert g.edge_count() == 1
     assert list(g.edges()) == [(0, 1, PO)]
 
 
@@ -75,6 +74,34 @@ def test_downset_includes_self_and_ancestors():
     g.close()
     assert g.downset(2) == {0, 1, 2}
     assert g.downset(3) == {3}
+
+
+def _dfs_ancestors(edges, n, dst):
+    return _dfs_reachable({(v, u) for u, v in edges}, n, dst)
+
+
+def test_sparse_downset_matches_dfs_ancestors_without_close():
+    rng = random.Random(11)
+    for trial in range(60):
+        n = rng.randrange(2, 15)
+        g, edges = _random_graph(rng, n, density=rng.choice([0.05, 0.15, 0.4]))
+        for v in range(n):
+            assert g.downset(v) == _dfs_ancestors(edges, n, v) | {v}, (trial, v)
+        with pytest.raises(RuntimeError):  # still never closed
+            g.reaches(0, 1)
+
+
+def test_downset_exclude_subtracts_a_union_of_downsets():
+    rng = random.Random(12)
+    for trial in range(60):
+        n = rng.randrange(2, 15)
+        g, _ = _random_graph(rng, n, density=rng.choice([0.05, 0.15, 0.4]))
+        excluded = set()
+        for u in rng.sample(range(n), rng.randrange(n)):
+            excluded |= g.downset(u)
+        for v in range(n):
+            if v not in excluded:
+                assert g.downset(v, excluded) == g.downset(v) - excluded, (trial, v)
 
 
 def test_cyclic_and_find_cycle():
