@@ -12,6 +12,7 @@ exhausted, 64 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -114,6 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("-o", "--output", type=Path, help="trace file (default stdout)")
     return parser
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args keeps no state between calls, and
+    # _Parser.error raises instead of exiting.
+    return build_parser()
 
 
 def _load_trace(path: Path) -> Trace:
@@ -311,9 +319,8 @@ def _cmd_gen(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "check-schedule":

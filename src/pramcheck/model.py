@@ -9,6 +9,7 @@ generator) consumes the immutable types defined here.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -129,6 +130,29 @@ class Trace:
             for o in self.processes[p]
         ]
 
+    @functools.cached_property
+    def variant(self) -> Variant:
+        """Classification by variable count and write-value uniqueness.
+
+        Multi-variable means at least two distinct variables occur among all
+        operations; duplicate means some variable is written the same value
+        twice.  Computed once per trace.
+        """
+        variables = {o.variable for o in self.ops}
+        seen: set[tuple[str, int]] = set()
+        duplicate = False
+        for o in self.ops:
+            if o.is_write:
+                key = (o.variable, o.value)
+                if key in seen:
+                    duplicate = True
+                    break
+                seen.add(key)
+        multi = len(variables) >= 2
+        if multi:
+            return Variant.MD if duplicate else Variant.MU
+        return Variant.SD if duplicate else Variant.SU
+
 
 class Variant(enum.Enum):
     """Trace classification: single/multi variable x unique/duplicate write values."""
@@ -148,25 +172,8 @@ class Variant(enum.Enum):
 
 
 def classify(trace: Trace) -> Variant:
-    """Classify a trace by variable count and write-value uniqueness.
-
-    Multi-variable means at least two distinct variables occur among all
-    operations; duplicate means some variable is written the same value twice.
-    """
-    variables = {o.variable for o in trace.ops}
-    seen: set[tuple[str, int]] = set()
-    duplicate = False
-    for o in trace.ops:
-        if o.is_write:
-            key = (o.variable, o.value)
-            if key in seen:
-                duplicate = True
-                break
-            seen.add(key)
-    multi = len(variables) >= 2
-    if multi:
-        return Variant.MD if duplicate else Variant.MU
-    return Variant.SD if duplicate else Variant.SU
+    """Classify a trace by variable count and write-value uniqueness (`Trace.variant`)."""
+    return trace.variant
 
 
 @dataclass(frozen=True)

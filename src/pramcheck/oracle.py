@@ -212,6 +212,10 @@ def oracle_verify(
         return OracleTimeout(
             focus=focus, states=states, max_states=max_states, max_seconds=max_seconds
         )
+    finally:
+        # search refers to itself through its closure cell; clearing the cell
+        # frees the memo now instead of at the next cyclic garbage collection.
+        search = None
     if found:
         return Verdict(
             consistent=True, focus=focus, algorithm=ALGORITHM, witness=Schedule(sched)

@@ -40,7 +40,28 @@ ALGORITHM = "read-centric"
 
 
 class ReadCentricChecker:
-    """One verification run; exposes its dictionaries for tests and debugging."""
+    """One verification run; exposes its dictionaries for tests and debugging.
+
+    The proactive overwrite-rule pass at a focus read r (dictating write d)
+    orders every settled write on r's variable before d, but adds the edge
+    src -> d only from each process's last settled write on that variable
+    other than d ("last" below).  `settled` is down-closed, so a process's
+    settled writes form a program-order prefix and the other edges are
+    implied.  Every settled write is still checked for a cycle, in index
+    order, so a rejection names the same src.  Skipping src -> d loses
+    nothing:
+
+    1. Reachability: src -PO-> ... -> last -WpW-> d.
+    2. `rr`: when d is in r's new slice, rr[d] = r, and every settled write
+       already reaches r or an earlier read, so rr[src] would not change.
+       Otherwise `topo_schedule(r)` refreshes rr over d's downset, which
+       holds src.
+    3. `pw`: pw[last] already accounts for src and for pw[src], so the
+       operations after d learn the same latest preceding write from last.
+    4. Witnesses: `build_dag_schedule`'s blocks are downset differences and
+       `topo_sort` takes the lexicographically smallest linear extension of
+       each; both depend on reachability alone.
+    """
 
     def __init__(
         self,
@@ -63,7 +84,8 @@ class ReadCentricChecker:
         self.rr: dict[int, int] = {}  # write index -> earliest reachable focus read
         self.rr_checked: dict[int, int] = {}  # rr value at the write's last rule check
         self.pw: dict[int, dict[str, int]] = {}  # op -> variable -> preceding write
-        self.lw: dict[str, set[int]] = {}  # variable -> settled writes on it
+        # variable -> process -> settled writes on it, in program order
+        self.lw: dict[str, dict[str, list[int]]] = {}
         self.order_key: dict[int, int] = {}  # write -> ordinal of first dictated read
 
         # instrumentation
@@ -163,12 +185,13 @@ class ReadCentricChecker:
     def init_reachability(self, r_prev: Operation | None, r: Operation) -> set[int]:
         """Absorb r's new downset slice: seed rr/lw, thread pw along both chains."""
         delta = self.graph.downset(r.index, self.settled)
-        for idx in delta:
+        ordered = sorted(delta)
+        for idx in ordered:
             o = self.graph.ops[idx]
             if o.is_write:
                 self.rr[idx] = r.index
                 self.rr_checked[idx] = r.index
-                self.lw.setdefault(o.variable, set()).add(idx)
+                self.lw.setdefault(o.variable, {}).setdefault(o.process, []).append(idx)
 
         focus_seq = self.proj.by_process[self.focus]
         fpos = self._fpos
@@ -185,7 +208,7 @@ class ReadCentricChecker:
         grp_rr_set = {w.index for w in grp_rr}
         grp_ww = [
             idx
-            for idx in sorted(delta)
+            for idx in ordered
             if self.graph.ops[idx].process == dproc
             and idx != r.index
             and idx not in grp_rr_set
@@ -386,11 +409,20 @@ class ReadCentricChecker:
         for r in self.reads:
             delta = self.init_reachability(r_prev, r)
             d = self.mapping.writer_for(r.index)
-            for src in sorted(self.lw.get(r.variable, ()) - {d}):
-                if not self.graph.add_edge(src, d, WPW):
+            by_process = self.lw.get(r.variable, {})
+            last = {
+                ws[-2] if ws[-1] == d else ws[-1]
+                for ws in by_process.values()
+                if ws != [d]
+            }
+            for src in sorted(w for ws in by_process.values() for w in ws if w != d):
+                if self.graph.has_edge(src, d):
                     continue
-                self.rulec_edges += 1
                 hit = self.cycle_detection(src, d)
+                if hit is None and src not in last:
+                    continue  # program order leads src to its process's last write
+                self.graph.add_edge(src, d, WPW)
+                self.rulec_edges += 1
                 if hit is not None:
                     return self._reject_cycle(src, d, hit)
                 self.update_reachability(src, d)

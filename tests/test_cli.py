@@ -34,15 +34,25 @@ def test_verify_violation_exit_one_and_prints_cycle(tmp_path, capsys):
     assert "overall: inconsistent" in out
 
 
-def test_module_entry_point_reports_violation(tmp_path):
-    # `python -m pramcheck.cli` must run main() and pass its exit code on
+def _run_module(module, *args):
     src = str(Path(pramcheck.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "pramcheck.cli", "verify", str(_trace(tmp_path, BAD))],
+    return subprocess.run(
+        [sys.executable, "-m", module, *args],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_module_entry_point_reports_violation(tmp_path):
+    # `python -m pramcheck.cli` must run main() and pass its exit code on
+    proc = _run_module("pramcheck.cli", "verify", str(_trace(tmp_path, BAD)))
+    assert proc.returncode == 1
+    assert "overall: inconsistent" in proc.stdout
+
+
+def test_package_entry_point_reports_violation(tmp_path):
+    proc = _run_module("pramcheck", "verify", str(_trace(tmp_path, BAD)))
     assert proc.returncode == 1
     assert "overall: inconsistent" in proc.stdout
 

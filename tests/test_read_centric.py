@@ -4,6 +4,7 @@ import pytest
 
 from pramcheck import (
     DuplicateValueError,
+    MutationError,
     check_pram_witness,
     classify,
     gen_pram_trace,
@@ -138,3 +139,33 @@ def test_final_graph_callback_sees_every_cycle_edge():
     (g,) = captured
     for u, w in zip(v.cycle.nodes, v.cycle.nodes[1:]):
         assert g.has_edge(u, w)
+
+
+def _reachability(graph):
+    graph.close()
+    return {(u, v) for u in graph.nodes for v in graph.nodes if graph.strictly_reaches(u, v)}
+
+
+def test_graph_keeps_rw_closure_reachability():
+    """Read-centric's sparse graph orders exactly what rw-closure's saturated one does."""
+    rng = random.Random(2024)
+    checked = 0
+    while checked < 2000:
+        t = gen_pram_trace(
+            rng.randrange(10**6), processes=rng.choice((3, 4)), variables=2, ops=20
+        )
+        if rng.random() < 0.5:
+            kind = rng.choice(("swap-write-values", "reorder-reads", "retarget-read"))
+            try:
+                t = mutate_trace(rng.randrange(10**6), t, kind)
+            except MutationError:
+                pass
+        if classify(t).has_duplicates:
+            continue
+        for focus in t.process_ids():
+            sparse, saturated = [], []
+            if not verify_read_centric(t, focus, on_graph=sparse.append).consistent:
+                continue
+            assert verify_rw_closure(t, focus, on_graph=saturated.append).consistent
+            assert _reachability(sparse[0]) == _reachability(saturated[0])
+            checked += 1
