@@ -43,10 +43,8 @@ from .oracle import (
 from .read_centric import verify_read_centric
 from .reduction import (
     InvalidInstanceError,
-    RoundTrip,
     build_partition_witness,
     reduce_3partition,
-    reduction_roundtrip,
     validate_instance,
 )
 from .rw_closure import verify_rw_closure
@@ -65,7 +63,6 @@ __all__ = [
     "Operation",
     "OperationGraph",
     "OracleTimeout",
-    "RoundTrip",
     "Schedule",
     "ThreePartitionInstance",
     "Trace",
@@ -86,7 +83,6 @@ __all__ = [
     "parse_schedule",
     "parse_trace",
     "reduce_3partition",
-    "reduction_roundtrip",
     "serialize_schedule",
     "serialize_trace",
     "solve_3partition",

@@ -53,7 +53,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process.
+
+    parse_args keeps no state between calls, and _Parser.error raises
+    instead of exiting, so one parser serves every main() call.
+    """
     parser = _Parser(
         prog="pramcheck",
         description="Decide PRAM consistency of read/write traces.",
@@ -117,13 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    # Built once per process: parse_args keeps no state between calls, and
-    # _Parser.error raises instead of exiting.
-    return build_parser()
-
-
 def _load_trace(path: Path) -> Trace:
     try:
         text = path.read_text()
@@ -168,13 +167,11 @@ def _cmd_verify(args) -> int:
         algorithm = args.algorithm
         if algorithm == "auto":
             algorithm = "oracle" if variant.has_duplicates else "read-centric"
-        captured: list[OperationGraph] = []
-        on_graph = captured.append if args.dump_graph is not None else None
         try:
             if algorithm == "rw-closure":
-                result = verify_rw_closure(trace, focus, on_graph=on_graph)
+                result = verify_rw_closure(trace, focus)
             elif algorithm == "read-centric":
-                result = verify_read_centric(trace, focus, on_graph=on_graph)
+                result = verify_read_centric(trace, focus)
             else:
                 result = oracle_verify(trace, focus, max_states=args.budget)
         except DuplicateValueError as exc:
@@ -202,13 +199,14 @@ def _cmd_verify(args) -> int:
             if result.cycle is not None:
                 entry["cycle"] = {
                     "nodes": list(result.cycle.nodes),
-                    "ops": [trace.op(i).pretty() for i in result.cycle.nodes],
+                    "ops": [trace.ops[i].pretty() for i in result.cycle.nodes],
                     "tags": list(result.cycle.tags),
                 }
         if args.dump_graph is not None:
-            if captured:
+            graph = None if isinstance(result, OracleTimeout) else result.graph
+            if graph is not None:
                 path = _suffixed(args.dump_graph, focus, multi)
-                _write_graph(path, captured[-1])
+                _write_graph(path, graph)
                 entry["graph_file"] = str(path)
             else:
                 print(
@@ -320,7 +318,7 @@ def _cmd_gen(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "check-schedule":

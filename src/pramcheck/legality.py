@@ -10,13 +10,13 @@ every process's program order.  `Verdict` is the outcome every verifier returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .model import Operation, Trace, UnknownProcessError, visible
 
 if TYPE_CHECKING:
-    from .opgraph import Cycle
+    from .opgraph import Cycle, OperationGraph
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,6 @@ class Schedule:
     def __iter__(self):
         return iter(self.seq)
 
-    def positions(self) -> dict[int, int]:
-        return {op: pos for pos, op in enumerate(self.seq)}
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -44,7 +41,8 @@ class Verdict:
 
     `witness` is present on acceptance (a legal schedule), `cycle` on
     rejections caused by a precedence cycle; rejections for a read without any
-    dictating write carry only `reason`.
+    dictating write carry only `reason`.  The polynomial verifiers attach the
+    precedence graph they built as `graph` (the oracle keeps none).
     """
 
     consistent: bool
@@ -53,6 +51,7 @@ class Verdict:
     witness: Schedule | None = None
     cycle: Cycle | None = None
     reason: str | None = None
+    graph: OperationGraph | None = field(default=None, compare=False, repr=False)
 
 
 class NotAPermutationError(ValueError):
@@ -108,44 +107,6 @@ def is_legal(sched: Schedule, ops: Mapping[int, Operation]) -> bool:
     return legality_violation(sched, ops) is None
 
 
-def violated_pair(
-    sched: Schedule, pairs: Iterable[tuple[int, int]]
-) -> tuple[int, int] | None:
-    """First (a, b) from `pairs` with b scheduled at or before a, else None."""
-    pos = sched.positions()
-    for a, b in pairs:
-        if pos[a] >= pos[b]:
-            return (a, b)
-    return None
-
-
-def induced_read_mapping(sched: Schedule, ops: Mapping[int, Operation]) -> dict[int, int]:
-    """Map each scheduled read to the latest preceding same-variable write.
-
-    This is the schedule's own notion of who dictated each read; it is only
-    meaningful on legal schedules (reads without a preceding write are absent
-    from the result).
-    """
-    last_write: dict[str, int] = {}
-    mapping: dict[int, int] = {}
-    for i in sched:
-        op = ops[i]
-        if op.is_write:
-            last_write[op.variable] = i
-        elif op.variable in last_write:
-            mapping[i] = last_write[op.variable]
-    return mapping
-
-
-def program_order_pairs(trace: Trace, focus: str) -> list[tuple[int, int]]:
-    """Consecutive visible-operation pairs per process (their order generates the rest)."""
-    proj = visible(trace, focus)
-    pairs: list[tuple[int, int]] = []
-    for seq in proj.by_process.values():
-        pairs.extend((a.index, b.index) for a, b in zip(seq, seq[1:]))
-    return pairs
-
-
 @dataclass(frozen=True)
 class WitnessCheck:
     """Outcome of check_pram_witness: truthy iff the schedule is a valid witness."""
@@ -177,10 +138,11 @@ def check_pram_witness(trace: Trace, focus: str, sched: Schedule) -> WitnessChec
         return WitnessCheck(False, f"not a permutation of visible operations: {exc}")
     if bad_read is not None:
         return WitnessCheck(False, f"illegal read {ops[bad_read].pretty()}")
-    pair = violated_pair(sched, program_order_pairs(trace, focus))
-    if pair is not None:
-        a, b = pair
-        return WitnessCheck(
-            False, f"program order violated: {ops[a].pretty()} after {ops[b].pretty()}"
-        )
+    pos = {op: i for i, op in enumerate(sched.seq)}
+    for seq in proj.by_process.values():
+        for a, b in zip(seq, seq[1:]):
+            if pos[a.index] >= pos[b.index]:
+                return WitnessCheck(
+                    False, f"program order violated: {a.pretty()} after {b.pretty()}"
+                )
     return WitnessCheck(True)

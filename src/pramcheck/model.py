@@ -119,9 +119,6 @@ class Trace:
     def process_ids(self) -> tuple[str, ...]:
         return tuple(self.processes)
 
-    def op(self, index: int) -> Operation:
-        return self.ops[index]
-
     def rows(self) -> list[tuple[str, str, str, int]]:
         """The trace as build()-style rows, grouped by process section."""
         return [
@@ -161,10 +158,6 @@ class Variant(enum.Enum):
     MU = "MU"
     SD = "SD"
     MD = "MD"
-
-    @property
-    def multi_variable(self) -> bool:
-        return self in (Variant.MU, Variant.MD)
 
     @property
     def has_duplicates(self) -> bool:
@@ -207,18 +200,8 @@ def visible(trace: Trace, focus: str) -> VisibleProjection:
     )
 
 
-@dataclass(frozen=True)
-class ReadMapping:
-    """For each visible read (by index), the index of its unique dictating write."""
-
-    dictate: Mapping[int, int]
-
-    def writer_for(self, read_index: int) -> int:
-        return self.dictate[read_index]
-
-
-def build_read_mapping(proj: VisibleProjection) -> ReadMapping:
-    """Map every visible read to the one write with its variable and value.
+def build_read_mapping(proj: VisibleProjection) -> dict[int, int]:
+    """Map each visible read's index to the one write with its variable and value.
 
     Raises UnmatchedReadError when a read's value was never written to its
     variable, and DuplicateValueError when more than one write matches (the
@@ -238,7 +221,7 @@ def build_read_mapping(proj: VisibleProjection) -> ReadMapping:
                 f"read #{r.index} ({r.pretty()}) has {len(candidates)} candidate writes"
             )
         dictate[r.index] = candidates[0]
-    return ReadMapping(dictate=dictate)
+    return dictate
 
 
 def parse_trace(text: str | bytes) -> Trace:

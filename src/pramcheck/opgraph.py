@@ -16,14 +16,16 @@ from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from .legality import Schedule
-from .model import Operation, ReadMapping, VisibleProjection
+from .model import Operation, VisibleProjection
 
 PO = "PO"
 WR = "WR"
 WPW = "WpW"
 
 
-def add_rule_a_b(graph: "OperationGraph", proj: VisibleProjection, mapping: ReadMapping) -> None:
+def add_rule_a_b(
+    graph: "OperationGraph", proj: VisibleProjection, mapping: Mapping[int, int]
+) -> None:
     """Seed a graph with the always-true precedences.
 
     Program order: consecutive visible operations of the same process.
@@ -32,7 +34,7 @@ def add_rule_a_b(graph: "OperationGraph", proj: VisibleProjection, mapping: Read
     for seq in proj.by_process.values():
         for a, b in zip(seq, seq[1:]):
             graph.add_edge(a.index, b.index, PO)
-    for read_idx, write_idx in mapping.dictate.items():
+    for read_idx, write_idx in mapping.items():
         graph.add_edge(write_idx, read_idx, WR)
 
 
@@ -52,14 +54,6 @@ class Cycle:
         for node, tag in zip(self.nodes[1:], self.tags):
             parts.append(f"-{tag}-> {ops[node].pretty()}")
         return " ".join(parts)
-
-
-class CycleFound(Exception):
-    """Raised by topo_sort when the (sub)graph is cyclic; carries the cycle."""
-
-    def __init__(self, cycle: Cycle):
-        super().__init__("graph is cyclic")
-        self.cycle = cycle
 
 
 class OperationGraph:
@@ -152,7 +146,7 @@ class OperationGraph:
         """Topological order of `subset` (default: all nodes), ties by lowest index.
 
         Only edges with both endpoints inside the subset constrain the order.
-        Raises CycleFound when the induced subgraph is cyclic.
+        Callers sort acyclic graphs only; a cycle raises RuntimeError.
         """
         members = set(self.nodes) if subset is None else set(subset)
         indeg = {
@@ -170,27 +164,8 @@ class OperationGraph:
                     if indeg[s] == 0:
                         heapq.heappush(ready, s)
         if len(out) != len(members):
-            leftover = members - set(out)
-            raise CycleFound(self._cycle_within(leftover))
+            raise RuntimeError("topo_sort met a cycle")
         return out
-
-    def _cycle_within(self, nodes: set[int]) -> Cycle:
-        # Every leftover node keeps an in-neighbor among the leftovers, so a
-        # backward walk must revisit a node, closing a cycle.
-        start = min(nodes)
-        seen: dict[int, int] = {}
-        path = [start]
-        seen[start] = 0
-        cur = start
-        while True:
-            cur = min(p for p in self.preds[cur] if p in nodes)
-            if cur in seen:
-                break
-            seen[cur] = len(path)
-            path.append(cur)
-        loop = [cur] + list(reversed(path[seen[cur]:]))
-        tags = tuple(self.succs[a][b] for a, b in zip(loop, loop[1:]))
-        return Cycle(nodes=tuple(loop), tags=tags)
 
     def find_cycle(self) -> Cycle | None:
         """Some directed cycle over the sparse edges, or None if acyclic."""

@@ -41,7 +41,6 @@ def oracle_verify(
     *,
     max_states: int = DEFAULT_MAX_STATES,
     max_seconds: float | None = None,
-    memo: bool = True,
 ) -> Verdict | OracleTimeout:
     """Decide consistency from `focus`'s view by memoized depth-first search.
 
@@ -154,7 +153,7 @@ def oracle_verify(
                 tuple(sorted(suffix_sig[li][f] for li, f in enumerate(frontier))),
                 tuple(lastvals),
             )
-            if memo and key in failed:
+            if key in failed:
                 return False
             states += 1
             if states > max_states:
@@ -197,8 +196,7 @@ def oracle_verify(
                 sched.pop()
                 frontier[li] -= 1
                 lastvals[s] = prev
-            if memo:
-                failed.add(key)
+            failed.add(key)
             return False
         finally:
             if not won:

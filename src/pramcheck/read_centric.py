@@ -22,7 +22,6 @@ check; dependencies discovered mid-walk re-queue the affected write.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
 
 from .legality import Verdict
 from .model import (
@@ -34,13 +33,13 @@ from .model import (
     classify,
     visible,
 )
-from .opgraph import PO, WPW, WR, Cycle, OperationGraph, build_dag_schedule
+from .opgraph import PO, WPW, WR, Cycle, OperationGraph, add_rule_a_b, build_dag_schedule
 
 ALGORITHM = "read-centric"
 
 
 class ReadCentricChecker:
-    """One verification run; exposes its dictionaries for tests and debugging.
+    """One verification run; exposes its dictionaries and counters for tests.
 
     The proactive overwrite-rule pass at a focus read r (dictating write d)
     orders every settled write on r's variable before d, but adds the edge
@@ -116,13 +115,10 @@ class ReadCentricChecker:
         cycle = self.graph.shortest_cycle_through(src, dst)
         if cycle is None:
             raise RuntimeError("cycle detector fired without a closing path")
-        return Verdict(
-            consistent=False,
-            focus=self.focus,
-            algorithm=ALGORITHM,
-            cycle=cycle,
-            reason="precedence cycle",
-        )
+        return self._verdict(False, cycle=cycle, reason="precedence cycle")
+
+    def _verdict(self, consistent: bool, **details) -> Verdict:
+        return Verdict(consistent, self.focus, ALGORITHM, graph=self.graph, **details)
 
     # -- the dictionaries ----------------------------------------------------
 
@@ -203,7 +199,7 @@ class ReadCentricChecker:
             prev = w.index
         self.pw_update(prev, r.index)
 
-        d = self.mapping.writer_for(r.index)
+        d = self.mapping[r.index]
         dproc = self.graph.ops[d].process
         grp_rr_set = {w.index for w in grp_rr}
         grp_ww = [
@@ -240,7 +236,7 @@ class ReadCentricChecker:
         var = self.graph.ops[src].variable
         for r_tmp in self.reads[lo:hi]:
             if r_tmp.variable == var:
-                tgt = self.mapping.writer_for(r_tmp.index)
+                tgt = self.mapping[r_tmp.index]
                 if self.debug:
                     assert tgt != src, "write found dictating a read it already precedes"
                 return tgt
@@ -282,7 +278,7 @@ class ReadCentricChecker:
         """
         self.topo_calls += 1
         fired: dict[int, int] = {}
-        d = self.mapping.writer_for(r.index)
+        d = self.mapping[r.index]
         dset = self.graph.downset(d)
         suc = {u: [s for s in self.graph.succs[u] if s in dset] for u in dset}
         count = {u: len(suc[u]) for u in dset}
@@ -373,34 +369,22 @@ class ReadCentricChecker:
         try:
             self.mapping = build_read_mapping(self.proj)
         except UnmatchedReadError as exc:
-            return Verdict(
-                consistent=False, focus=self.focus, algorithm=ALGORITHM, reason=str(exc)
-            )
-        dictated: dict[int, list[int]] = {}
-        for r in self.reads:
-            dictated.setdefault(self.mapping.writer_for(r.index), []).append(
-                self.read_ord[r.index]
-            )
-        self.order_key = {w: min(ords) for w, ords in dictated.items()}
+            return self._verdict(False, reason=str(exc))
+        for r in self.reads:  # reads in program order: the first one is the minimum
+            self.order_key.setdefault(self.mapping[r.index], self.read_ord[r.index])
 
-        for seq in self.proj.by_process.values():
-            for a, b in zip(seq, seq[1:]):
-                self.graph.add_edge(a.index, b.index, PO)
-        for r in self.reads:
-            self.graph.add_edge(self.mapping.writer_for(r.index), r.index, WR)
+        add_rule_a_b(self.graph, self.proj, self.mapping)
 
         focus_seq = self.proj.by_process.get(self.focus, ())
         fpos = self._fpos = {o.index: i for i, o in enumerate(focus_seq)}
         for r in self.reads:
-            d = self.mapping.writer_for(r.index)
+            d = self.mapping[r.index]
             if self.graph.ops[d].process == self.focus and fpos[d] > fpos[r.index]:
                 chain = focus_seq[fpos[r.index] : fpos[d] + 1]
                 nodes = tuple(o.index for o in chain) + (r.index,)
                 tags = (PO,) * (len(chain) - 1) + (WR,)
-                return Verdict(
-                    consistent=False,
-                    focus=self.focus,
-                    algorithm=ALGORITHM,
+                return self._verdict(
+                    False,
                     cycle=Cycle(nodes=nodes, tags=tags),
                     reason="read precedes its dictating write",
                 )
@@ -408,7 +392,7 @@ class ReadCentricChecker:
         r_prev: Operation | None = None
         for r in self.reads:
             delta = self.init_reachability(r_prev, r)
-            d = self.mapping.writer_for(r.index)
+            d = self.mapping[r.index]
             by_process = self.lw.get(r.variable, {})
             last = {
                 ws[-2] if ws[-1] == d else ws[-1]
@@ -432,39 +416,19 @@ class ReadCentricChecker:
                     return verdict
             r_prev = r
 
-        witness = build_dag_schedule(self.final_graph(), self.proj)
-        return Verdict(
-            consistent=True, focus=self.focus, algorithm=ALGORITHM, witness=witness
-        )
+        return self._verdict(True, witness=build_dag_schedule(self.final_graph(), self.proj))
 
     def final_graph(self) -> OperationGraph:
         """The live graph as built so far; never closed, so `reaches()` raises on it."""
         return self.graph
 
 
-def verify_read_centric(
-    trace: Trace,
-    focus: str,
-    *,
-    stats: dict | None = None,
-    debug_checks: bool = False,
-    on_graph: Callable[[OperationGraph], None] | None = None,
-) -> Verdict:
+def verify_read_centric(trace: Trace, focus: str, *, debug_checks: bool = False) -> Verdict:
     """Decide consistency from `focus`'s viewpoint, one read at a time.
 
     Requires unique write values (raises DuplicateValueError otherwise).
-    `stats`, when given, receives instrumentation counters; `debug_checks`
-    cross-checks the incremental dictionaries against the graph at every use.
-    `on_graph` receives the checker's live graph: the sparse edges, never
-    closed, so its reachability queries (`reaches()`) raise.
+    `debug_checks` cross-checks the incremental dictionaries against the graph
+    at every use.  The verdict carries the checker's live graph: the sparse
+    edges, never closed, so its reachability queries (`reaches()`) raise.
     """
-    checker = ReadCentricChecker(trace, focus, debug_checks=debug_checks)
-    verdict = checker.run()
-    if stats is not None:
-        stats["rulec_edges"] = checker.rulec_edges
-        stats["topo_calls"] = checker.topo_calls
-        stats["topo_rulec_per_write_max"] = checker.topo_rulec_per_write_max
-        stats["detected_in_topo"] = checker.detected_in_topo
-    if on_graph is not None:
-        on_graph(checker.final_graph())
-    return verdict
+    return ReadCentricChecker(trace, focus, debug_checks=debug_checks).run()

@@ -19,17 +19,10 @@ feasible.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
-from .legality import Schedule, Verdict, WitnessCheck, check_pram_witness
+from .legality import Schedule
 from .model import READ, WRITE, Trace
-from .oracle import (
-    DEFAULT_MAX_STATES,
-    OracleTimeout,
-    ThreePartitionInstance,
-    oracle_verify,
-    solve_3partition,
-)
+from .oracle import ThreePartitionInstance
 
 VAR = "x"
 FOCUS = "P0"
@@ -135,53 +128,3 @@ def build_partition_witness(
             take(number_process(j))
             take(FOCUS)
     return Schedule(out)
-
-
-@dataclass(frozen=True)
-class RoundTrip:
-    """Side-by-side result of the combinatorial solver and the trace oracle."""
-
-    instance: ThreePartitionInstance
-    feasible: bool
-    partition: list[tuple[int, int, int]] | None
-    oracle_result: Verdict | OracleTimeout
-    witness_check: WitnessCheck | None
-
-    @property
-    def agreement(self) -> bool | None:
-        """True/False when the oracle reached a verdict, None on timeout."""
-        if isinstance(self.oracle_result, OracleTimeout):
-            return None
-        return self.oracle_result.consistent == self.feasible
-
-
-def reduction_roundtrip(
-    inst: ThreePartitionInstance,
-    *,
-    max_states: int = DEFAULT_MAX_STATES,
-    max_seconds: float | None = None,
-) -> RoundTrip:
-    """Solve the instance combinatorially and verify the reduced trace; compare.
-
-    On feasible instances the partition-induced schedule is also checked as a
-    witness.  An oracle timeout is reported as such (agreement None), never as
-    a verdict.
-    """
-    validate_instance(inst)
-    partition = solve_3partition(inst)
-    trace = reduce_3partition(inst)
-    oracle_result = oracle_verify(
-        trace, FOCUS, max_states=max_states, max_seconds=max_seconds
-    )
-    witness_check = None
-    if partition is not None:
-        witness_check = check_pram_witness(
-            trace, FOCUS, build_partition_witness(trace, inst, partition)
-        )
-    return RoundTrip(
-        instance=inst,
-        feasible=partition is not None,
-        partition=partition,
-        oracle_result=oracle_result,
-        witness_check=witness_check,
-    )

@@ -11,8 +11,6 @@ counterexample.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .legality import Verdict
 from .model import (
     DuplicateValueError,
@@ -27,15 +25,11 @@ from .opgraph import WPW, OperationGraph, add_rule_a_b, build_dag_schedule
 ALGORITHM = "rw-closure"
 
 
-def verify_rw_closure(
-    trace: Trace,
-    focus: str,
-    on_graph: Callable[[OperationGraph], None] | None = None,
-) -> Verdict:
+def verify_rw_closure(trace: Trace, focus: str) -> Verdict:
     """Decide consistency from `focus`'s viewpoint by closure iteration.
 
     Requires unique write values (raises DuplicateValueError otherwise).
-    `on_graph` receives the final graph, closure included - useful for dumps
+    The verdict carries the final graph, closure included - useful for dumps
     and for property checks on the saturated edge set.
     """
     if classify(trace).has_duplicates:
@@ -62,7 +56,7 @@ def verify_rw_closure(
         graph.close()
         added_any = False
         for r in focus_reads:
-            w = mapping.writer_for(r.index)
+            w = mapping[r.index]
             for other in writes_on.get(r.variable, ()):
                 if other == w:
                     continue
@@ -79,19 +73,16 @@ def verify_rw_closure(
             cycle = graph.shortest_cycle_through(*last_added)
         if cycle is None:
             cycle = graph.find_cycle()
-        if on_graph is not None:
-            on_graph(graph)
         return Verdict(
             consistent=False,
             focus=focus,
             algorithm=ALGORITHM,
             cycle=cycle,
             reason="precedence cycle",
+            graph=graph,
         )
 
     witness = build_dag_schedule(graph, proj)
-    if on_graph is not None:
-        on_graph(graph)
     return Verdict(
-        consistent=True, focus=focus, algorithm=ALGORITHM, witness=witness
+        consistent=True, focus=focus, algorithm=ALGORITHM, witness=witness, graph=graph
     )

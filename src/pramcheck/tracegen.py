@@ -81,10 +81,6 @@ def gen_pram_trace(
     return Trace.build(rows)
 
 
-def _rows_of(trace: Trace) -> list[tuple[str, str, str, int]]:
-    return list(trace.rows())
-
-
 def mutate_trace(seed: int, trace: Trace, kind: str) -> Trace:
     """Apply one named mutation; raises MutationError when inapplicable.
 
@@ -94,7 +90,7 @@ def mutate_trace(seed: int, trace: Trace, kind: str) -> Trace:
                        variable, or at a value nobody wrote
     """
     rng = random.Random(seed)
-    rows = _rows_of(trace)
+    rows = trace.rows()
     if kind == "swap-write-values":
         by_var: dict[str, list[int]] = {}
         for i, (_, k, var, _v) in enumerate(rows):
@@ -135,15 +131,3 @@ def mutate_trace(seed: int, trace: Trace, kind: str) -> Trace:
     else:
         raise MutationError(f"unknown mutation {kind!r}")
     return Trace.build(rows)
-
-
-def operations_summary(trace: Trace) -> dict[str, int]:
-    """Small counters handy for logging generated workloads."""
-    reads = sum(1 for o in trace.ops if o.is_read)
-    return {
-        "ops": trace.n,
-        "reads": reads,
-        "writes": trace.n - reads,
-        "processes": len(trace.process_ids()),
-        "variables": len({o.variable for o in trace.ops}),
-    }

@@ -22,7 +22,7 @@ from pramcheck.oracle import (
     oracle_verify,
     solve_3partition,
 )
-from pramcheck.read_centric import verify_read_centric
+from pramcheck.read_centric import ReadCentricChecker, verify_read_centric
 from pramcheck.reduction import (
     FOCUS,
     InvalidInstanceError,
@@ -130,10 +130,9 @@ def sweep():
     }
 
     def check(trace, focus):
-        graphs = []
-        stats = {}
-        rw = verify_rw_closure(trace, focus, on_graph=graphs.append)
-        rc = verify_read_centric(trace, focus, stats=stats)
+        rw = verify_rw_closure(trace, focus)
+        checker = ReadCentricChecker(trace, focus)
+        rc = checker.run()
         orc = oracle_verify(trace, focus)
         record["checks"] += 1
         if not (rw.consistent is rc.consistent is orc.consistent):
@@ -143,9 +142,9 @@ def sweep():
             if v.consistent and not check_pram_witness(trace, focus, v.witness).ok:
                 record["witness_failures"].append((trace.rows(), focus, v.algorithm))
         if rw.consistent:
-            (g,) = graphs
+            g = rw.graph
             proj = visible(trace, focus)
-            for r_idx, w_idx in build_read_mapping(proj).dictate.items():
+            for r_idx, w_idx in build_read_mapping(proj).items():
                 var = g.ops[r_idx].variable
                 for o in proj.ops:
                     if (
@@ -156,7 +155,7 @@ def sweep():
                         and not g.reaches(o.index, w_idx)
                     ):
                         record["saturation_violations"].append((trace.rows(), focus))
-        if stats["topo_rulec_per_write_max"] > 1:
+        if checker.topo_rulec_per_write_max > 1:
             record["rulec_refire_violations"].append((trace.rows(), focus))
 
     for t in _exhaustive_traces(4):

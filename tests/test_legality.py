@@ -4,13 +4,10 @@ from pramcheck.legality import (
     NotAPermutationError,
     Schedule,
     check_pram_witness,
-    induced_read_mapping,
     is_legal,
     legality_violation,
     parse_schedule,
-    program_order_pairs,
     serialize_schedule,
-    violated_pair,
 )
 from pramcheck.model import visible
 from testutil import T
@@ -97,39 +94,6 @@ def test_permutation_enforced():
         is_legal(Schedule((0, 0)), ops)
 
 
-def test_respects_and_violated_pair():
-    sched = Schedule((3, 1, 2))
-    assert violated_pair(sched, [(3, 1), (1, 2)]) is None
-    assert violated_pair(sched, [(3, 1), (2, 1)]) == (2, 1)
-    assert violated_pair(sched, []) is None
-
-
-def test_induced_read_mapping():
-    t = T("""
-        p1 W x 1
-        p1 W x 2
-        p2 R x 1
-        p2 R x 2
-    """)
-    ops = _ops(t, "p2")
-    assert induced_read_mapping(Schedule((0, 2, 1, 3)), ops) == {2: 0, 3: 1}
-
-
-def test_program_order_pairs_cover_focus_reads_and_all_writes():
-    t = T("""
-        p1 W x 1
-        p1 R x 1
-        p1 W y 2
-        p2 W x 3
-        p2 R y 2
-    """)
-    pairs = set(program_order_pairs(t, "p1"))
-    # consecutive visible ops per process; p2's read is not visible to p1
-    assert pairs == {(0, 1), (1, 2)}
-    pairs2 = set(program_order_pairs(t, "p2"))
-    assert pairs2 == {(0, 2), (3, 4)}
-
-
 def test_witness_check_rejects_program_order_violation():
     t = T("""
         p1 W x 1
@@ -142,7 +106,27 @@ def test_witness_check_rejects_program_order_violation():
     assert is_legal(sched, _ops(t, "p2"))
     check = check_pram_witness(t, "p2", sched)
     assert not check.ok
-    assert check.reason
+    assert check.reason == "program order violated: Rx2@p2#2 after Rx1@p2#3"
+
+    # Each process's consecutive visible operations are ordered; p2's read is
+    # not visible to p1, and p1's read not to p2, so their order skips them.
+    t = T("""
+        p1 W x 1
+        p1 R x 1
+        p1 W y 2
+        p2 W x 3
+        p2 R y 2
+    """)
+    for focus, seq, violated in [
+        ("p1", (0, 1, 2, 3), None),
+        ("p1", (0, 2, 1, 3), "Rx1@p1#1 after Wy2@p1#2"),
+        ("p2", (0, 2, 3, 4), None),
+        ("p2", (2, 0, 3, 4), "Wx1@p1#0 after Wy2@p1#2"),
+        ("p2", (0, 2, 4, 3), "Wx3@p2#3 after Ry2@p2#4"),
+    ]:
+        assert is_legal(Schedule(seq), _ops(t, focus))
+        check = check_pram_witness(t, focus, Schedule(seq))
+        assert check.reason == (violated and f"program order violated: {violated}")
 
 
 def test_schedule_text_roundtrip():

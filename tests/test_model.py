@@ -92,7 +92,7 @@ def test_classify_variants():
     assert classify(sd) is Variant.SD
     assert classify(md) is Variant.MD
     assert not classify(su).has_duplicates
-    assert classify(md).has_duplicates and classify(md).multi_variable
+    assert classify(md).has_duplicates
 
 
 def test_visible_projection_keeps_writes_and_focus_reads():
@@ -125,7 +125,7 @@ def test_read_mapping_unique_values():
         p2 R x 1
     """)
     m = build_read_mapping(visible(t, "p2"))
-    assert m.dictate == {2: 1, 3: 0}
+    assert m == {2: 1, 3: 0}
 
 
 def test_read_mapping_unmatched_read():

@@ -12,7 +12,7 @@ from pramcheck import (
     parse_trace,
     verify_rw_closure,
 )
-from pramcheck.read_centric import ALGORITHM, verify_read_centric
+from pramcheck.read_centric import ALGORITHM, ReadCentricChecker, verify_read_centric
 from testutil import T, brute_force_consistent
 from test_rw_closure import FROZEN, _exhaustive_unique_traces
 
@@ -59,22 +59,14 @@ p3 R y 2
 
 def test_cycle_found_inside_schedule_construction():
     """A conflict that only materializes while topo-sorting a read's downset."""
-    stats = {}
-    t = T(DETECTED_IN_TOPO)
-    v = verify_read_centric(t, "p3", stats=stats, debug_checks=True)
+    checker = ReadCentricChecker(T(DETECTED_IN_TOPO), "p3", debug_checks=True)
+    v = checker.run()
     assert v.consistent is False
-    assert stats["detected_in_topo"] is True
-    assert stats["rulec_edges"] == 5
-    assert stats["topo_calls"] == 2
+    assert checker.detected_in_topo is True
+    assert checker.rulec_edges == 5
+    assert checker.topo_calls == 2
     assert v.cycle is not None
     assert v.cycle.nodes == (0, 3, 0)
-
-
-def test_stats_keys_always_present():
-    stats = {}
-    verify_read_centric(T("p1 W x 1\np2 R x 1"), "p2", stats=stats)
-    for key in ("rulec_edges", "topo_calls", "topo_rulec_per_write_max", "detected_in_topo"):
-        assert key in stats
 
 
 def test_unmatched_read_is_rejected_with_reason():
@@ -133,12 +125,9 @@ def test_witnesses_are_sound_on_seeded_traces():
 
 
 def test_final_graph_callback_sees_every_cycle_edge():
-    captured = []
-    t = T(DETECTED_IN_TOPO)
-    v = verify_read_centric(t, "p3", on_graph=captured.append)
-    (g,) = captured
+    v = verify_read_centric(T(DETECTED_IN_TOPO), "p3")
     for u, w in zip(v.cycle.nodes, v.cycle.nodes[1:]):
-        assert g.has_edge(u, w)
+        assert v.graph.has_edge(u, w)
 
 
 def _reachability(graph):
@@ -163,9 +152,10 @@ def test_graph_keeps_rw_closure_reachability():
         if classify(t).has_duplicates:
             continue
         for focus in t.process_ids():
-            sparse, saturated = [], []
-            if not verify_read_centric(t, focus, on_graph=sparse.append).consistent:
+            sparse = verify_read_centric(t, focus)
+            if not sparse.consistent:
                 continue
-            assert verify_rw_closure(t, focus, on_graph=saturated.append).consistent
-            assert _reachability(sparse[0]) == _reachability(saturated[0])
+            saturated = verify_rw_closure(t, focus)
+            assert saturated.consistent
+            assert _reachability(sparse.graph) == _reachability(saturated.graph)
             checked += 1

@@ -8,7 +8,6 @@ from pramcheck.reduction import (
     InvalidInstanceError,
     build_partition_witness,
     reduce_3partition,
-    reduction_roundtrip,
     validate_instance,
 )
 
@@ -80,24 +79,19 @@ def test_partition_witness_is_a_pram_witness():
 
 
 def test_feasible_roundtrip_agrees():
-    rt = reduction_roundtrip(ThreePartitionInstance(1, 6, (2, 2, 2)))
-    assert rt.feasible is True
-    assert rt.partition == [(0, 1, 2)]
-    assert rt.oracle_result.consistent is True
-    assert rt.witness_check.ok
-    assert rt.agreement is True
+    inst = ThreePartitionInstance(1, 6, (2, 2, 2))
+    partition = solve_3partition(inst)
+    assert partition == [(0, 1, 2)]
+    t = reduce_3partition(inst)
+    assert oracle_verify(t, FOCUS).consistent is True
+    assert check_pram_witness(t, FOCUS, build_partition_witness(t, inst, partition)).ok
 
 
 def test_infeasible_roundtrip_agrees():
-    rt = reduction_roundtrip(INFEASIBLE, max_states=2_000_000)
-    assert rt.feasible is False
-    assert rt.partition is None
-    assert rt.witness_check is None
-    if isinstance(rt.oracle_result, OracleTimeout):
-        assert rt.agreement is None  # inconclusive, never acceptance
-    else:
-        assert rt.oracle_result.consistent is False
-        assert rt.agreement is True
+    assert solve_3partition(INFEASIBLE) is None
+    v = oracle_verify(reduce_3partition(INFEASIBLE), FOCUS, max_states=2_000_000)
+    # a timeout is inconclusive, never acceptance
+    assert isinstance(v, OracleTimeout) or v.consistent is False
 
 
 def test_oracle_accepts_reference_reduction():

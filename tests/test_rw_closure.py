@@ -69,7 +69,6 @@ def test_rejecting_runs_explain_themselves():
 
 
 def test_cycle_edges_exist_in_saturated_graph():
-    captured = []
     t = T(
         """
         p1 W x 1
@@ -82,11 +81,10 @@ def test_cycle_edges_exist_in_saturated_graph():
         p0 R x 1
         """
     )
-    v = verify_rw_closure(t, "p0", on_graph=captured.append)
+    v = verify_rw_closure(t, "p0")
     assert not v.consistent and v.cycle is not None
-    (g,) = captured
     for u, w in zip(v.cycle.nodes, v.cycle.nodes[1:]):
-        assert g.has_edge(u, w)
+        assert v.graph.has_edge(u, w)
 
 
 def test_duplicate_values_are_refused():
@@ -155,13 +153,12 @@ def test_saturation_property_on_accepting_graphs():
     for _ in range(60):
         t = gen_pram_trace(rng.randrange(10**6), processes=3, variables=2, ops=14)
         for focus in t.process_ids():
-            captured = []
-            v = verify_rw_closure(t, focus, on_graph=captured.append)
+            v = verify_rw_closure(t, focus)
             if not v.consistent:
                 continue
-            (g,) = captured
+            g = v.graph
             proj = visible(t, focus)
-            dictate = build_read_mapping(proj).dictate
+            dictate = build_read_mapping(proj)
             for r_idx, w_idx in dictate.items():
                 var = g.ops[r_idx].variable
                 for o in proj.ops:
