@@ -30,19 +30,17 @@ def verify_rw_closure(trace: Trace, focus: str) -> Verdict:
 
     Requires unique write values (raises DuplicateValueError otherwise).
     The verdict carries the final graph, closure included - useful for dumps
-    and for property checks on the saturated edge set.
+    and for property checks on the saturated edge set (edge-less when a read
+    has no dictating write).
     """
     if classify(trace).has_duplicates:
         raise DuplicateValueError("duplicate write values; use the oracle instead")
     proj = visible(trace, focus)
+    graph = OperationGraph(proj.ops)
     try:
         mapping = build_read_mapping(proj)
     except UnmatchedReadError as exc:
-        return Verdict(
-            consistent=False, focus=focus, algorithm=ALGORITHM, reason=str(exc)
-        )
-
-    graph = OperationGraph(proj.ops)
+        return Verdict(False, focus, ALGORITHM, reason=str(exc), graph=graph)
     add_rule_a_b(graph, proj, mapping)
 
     writes_on: dict[str, list[int]] = {}

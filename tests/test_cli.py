@@ -123,6 +123,23 @@ def test_verify_dump_graph(tmp_path, capsys):
         int(src), int(dst)
 
 
+def test_dump_graph_note_names_only_the_oracle(tmp_path, capsys):
+    # a read without a dictating write still leaves a (edge-less) graph to dump
+    unmatched = _trace(tmp_path, "p1 W x 1\np2 R x 7\n")
+    for algorithm in ("rw-closure", "read-centric"):
+        rc = main(["verify", str(unmatched), "--focus", "p2", "--algorithm", algorithm,
+                   "--dump-graph", str(tmp_path / algorithm)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "note" not in err
+        assert (tmp_path / algorithm).read_text() == ""
+    rc = main(["verify", str(unmatched), "--focus", "p2", "--algorithm", "oracle",
+               "--dump-graph", str(tmp_path / "oracle")])
+    assert rc == 1
+    assert "(oracle keeps no graph)" in capsys.readouterr().err
+    assert not (tmp_path / "oracle").exists()
+
+
 def test_verify_algorithm_choice(tmp_path, capsys):
     rc = main(["verify", str(_trace(tmp_path, OK)), "--algorithm", "rw-closure"])
     out = capsys.readouterr().out
