@@ -43,14 +43,16 @@ class ReadCentricChecker:
 
     The proactive overwrite-rule pass at a focus read r (dictating write d)
     orders every settled write on r's variable before d, but adds the edge
-    src -> d only from each process's last settled write on that variable
-    other than d ("last" below).  `settled` is down-closed, so a process's
-    settled writes form a program-order prefix and the other edges are
-    implied.  Every settled write is still checked for a cycle, in index
-    order, so a rejection names the same src.  Skipping src -> d loses
-    nothing:
+    src -> d only from the last settled write on that variable of each
+    process other than d's own ("last" below).  `settled` is down-closed, so
+    a process's settled writes form a program-order prefix and the other
+    edges are implied; d is settled, so in d's own process program order
+    leads every earlier settled write to d itself ("last" is d there).
+    Every settled write is still checked for a cycle, in index order, so a
+    rejection names the same src (a settled write after d in d's process
+    always closes one).  Skipping src -> d loses nothing:
 
-    1. Reachability: src -PO-> ... -> last -WpW-> d.
+    1. Reachability: src -PO-> ... -> last -WpW-> d, or src -PO-> ... -> d.
     2. `rr`: when d is in r's new slice, rr[d] = r, and every settled write
        already reaches r or an earlier read, so rr[src] would not change.
        Otherwise `topo_schedule(r)` refreshes rr over d's downset, which
@@ -394,11 +396,8 @@ class ReadCentricChecker:
             delta = self.init_reachability(r_prev, r)
             d = self.mapping[r.index]
             by_process = self.lw.get(r.variable, {})
-            last = {
-                ws[-2] if ws[-1] == d else ws[-1]
-                for ws in by_process.values()
-                if ws != [d]
-            }
+            dproc = self.graph.ops[d].process
+            last = {ws[-1] for p, ws in by_process.items() if p != dproc}
             for src in sorted(w for ws in by_process.values() for w in ws if w != d):
                 if self.graph.has_edge(src, d):
                     continue
