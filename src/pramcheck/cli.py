@@ -6,7 +6,8 @@ schedules and precedence-graph dumps), `check-schedule` (validate a witness),
 (seeded random workloads, optionally with a planted mutation).
 
 Exit codes: 0 consistent / success, 1 violation found, 2 search budget
-exhausted, 64 usage or parse errors.
+exhausted, 64 usage errors, malformed or unreadable input, and unwritable
+output paths.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .model import (
     parse_trace,
     serialize_trace,
 )
-from .opgraph import OperationGraph
 from .oracle import DEFAULT_MAX_STATES, OracleTimeout, ThreePartitionInstance, oracle_verify, solve_3partition
 from .read_centric import verify_read_centric
 from .reduction import (
@@ -123,13 +123,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path: Path) -> str:
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+
+
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_trace(path: Path) -> Trace:
     try:
-        text = path.read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
-    try:
-        return parse_trace(text)
+        return parse_trace(_read(path))
     except TraceParseError as exc:
         raise UsageError(f"{path}: {exc}") from exc
 
@@ -138,15 +148,11 @@ def _suffixed(path: Path, focus: str, multi: bool) -> Path:
     return path.with_name(f"{path.name}.{focus}") if multi else path
 
 
-def _write_graph(path: Path, graph: OperationGraph) -> None:
-    path.write_text("".join(f"{src} {dst} {tag}\n" for src, dst, tag in graph.edges()))
-
-
 def _emit(text: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        out.write_text(text)
+        _write(out, text)
 
 
 def _cmd_verify(args) -> int:
@@ -189,7 +195,7 @@ def _cmd_verify(args) -> int:
             entry["verdict"] = "consistent"
             if args.witness_out is not None and result.witness is not None:
                 path = _suffixed(args.witness_out, focus, multi)
-                path.write_text(serialize_schedule(result.witness))
+                _write(path, serialize_schedule(result.witness))
                 entry["witness_file"] = str(path)
         else:
             any_violation = True
@@ -206,7 +212,7 @@ def _cmd_verify(args) -> int:
             graph = None if isinstance(result, OracleTimeout) else result.graph
             if graph is not None:
                 path = _suffixed(args.dump_graph, focus, multi)
-                _write_graph(path, graph)
+                _write(path, "".join(f"{u} {v} {tag}\n" for u, v, tag in graph.edges()))
                 entry["graph_file"] = str(path)
             else:
                 print(
@@ -261,9 +267,7 @@ def _cmd_check_schedule(args) -> int:
     if args.focus not in trace.processes:
         raise UsageError(f"unknown focus process {args.focus!r}")
     try:
-        sched = parse_schedule(args.schedule.read_text())
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.schedule}: {exc}") from exc
+        sched = parse_schedule(_read(args.schedule))
     except ValueError as exc:
         raise UsageError(f"{args.schedule}: {exc}") from exc
     check = check_pram_witness(trace, args.focus, sched)
@@ -294,7 +298,7 @@ def _cmd_reduce(args) -> int:
             print("instance is infeasible; no witness schedule exists", file=sys.stderr)
         else:
             sched = build_partition_witness(trace, inst, partition)
-            args.with_witness.write_text(serialize_schedule(sched))
+            _write(args.with_witness, serialize_schedule(sched))
             print(f"witness written to {args.with_witness} (focus {FOCUS})", file=sys.stderr)
     return EXIT_OK
 

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import pramcheck
 from pramcheck.cli import main
 
@@ -220,6 +222,48 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "missing.trace")]) == 64
     assert main(["gen", "--seed", "1", "--mutate", "unknown-kind"]) == 64
     capsys.readouterr()
+
+
+REDUCE = ["reduce", "--m", "1", "--B", "6", "--sizes", "2,2,2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{bad}"],
+        ["check-schedule", "{bad}", "{sched}", "--focus", "p2"],
+        ["check-schedule", "{ok}", "{bad}", "--focus", "p2"],
+        ["verify", "{ok}", "--witness-out", "{missing}/w"],
+        ["verify", "{ok}", "--dump-graph", "{missing}/g"],
+        ["gen", "--seed", "1", "-o", "{missing}/t"],
+        [*REDUCE, "-o", "{missing}/t"],
+        [*REDUCE, "-o", "{tmp}/r.trace", "--with-witness", "{missing}/w"],
+    ],
+    ids=[
+        "verify-trace-not-utf8",
+        "check-schedule-trace-not-utf8",
+        "check-schedule-schedule-not-utf8",
+        "witness-out-missing-dir",
+        "dump-graph-missing-dir",
+        "gen-output-missing-dir",
+        "reduce-output-missing-dir",
+        "with-witness-missing-dir",
+    ],
+)
+def test_unreadable_input_or_unwritable_output_exits_64(tmp_path, capsys, argv):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"p1 W x 1\xff\n")
+    paths = {
+        "bad": bad,
+        "ok": _trace(tmp_path, OK),
+        "sched": _trace(tmp_path, "0\n2\n1\n3\n", name="s"),
+        "missing": tmp_path / "missing",
+        "tmp": tmp_path,
+    }
+    rc = main([arg.format(**paths) for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == 64
+    assert err.startswith("error: ")
 
 
 def test_verify_unknown_focus_is_usage_error(tmp_path, capsys):
