@@ -1,10 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pramcheck.model import (
+    INT64_MAX,
+    INT64_MIN,
     DuplicateValueError,
     Operation,
+    Trace,
     TraceParseError,
     UnknownProcessError,
     UnmatchedReadError,
@@ -80,6 +85,20 @@ def test_parse_error_carries_line_number():
     with pytest.raises(TraceParseError) as exc:
         parse_trace("p1 W x 1\np1 W x nope\n")
     assert "2" in str(exc.value)
+
+
+IDENT = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True)
+ROWS = st.lists(
+    st.tuples(IDENT, st.sampled_from("RW"), IDENT, st.integers(INT64_MIN, INT64_MAX)),
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ROWS)
+def test_parse_inverts_serialize_on_generated_traces(rows):
+    t = Trace.build(rows)
+    assert parse_trace(serialize_trace(t)) == t
 
 
 def test_classify_variants():
