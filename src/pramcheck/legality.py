@@ -41,8 +41,9 @@ class Verdict:
 
     `witness` is present on acceptance (a legal schedule), `cycle` on
     rejections caused by a precedence cycle; rejections for a read without any
-    dictating write carry only `reason`.  The polynomial verifiers attach the
-    precedence graph they built as `graph` (the oracle keeps none).
+    dictating write carry no cycle, only `reason`.  The polynomial verifiers
+    attach the precedence graph they built as `graph` (edge-less when a read
+    has no dictating write); the oracle keeps none.
     """
 
     consistent: bool
