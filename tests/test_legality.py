@@ -108,6 +108,8 @@ def test_witness_check_rejects_program_order_violation():
     assert not check.ok
     assert check.reason == "program order violated: Rx2@p2#2 after Rx1@p2#3"
 
+
+def test_program_order_pairs_cover_focus_reads_and_all_writes():
     # Each process's consecutive visible operations are ordered; p2's read is
     # not visible to p1, and p1's read not to p2, so their order skips them.
     t = T("""
