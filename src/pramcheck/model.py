@@ -12,7 +12,7 @@ import enum
 import functools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 READ = "R"
 WRITE = "W"
@@ -21,6 +21,13 @@ INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_INT = re.compile(r"-?[0-9]+\Z")
+# One well-formed row: parse_trace's fast path.  At most 19 digits, so int()
+# never meets its digit limit; anything else takes the field-by-field checks.
+_ROW = re.compile(
+    r"[ \t]*([A-Za-z_][A-Za-z0-9_]*)[ \t]+([RW])[ \t]+([A-Za-z_][A-Za-z0-9_]*)"
+    r"[ \t]+(-?[0-9]{1,19})[ \t]*\Z"
+)
 
 
 class TraceParseError(ValueError):
@@ -55,9 +62,11 @@ class MutationError(ValueError):
     """A requested trace mutation is not applicable to this trace."""
 
 
-@dataclass(frozen=True)
-class Operation:
-    """One read or write: `kind` is "R" or "W", `index` is trace-global and dense."""
+class Operation(NamedTuple):
+    """One read or write: `kind` is "R" or "W", `index` is trace-global and dense.
+
+    A named tuple, so it compares equal to a plain tuple of the same values.
+    """
 
     index: int
     kind: str
@@ -96,20 +105,21 @@ class Trace:
         Global indices are canonicalized to section order (process sections in
         first-appearance order), matching the serialized layout.
         """
-        grouped: dict[str, list[tuple[str, str, int]]] = {}
-        for proc, kind, var, val in rows:
-            if kind not in (READ, WRITE):
-                raise ValueError(f"bad operation kind {kind!r}")
-            grouped.setdefault(proc, []).append((kind, var, val))
+        grouped: dict[str, list[tuple[str, str, str, int]]] = {}
+        for row in rows:
+            if row[1] != READ and row[1] != WRITE:
+                raise ValueError(f"bad operation kind {row[1]!r}")
+            grouped.setdefault(row[0], []).append(row)
         procs: dict[str, tuple[Operation, ...]] = {}
         ops: list[Operation] = []
+        new = tuple.__new__  # Operation._make without its field-count check
         for proc, seq in grouped.items():
-            section = []
-            for kind, var, val in seq:
-                op = Operation(len(ops), kind, proc, var, val)
-                ops.append(op)
-                section.append(op)
-            procs[proc] = tuple(section)
+            start = len(ops)
+            ops += [
+                new(Operation, (i, kind, proc, var, val))
+                for i, (_, kind, var, val) in enumerate(seq, start)
+            ]
+            procs[proc] = tuple(ops[start:])
         return Trace(processes=procs, ops=tuple(ops))
 
     @property
@@ -139,7 +149,7 @@ class Trace:
         seen: set[tuple[str, int]] = set()
         duplicate = False
         for o in self.ops:
-            if o.is_write:
+            if o.kind == WRITE:
                 key = (o.variable, o.value)
                 if key in seen:
                     duplicate = True
@@ -182,14 +192,14 @@ class VisibleProjection:
     by_process: Mapping[str, tuple[Operation, ...]]
 
     def focus_reads(self) -> tuple[Operation, ...]:
-        return tuple(o for o in self.by_process.get(self.focus, ()) if o.is_read)
+        return tuple(o for o in self.by_process.get(self.focus, ()) if o.kind == READ)
 
 
 def visible(trace: Trace, focus: str) -> VisibleProjection:
     """Project `trace` onto what `focus` must schedule: every write + its own reads."""
     if focus not in trace.processes:
         raise UnknownProcessError(f"unknown process {focus!r}")
-    kept = tuple(o for o in trace.ops if o.is_write or o.process == focus)
+    kept = tuple(o for o in trace.ops if o.kind == WRITE or o.process == focus)
     by_proc: dict[str, list[Operation]] = {}
     for o in kept:
         by_proc.setdefault(o.process, []).append(o)
@@ -209,7 +219,7 @@ def build_read_mapping(proj: VisibleProjection) -> dict[int, int]:
     """
     writers: dict[tuple[str, int], list[int]] = {}
     for o in proj.ops:
-        if o.is_write:
+        if o.kind == WRITE:
             writers.setdefault((o.variable, o.value), []).append(o.index)
     dictate: dict[int, int] = {}
     for r in proj.focus_reads():
@@ -224,11 +234,43 @@ def build_read_mapping(proj: VisibleProjection) -> dict[int, int]:
     return dictate
 
 
+def _checked_row(raw: str, lineno: int) -> tuple[str, str, str, int] | None:
+    """Field-by-field checks for a line the fast `_ROW` match rejected.
+
+    Returns None for a blank or comment line and the row for a well-formed
+    line the fast match misses (other whitespace, a value of over 19 digits);
+    raises TraceParseError on anything else.
+    """
+    line = raw.strip()
+    if not line or line.startswith("#"):
+        return None
+    fields = line.split()
+    if len(fields) != 4:
+        raise TraceParseError(f"expected 4 fields, got {len(fields)}", lineno)
+    proc, kind, var, val_text = fields
+    if kind not in (READ, WRITE):
+        raise TraceParseError(f"operation kind must be R or W, got {kind!r}", lineno)
+    if not _IDENT.match(proc):
+        raise TraceParseError(f"bad process id {proc!r}", lineno)
+    if not _IDENT.match(var):
+        raise TraceParseError(f"bad variable id {var!r}", lineno)
+    if not _INT.match(val_text):
+        raise TraceParseError(f"non-integer value {val_text!r}", lineno)
+    # int() refuses more than 4,300 digits, leading zeros included; past 19
+    # significant digits the value is out of range anyway.
+    sign = "-" if val_text[0] == "-" else ""
+    digits = val_text.lstrip("-").lstrip("0") or "0"
+    if len(digits) > 19:
+        raise TraceParseError(f"value {sign}{digits} outside signed 64-bit range", lineno)
+    return proc, kind, var, int(sign + digits)
+
+
 def parse_trace(text: str | bytes) -> Trace:
     """Parse the line-oriented trace format.
 
-    Grammar per line: `<process> <R|W> <variable> <int64>`, '#'-comments and
-    blank lines ignored.  A process's lines must form one contiguous section;
+    Grammar per line: `<process> <R|W> <variable> <int64>`, where an int64 is
+    ASCII `-?[0-9]+` within the signed 64-bit range; '#'-comments and blank
+    lines are ignored.  A process's lines must form one contiguous section;
     program order is the order of lines within the section.
     """
     if isinstance(text, bytes):
@@ -236,24 +278,17 @@ def parse_trace(text: str | bytes) -> Trace:
     rows: list[tuple[str, str, str, int]] = []
     current: str | None = None
     closed: set[str] = set()
+    match = _ROW.match
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 4:
-            raise TraceParseError(f"expected 4 fields, got {len(fields)}", lineno)
-        proc, kind, var, val_text = fields
-        if kind not in (READ, WRITE):
-            raise TraceParseError(f"operation kind must be R or W, got {kind!r}", lineno)
-        if not _IDENT.match(proc):
-            raise TraceParseError(f"bad process id {proc!r}", lineno)
-        if not _IDENT.match(var):
-            raise TraceParseError(f"bad variable id {var!r}", lineno)
-        try:
-            val = int(val_text)
-        except ValueError:
-            raise TraceParseError(f"non-integer value {val_text!r}", lineno) from None
+        m = match(raw)
+        if m is not None:
+            proc, kind, var, val = m.groups()
+            val = int(val)
+        else:
+            row = _checked_row(raw, lineno)
+            if row is None:
+                continue
+            proc, kind, var, val = row
         if not INT64_MIN <= val <= INT64_MAX:
             raise TraceParseError(f"value {val} outside signed 64-bit range", lineno)
         if proc != current:

@@ -62,10 +62,10 @@ class OperationGraph:
     def __init__(self, ops: Iterable[Operation]):
         self.ops: dict[int, Operation] = {o.index: o for o in ops}
         self.nodes: list[int] = sorted(self.ops)
-        self.pos: dict[int, int] = {v: i for i, v in enumerate(self.nodes)}
         self.succs: dict[int, dict[int, str]] = {v: {} for v in self.nodes}
         self.preds: dict[int, set[int]] = {v: set() for v in self.nodes}
         self._rows: list[int] | None = None  # strict reachability, bit j of _rows[i]
+        self.pos: dict[int, int] = {}  # node -> its bit position; filled by close()
 
     # -- construction -------------------------------------------------------
 
@@ -94,6 +94,7 @@ class OperationGraph:
     def close(self) -> None:
         """Recompute strict transitive closure from the current edge set."""
         n = len(self.nodes)
+        self.pos = {v: i for i, v in enumerate(self.nodes)}
         rows = [0] * n
         for src, out in self.succs.items():
             i = self.pos[src]

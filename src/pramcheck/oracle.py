@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .legality import Schedule, Verdict
-from .model import Trace, visible
+from .model import READ, WRITE, Trace, visible
 
 ALGORITHM = "oracle"
 
@@ -72,37 +72,51 @@ def oracle_verify(
             sigs[f] = intern.setdefault(key, len(intern))
         suffix_sig.append(sigs)
 
+    # One tuple per lane position, so the search reads no Operation
+    # attribute: (variable slot, value, index, (variable, value)).
+    # reading[li][f] is the slot of the read at position f, -1 for a write,
+    # and -2 one past the lane's end.
+    cells = [
+        [(slot[o.variable], o.value, o.index, (o.variable, o.value)) for o in lane]
+        for lane in lanes
+    ]
+    reading = [[slot[o.variable] if o.kind == READ else -1 for o in lane] + [-2] for lane in lanes]
+    lane_nums = range(len(lanes))
+
     # Remaining-supply bound: every maximal same-value run among the focus's
     # remaining reads of a variable needs its own write of that value (only
     # the first run can ride on the current store), so a value whose
     # unscheduled writes fall short of its remaining runs is a dead end.
     supply: dict[tuple[str, int], int] = {}
     for o in proj.ops:
-        if o.is_write:
+        if o.kind == WRITE:
             supply[(o.variable, o.value)] = supply.get((o.variable, o.value), 0) + 1
     focus_ops = lanes[focus_lane] if focus_lane is not None else ()
     _wall = object()  # a pending focus write separates runs
     runs_at: list[dict[tuple[str, int], int]] = [{} for _ in range(len(focus_ops) + 1)]
-    first_at: list[dict[str, object]] = [{} for _ in range(len(focus_ops) + 1)]
+    first_at: list[dict[int, object]] = [{} for _ in range(len(focus_ops) + 1)]
     runs: dict[tuple[str, int], int] = {}
-    first: dict[str, object] = {}
+    first: dict[int, object] = {}
     for f in range(len(focus_ops) - 1, -1, -1):
         op = focus_ops[f]
-        if op.is_read:
-            if first.get(op.variable) != op.value:
+        s = slot[op.variable]
+        if op.kind == READ:
+            if first.get(s) != op.value:
                 pair = (op.variable, op.value)
                 runs[pair] = runs.get(pair, 0) + 1
-            first[op.variable] = op.value
+            first[s] = op.value
         else:
-            first[op.variable] = _wall
+            first[s] = _wall
         runs_at[f] = dict(runs)
         first_at[f] = dict(first)
-    focus_read_values: dict[str, tuple[int, ...]] = {}
+    # focus_reads_of[slot]: the distinct (value, (variable, value)) the focus reads there
+    focus_reads_of: list[tuple[tuple[int, tuple[str, int]], ...]] = [() for _ in variables]
     for o in focus_ops:
-        if o.is_read:
-            vals = focus_read_values.setdefault(o.variable, ())
-            if o.value not in vals:
-                focus_read_values[o.variable] = vals + (o.value,)
+        if o.kind == READ:
+            s = slot[o.variable]
+            read = (o.value, (o.variable, o.value))
+            if read not in focus_reads_of[s]:
+                focus_reads_of[s] += (read,)
 
     frontier = [0] * len(lanes)
     lastvals: list[int | None] = [None] * len(variables)
@@ -111,17 +125,17 @@ def oracle_verify(
     states = 0
     deadline = time.monotonic() + max_seconds if max_seconds is not None else None
 
-    def starved(var: str) -> bool:
+    def starved(s: int) -> bool:
         if focus_lane is None:
             return False
         need = runs_at[frontier[focus_lane]]
-        head = first_at[frontier[focus_lane]].get(var)
-        store = lastvals[slot[var]]
-        for val in focus_read_values.get(var, ()):
-            want = need.get((var, val), 0)
+        head = first_at[frontier[focus_lane]].get(s)
+        store = lastvals[s]
+        for val, pair in focus_reads_of[s]:
+            want = need.get(pair, 0)
             if want and head == val == store:
                 want -= 1
-            if supply.get((var, val), 0) < want:
+            if supply.get(pair, 0) < want:
                 return True
         return False
 
@@ -131,19 +145,16 @@ def oracle_verify(
         # store, so any solution can be rearranged to take them first.
         forced: list[int] = []
         while True:
-            hit = -1
-            for li, lane in enumerate(lanes):
+            for li in lane_nums:
                 f = frontier[li]
-                if f < len(lane):
-                    op = lane[f]
-                    if op.is_read and lastvals[slot[op.variable]] == op.value:
-                        hit = li
-                        break
-            if hit < 0:
+                s = reading[li][f]
+                if s >= 0 and lastvals[s] == cells[li][f][1]:
+                    break
+            else:
                 break
-            sched.append(lanes[hit][frontier[hit]].index)
-            frontier[hit] += 1
-            forced.append(hit)
+            sched.append(cells[li][f][2])
+            frontier[li] = f + 1
+            forced.append(li)
         won = False
         try:
             if len(sched) == total:
@@ -162,39 +173,35 @@ def oracle_verify(
                 raise _Budget
 
             need: tuple[str, int] | None = None
-            if focus_lane is not None and frontier[focus_lane] < len(lanes[focus_lane]):
-                nxt = lanes[focus_lane][frontier[focus_lane]]
-                if nxt.is_read:
-                    need = (nxt.variable, nxt.value)
+            if focus_lane is not None:
+                f = frontier[focus_lane]
+                if reading[focus_lane][f] >= 0:
+                    need = cells[focus_lane][f][3]
             candidates: list[tuple[int, int]] = []
-            for li, lane in enumerate(lanes):
+            for li in lane_nums:
                 f = frontier[li]
-                if f < len(lane):
-                    op = lane[f]
-                    if op.is_write:
-                        pri = 0 if need == (op.variable, op.value) else 1
-                        candidates.append((pri, li))
+                if reading[li][f] == -1:
+                    candidates.append((0 if need == cells[li][f][3] else 1, li))
             candidates.sort()
             tried_sigs: set[int] = set()
             for _, li in candidates:
-                sig = suffix_sig[li][frontier[li]]
+                f = frontier[li]
+                sig = suffix_sig[li][f]
                 if sig in tried_sigs:  # an identical lane already branched here
                     continue
                 tried_sigs.add(sig)
-                op = lanes[li][frontier[li]]
-                s = slot[op.variable]
+                s, val, index, pair = cells[li][f]
                 prev = lastvals[s]
-                lastvals[s] = op.value
-                frontier[li] += 1
-                sched.append(op.index)
-                pair = (op.variable, op.value)
+                lastvals[s] = val
+                frontier[li] = f + 1
+                sched.append(index)
                 supply[pair] -= 1
-                if not starved(op.variable) and search():
+                if not starved(s) and search():
                     won = True
                     return True
                 supply[pair] += 1
                 sched.pop()
-                frontier[li] -= 1
+                frontier[li] = f
                 lastvals[s] = prev
             failed.add(key)
             return False
