@@ -10,13 +10,16 @@ every process's program order.  `Verdict` is the outcome every verifier returns.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .model import Operation, Trace, UnknownProcessError, visible
+from .model import WRITE, Operation, Trace, UnknownProcessError, visible
 
 if TYPE_CHECKING:
     from .opgraph import Cycle, OperationGraph
+
+_INDEX = re.compile(r"[0-9]+\Z")
 
 
 @dataclass(frozen=True)
@@ -60,16 +63,18 @@ class NotAPermutationError(ValueError):
 
 
 def parse_schedule(text: str) -> Schedule:
-    """Parse the schedule format: one operation index per line, '#'-comments allowed."""
+    """Parse the schedule format: one operation index (ASCII `[0-9]+`) per line.
+
+    Blank lines and '#'-comments are skipped.
+    """
     indices = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            indices.append(int(line))
-        except ValueError:
-            raise ValueError(f"line {lineno}: not an operation index: {line!r}") from None
+        if not _INDEX.match(line):
+            raise ValueError(f"line {lineno}: not an operation index: {line!r}")
+        indices.append(int(line))
     return Schedule(indices)
 
 
@@ -95,7 +100,7 @@ def legality_violation(sched: Schedule, ops: Mapping[int, Operation]) -> int | N
     last_write: dict[str, int] = {}
     for i in sched:
         op = ops[i]
-        if op.is_write:
+        if op.kind == WRITE:
             last_write[op.variable] = op.value
         else:
             if op.variable not in last_write or last_write[op.variable] != op.value:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from pramcheck.legality import (
@@ -136,5 +138,6 @@ def test_schedule_text_roundtrip():
     text = serialize_schedule(sched)
     assert parse_schedule(text) == sched
     assert parse_schedule("# witness\n2\n0\n1\n") == sched
-    with pytest.raises(ValueError):
-        parse_schedule("2\nnope\n")
+    for bad in ("nope", "-1", "+0", "1_0", "\u0663"):
+        with pytest.raises(ValueError, match=re.escape(f"line 2: not an operation index: {bad!r}")):
+            parse_schedule(f"2\n{bad}\n")

@@ -20,7 +20,7 @@ from pramcheck.model import (
     serialize_trace,
     visible,
 )
-from testutil import T, random_trace_rows
+from testutil import T, random_trace_rows, reference_parse_trace
 
 
 def test_parse_basic_fields():
@@ -65,6 +65,11 @@ def test_roundtrip_identity():
         "p1 W x 9223372036854775808",  # 2**63, outside int64
         "p/1 W x 1",  # bad process id
         "p1 W x! 1",  # bad variable id
+        # values int() takes but the grammar -?[0-9]+ does not
+        "p1 W x 1_000",
+        "p1 W x +5",
+        "p1 W x \u0663",
+        "p1 W x -\uff11",
     ],
 )
 def test_parse_rejects_malformed(line):
@@ -99,6 +104,92 @@ ROWS = st.lists(
 def test_parse_inverts_serialize_on_generated_traces(rows):
     t = Trace.build(rows)
     assert parse_trace(serialize_trace(t)) == t
+
+
+def test_parse_reads_long_digit_strings_without_int_limits():
+    # Python's int() refuses strings of more than 4,300 digits.
+    t = parse_trace("p1 W x " + "0" * 5000 + "7\np1 W x -" + "0" * 30 + "9\n")
+    assert [o.value for o in t.ops] == [7, -9]
+    with pytest.raises(TraceParseError, match="line 1: value 9{5000} outside signed 64-bit"):
+        parse_trace("p1 W x " + "9" * 5000 + "\n")
+    with pytest.raises(TraceParseError, match=r"line 1: value -10{20} outside"):
+        parse_trace("p1 W x -00" + "1" + "0" * 20 + "\n")
+
+
+def _outcome(parse, text):
+    try:
+        return "trace", parse(text)
+    except TraceParseError as exc:
+        return "error", str(exc), exc.line
+
+
+# Line soup for comparing parse_trace with the line-by-line reference parser:
+# mostly well-formed lines (so sections split and late lines get checked),
+# with up to two faulty lines dropped in.
+_ASCII_SPACE = st.sampled_from([" ", "  ", "\t", " \t "])
+_SPACE = st.one_of(_ASCII_SPACE, st.sampled_from(["\xa0", "\u2003", "\u3000", "\x1f"]))
+_PAD = st.one_of(st.just(""), _SPACE)
+_PROC = st.sampled_from(["p1", "p2", "_q", "P_9"])
+_VAR = st.sampled_from(["x", "y", "var_2"])
+_BAD_IDENT = st.sampled_from(["p/1", "1p", "\u00e9", "-x", "x!", "p.1"])
+_GOOD_VALUE = st.one_of(
+    st.integers(-20, 20).map(str),
+    st.integers(INT64_MIN, INT64_MAX).map(str),
+    st.sampled_from([INT64_MIN, INT64_MAX]).map(str),
+    st.tuples(st.integers(1, 30), st.integers(-(10**6), 10**6)).map(
+        lambda zv: ("-" if zv[1] < 0 else "") + "0" * zv[0] + str(abs(zv[1]))
+    ),
+)
+_BAD_VALUE = st.one_of(
+    st.sampled_from([INT64_MIN - 1, INT64_MAX + 1, 10**19 - 1, 10**19]).map(str),
+    st.integers(INT64_MAX + 1, 10**19 - 1).map(str),
+    st.integers(-(10**19) + 1, INT64_MIN - 1).map(str),
+    st.integers(10**19, 10**25).map(str),
+    st.sampled_from(["1_000", "+5", "\u0663", "-\u0663", "\uff11", "\u0661\u0662"]),  # int() takes these
+    st.sampled_from(["0x1F", "1.5", "-", "5e2", "1-"]),
+)
+
+
+def _row(pad, proc, space, kind, var, value):
+    return st.tuples(pad, proc, space, kind, space, var, space, value, pad).map("".join)
+
+
+_KIND = st.sampled_from("RW")
+_COMMENT = st.builds(lambda pad, tail: pad + "#" + tail, _PAD, st.text(max_size=8))
+_CLEAN_LINE = st.one_of(
+    _row(st.one_of(st.just(""), _ASCII_SPACE), _PROC, _ASCII_SPACE, _KIND, _VAR, _GOOD_VALUE),
+    _row(_PAD, _PROC, _SPACE, _KIND, _VAR, _GOOD_VALUE),
+    _COMMENT,
+    st.lists(_SPACE, max_size=2).map("".join),
+)
+_FAULTY_LINE = st.one_of(
+    _row(st.one_of(st.just(""), _ASCII_SPACE), _PROC, _ASCII_SPACE, _KIND, _VAR, _BAD_VALUE),
+    _row(
+        _PAD,
+        st.one_of(_PROC, _BAD_IDENT),
+        _SPACE,
+        st.sampled_from(["R", "W", "X", "r", "RW"]),
+        st.one_of(_VAR, _BAD_IDENT),
+        st.one_of(_GOOD_VALUE, _BAD_VALUE),
+    ),
+    st.lists(st.one_of(_PROC, _GOOD_VALUE, _KIND), max_size=6).map(" ".join),
+    st.text(max_size=12),
+)
+_SOUP = st.builds(
+    lambda clean, faults: [line for i, line in sorted(
+        [(2 * i + 1, line) for i, line in enumerate(clean)]
+        + [(2 * pos, line) for pos, line in faults]
+    )],
+    st.lists(_CLEAN_LINE, max_size=14),
+    st.lists(st.tuples(st.integers(0, 14), _FAULTY_LINE), max_size=2),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SOUP, st.sampled_from(["\n", "\r\n", "\r", "\u2028"]))
+def test_parse_matches_reference_parser_on_line_soup(lines, newline):
+    text = newline.join(lines)
+    assert _outcome(parse_trace, text) == _outcome(reference_parse_trace, text)
 
 
 def test_classify_variants():

@@ -1,19 +1,69 @@
-"""Shared test helpers, most importantly an independent brute-force decision.
+"""Shared test helpers, most importantly two independent references.
 
 `brute_force_consistent` enumerates raw interleavings of the focus's visible
 operations with none of the package's accelerations (no forced reads, no
 memoization, no pruning) - a deliberately naive reference for traces up to a
-dozen operations.
+dozen operations.  `reference_parse_trace` is the plain line-by-line trace
+parser that `parse_trace`'s fast path must agree with.
 """
 
 from __future__ import annotations
 
+import re
+from decimal import Decimal
+
 from pramcheck import Trace, parse_trace, visible
+from pramcheck.model import INT64_MAX, INT64_MIN, TraceParseError
+
+_REF_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_REF_INT = re.compile(r"-?[0-9]+")
 
 
 def T(text: str) -> Trace:
     """Parse a trace from an indented test literal."""
     return parse_trace(text)
+
+
+def reference_parse_trace(text: str | bytes) -> Trace:
+    """Parse trace text one stripped, whitespace-split line at a time.
+
+    Checks each line's fields in a fixed order (count, kind, process id,
+    variable id, integer grammar, int64 range, contiguous section) and raises
+    the first failure as TraceParseError.  Values are compared as Decimals,
+    so no length of digit string trips int()'s conversion limit.
+    """
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    rows = []
+    current = None
+    closed = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 4:
+            raise TraceParseError(f"expected 4 fields, got {len(fields)}", lineno)
+        proc, kind, var, val_text = fields
+        if kind not in ("R", "W"):
+            raise TraceParseError(f"operation kind must be R or W, got {kind!r}", lineno)
+        if not _REF_IDENT.fullmatch(proc):
+            raise TraceParseError(f"bad process id {proc!r}", lineno)
+        if not _REF_IDENT.fullmatch(var):
+            raise TraceParseError(f"bad variable id {var!r}", lineno)
+        if not _REF_INT.fullmatch(val_text):
+            raise TraceParseError(f"non-integer value {val_text!r}", lineno)
+        val = Decimal(val_text)
+        if not INT64_MIN <= val <= INT64_MAX:
+            raise TraceParseError(f"value {val:f} outside signed 64-bit range", lineno)
+        if proc != current:
+            if proc in closed:
+                raise TraceParseError(f"duplicate process section {proc!r}", lineno)
+            if current is not None:
+                closed.add(current)
+            current = proc
+        rows.append((proc, kind, var, int(val)))
+    return Trace.build(rows)
 
 
 def brute_force_consistent(trace: Trace, focus: str) -> bool:
