@@ -7,15 +7,21 @@ schedules and precedence-graph dumps), `check-schedule` (validate a witness),
 
 Exit codes: 0 consistent / success, 1 violation found, 2 search budget
 exhausted, 64 usage errors, malformed or unreadable input, and unwritable
-output paths.
+output paths, 70 internal errors (a bug in pramcheck).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import functools
 import json
+import os
+import stat
 import sys
+import tempfile
+import traceback
 from pathlib import Path
 
 from .legality import check_pram_witness, parse_schedule, serialize_schedule
@@ -42,6 +48,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_TIMEOUT = 2
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70
 
 
 class UsageError(Exception):
@@ -82,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--budget", type=int, default=DEFAULT_MAX_STATES, metavar="N",
-        help="oracle search-state budget (default %(default)s)",
+        help="oracle search-state budget, at least 1 (default %(default)s)",
     )
     p.add_argument(
         "--witness-out", type=Path, metavar="PATH",
@@ -130,11 +137,41 @@ def _read(path: Path) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _write(path: Path, text: str) -> None:
+def _write_all(outputs: list[tuple[Path, str]]) -> None:
+    """Write every (path, text) pair, or none of them.
+
+    Each text goes to a temporary file beside its target first; the targets
+    are replaced only after every temporary file is written.  On a failure
+    the temporary files are removed and the targets are left as they were.
+    A replaced target keeps its mode; a new one gets the umask's.
+    """
+    mask = os.umask(0)
+    os.umask(mask)
+    staged: list[tuple[str, Path]] = []
     try:
-        path.write_text(text)
+        for path, text in outputs:
+            try:
+                mode = path.stat().st_mode
+            except FileNotFoundError:
+                mode = 0o666 & ~mask
+            if stat.S_ISDIR(mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+            staged.append((tmp, path))
+            os.fchmod(fd, stat.S_IMODE(mode))
+            with open(fd, "w") as out:
+                out.write(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc}") from exc
+        for tmp, _ in staged:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write(path: Path, text: str) -> None:
+    _write_all([(path, text)])
 
 
 def _load_trace(path: Path) -> Trace:
@@ -156,6 +193,8 @@ def _emit(text: str, out: Path | None) -> None:
 
 
 def _cmd_verify(args) -> int:
+    if args.budget < 1:
+        raise UsageError(f"--budget must be at least 1, got {args.budget}")
     trace = _load_trace(args.trace)
     variant = classify(trace)
     if args.focus is not None:
@@ -168,6 +207,7 @@ def _cmd_verify(args) -> int:
 
     per_process = []
     results = []
+    outputs: list[tuple[Path, str]] = []  # written together once every focus is decided
     any_violation = any_timeout = False
     for focus in focuses:
         algorithm = args.algorithm
@@ -195,7 +235,7 @@ def _cmd_verify(args) -> int:
             entry["verdict"] = "consistent"
             if args.witness_out is not None and result.witness is not None:
                 path = _suffixed(args.witness_out, focus, multi)
-                _write(path, serialize_schedule(result.witness))
+                outputs.append((path, serialize_schedule(result.witness)))
                 entry["witness_file"] = str(path)
         else:
             any_violation = True
@@ -212,7 +252,7 @@ def _cmd_verify(args) -> int:
             graph = None if isinstance(result, OracleTimeout) else result.graph
             if graph is not None:
                 path = _suffixed(args.dump_graph, focus, multi)
-                _write(path, "".join(f"{u} {v} {tag}\n" for u, v, tag in graph.edges()))
+                outputs.append((path, "".join(f"{u} {v} {tag}\n" for u, v, tag in graph.edges())))
                 entry["graph_file"] = str(path)
             else:
                 print(
@@ -221,6 +261,7 @@ def _cmd_verify(args) -> int:
                 )
         per_process.append(entry)
         results.append(result)
+    _write_all(outputs)
 
     consistent: bool | None
     if any_violation:
@@ -335,6 +376,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a bug, not a verdict: never exit 1 ("violation found")
+        traceback.print_exc()
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -222,6 +222,9 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "missing.trace")]) == 64
     assert main(["gen", "--seed", "1", "--mutate", "unknown-kind"]) == 64
     capsys.readouterr()
+    for budget in ("0", "-5"):
+        assert main(["verify", str(_trace(tmp_path, OK)), "--budget", budget]) == 64
+        assert capsys.readouterr().err == f"error: --budget must be at least 1, got {budget}\n"
 
 
 REDUCE = ["reduce", "--m", "1", "--B", "6", "--sizes", "2,2,2"]
@@ -270,3 +273,58 @@ def test_verify_unknown_focus_is_usage_error(tmp_path, capsys):
     rc = main(["verify", str(_trace(tmp_path, OK)), "--focus", "p9"])
     capsys.readouterr()
     assert rc == 64
+
+
+def test_failed_output_write_leaves_no_file_behind(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "w.p2").write_text("old\n")
+    argv = ["verify", str(_trace(tmp_path, OK)), "--witness-out", str(out / "w"),
+            "--dump-graph", str(out / "missing" / "g")]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 64
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out / 'missing' / 'g.p1'}: ")
+    # nothing new, no temporary file, and the existing target untouched
+    assert sorted(p.name for p in out.iterdir()) == ["w.p2"]
+    assert (out / "w.p2").read_text() == "old\n"
+
+
+def test_output_files_keep_a_replaced_targets_mode(tmp_path, capsys):
+    old, new = tmp_path / "w", tmp_path / "g"
+    old.write_text("old\n")
+    old.chmod(0o600)
+    rc = main(["verify", str(_trace(tmp_path, OK)), "--focus", "p2",
+               "--witness-out", str(old), "--dump-graph", str(new)])
+    capsys.readouterr()
+    assert rc == 0
+    assert old.read_text() == "0\n2\n1\n3\n"
+    assert old.stat().st_mode & 0o777 == 0o600
+    mask = os.umask(0)
+    os.umask(mask)
+    assert new.stat().st_mode & 0o777 == 0o666 & ~mask
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g", "t.trace", "w"]
+
+
+def test_output_path_that_is_a_directory_writes_nothing(tmp_path, capsys):
+    (tmp_path / "g").mkdir()
+    rc = main(["verify", str(_trace(tmp_path, OK)), "--focus", "p2",
+               "--witness-out", str(tmp_path / "w"), "--dump-graph", str(tmp_path / "g")])
+    err = capsys.readouterr().err
+    assert rc == 64
+    assert err == f"error: cannot write {tmp_path / 'g'}: Is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g", "t.trace"]
+
+
+def test_internal_error_exits_70_with_traceback(tmp_path, capsys, monkeypatch):
+    def broken(trace, focus, **_):
+        raise KeyError("boom")
+
+    monkeypatch.setattr("pramcheck.cli.verify_read_centric", broken)
+    rc = main(["verify", str(_trace(tmp_path, OK))])
+    captured = capsys.readouterr()
+    assert rc == 70
+    assert captured.out == ""
+    assert "Traceback (most recent call last):" in captured.err
+    assert captured.err.endswith("error: internal error: KeyError: 'boom'\n")
