@@ -143,28 +143,30 @@ def _write_all(outputs: list[tuple[Path, str]]) -> None:
     Each text goes to a temporary file beside its target first; the targets
     are replaced only after every temporary file is written.  On a failure
     the temporary files are removed and the targets are left as they were.
-    A replaced target keeps its mode; a new one gets the umask's.
+    A replaced target keeps its mode; a new one gets the umask's.  A path
+    that is a symbolic link writes to the file it points to, as open() does.
     """
     mask = os.umask(0)
     os.umask(mask)
-    staged: list[tuple[str, Path]] = []
+    staged: list[tuple[str, Path, Path]] = []  # (temporary file, target, path given)
     try:
         for path, text in outputs:
+            target = Path(os.path.realpath(path))
             try:
-                mode = path.stat().st_mode
+                mode = target.stat().st_mode
             except FileNotFoundError:
                 mode = 0o666 & ~mask
             if stat.S_ISDIR(mode):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-            staged.append((tmp, path))
+            fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+            staged.append((tmp, target, path))
             os.fchmod(fd, stat.S_IMODE(mode))
             with open(fd, "w") as out:
                 out.write(text)
-        for tmp, path in staged:
-            os.replace(tmp, path)
+        for tmp, target, path in staged:
+            os.replace(tmp, target)
     except OSError as exc:
-        for tmp, _ in staged:
+        for tmp, _, _ in staged:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc

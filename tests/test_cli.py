@@ -307,6 +307,18 @@ def test_output_files_keep_a_replaced_targets_mode(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g", "t.trace", "w"]
 
 
+def test_output_through_a_symlink_writes_the_linked_file(tmp_path, capsys):
+    real = tmp_path / "real"
+    real.write_text("old\n")
+    (tmp_path / "link").symlink_to(real)
+    rc = main(["verify", str(_trace(tmp_path, OK)), "--focus", "p2",
+               "--witness-out", str(tmp_path / "link")])
+    capsys.readouterr()
+    assert rc == 0
+    assert (tmp_path / "link").is_symlink()
+    assert real.read_text() == "0\n2\n1\n3\n"
+
+
 def test_output_path_that_is_a_directory_writes_nothing(tmp_path, capsys):
     (tmp_path / "g").mkdir()
     rc = main(["verify", str(_trace(tmp_path, OK)), "--focus", "p2",
