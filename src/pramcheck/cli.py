@@ -172,10 +172,6 @@ def _write_all(outputs: list[tuple[Path, str]]) -> None:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _write(path: Path, text: str) -> None:
-    _write_all([(path, text)])
-
-
 def _load_trace(path: Path) -> Trace:
     try:
         return parse_trace(_read(path))
@@ -191,7 +187,7 @@ def _emit(text: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        _write(out, text)
+        _write_all([(out, text)])
 
 
 def _cmd_verify(args) -> int:
@@ -341,7 +337,7 @@ def _cmd_reduce(args) -> int:
             print("instance is infeasible; no witness schedule exists", file=sys.stderr)
         else:
             sched = build_partition_witness(trace, inst, partition)
-            _write(args.with_witness, serialize_schedule(sched))
+            _write_all([(args.with_witness, serialize_schedule(sched))])
             print(f"witness written to {args.with_witness} (focus {FOCUS})", file=sys.stderr)
     return EXIT_OK
 
