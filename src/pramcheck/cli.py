@@ -140,33 +140,61 @@ def _read(path: Path) -> str:
 def _write_all(outputs: list[tuple[Path, str]]) -> None:
     """Write every (path, text) pair, or none of them.
 
-    Each text goes to a temporary file beside its target first; the targets
-    are replaced only after every temporary file is written.  On a failure
-    the temporary files are removed and the targets are left as they were.
-    A replaced target keeps its mode; a new one gets the umask's.  A path
-    that is a symbolic link writes to the file it points to, as open() does.
+    A target that is missing or an ordinary file is staged: its text goes to a
+    temporary file beside it, and the temporary files replace their targets
+    only after every one is written.  A replaced target keeps its mode; a new
+    one gets the umask's.  A path that is a symbolic link writes to the file
+    it points to, as open() does.
+
+    Any other target is written in place, since replacing it would lose what
+    it is: a device, a FIFO or pipe (/dev/stdout), a file with more than one
+    hard link, or a file whose directory takes no temporary file.  Such a
+    target is opened, without truncation, before anything is replaced, and
+    written after the staged files.  On a failure before that point the
+    temporary files are removed and every target is left as it was.
     """
     mask = os.umask(0)
     os.umask(mask)
-    staged: list[tuple[str, Path, Path]] = []  # (temporary file, target, path given)
+    staged: list[tuple[Path, str, Path]] = []  # (path given, temporary file, target)
+    direct = []  # (path given, text, open file, is an ordinary file)
+    path = None
     try:
-        for path, text in outputs:
-            target = Path(os.path.realpath(path))
-            try:
-                mode = target.stat().st_mode
-            except FileNotFoundError:
-                mode = 0o666 & ~mask
-            if stat.S_ISDIR(mode):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-            fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
-            staged.append((tmp, target, path))
-            os.fchmod(fd, stat.S_IMODE(mode))
-            with open(fd, "w") as out:
+        with contextlib.ExitStack() as opened:
+            for path, text in outputs:
+                try:
+                    st = os.stat(path)
+                except FileNotFoundError:
+                    st = None
+                if st is not None and stat.S_ISDIR(st.st_mode):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                regular = st is not None and stat.S_ISREG(st.st_mode)
+                if st is None or (regular and st.st_nlink == 1):
+                    target = Path(os.path.realpath(path))
+                    try:
+                        fd, tmp = tempfile.mkstemp(
+                            dir=target.parent, prefix=f".{target.name}.", suffix=".tmp"
+                        )
+                    except PermissionError:
+                        if st is None:
+                            raise
+                    else:
+                        staged.append((path, tmp, target))
+                        os.fchmod(fd, stat.S_IMODE(st.st_mode) if st else 0o666 & ~mask)
+                        with open(fd, "w") as out:
+                            out.write(text)
+                        continue
+                out = opened.enter_context(open(os.open(path, os.O_WRONLY), "w"))
+                direct.append((path, text, out, regular))
+            for path, tmp, target in staged:
+                os.replace(tmp, target)
+            staged.clear()
+            for path, text, out, regular in direct:
+                if regular:
+                    out.truncate(0)
                 out.write(text)
-        for tmp, target, path in staged:
-            os.replace(tmp, target)
+                out.flush()
     except OSError as exc:
-        for tmp, _, _ in staged:
+        for _, tmp, _ in staged:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc

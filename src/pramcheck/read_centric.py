@@ -25,8 +25,6 @@ from collections import deque
 
 from .legality import Verdict
 from .model import (
-    READ,
-    WRITE,
     DuplicateValueError,
     Operation,
     Trace,
@@ -140,7 +138,7 @@ class ReadCentricChecker:
             if cur is None or self.order_key[w] > self.order_key[cur]:
                 dst[var] = w
         oop = self.graph.ops[o]
-        if oop.kind == WRITE and o in self.order_key:
+        if oop.is_write and o in self.order_key:
             cur = dst.get(oop.variable)
             if cur is None or self.order_key[o] > self.order_key[cur]:
                 dst[oop.variable] = o
@@ -188,7 +186,7 @@ class ReadCentricChecker:
         ordered = sorted(delta)
         for idx in ordered:
             o = self.graph.ops[idx]
-            if o.kind == WRITE:
+            if o.is_write:
                 self.rr[idx] = r.index
                 self.rr_checked[idx] = r.index
                 self.lw.setdefault(o.variable, {}).setdefault(o.process, []).append(idx)
@@ -217,7 +215,7 @@ class ReadCentricChecker:
             assert delta == grp_rr_set | set(grp_ww) | {r.index}, "unexpected delta shape"
         seed = None
         for o in reversed(self.proj.by_process[dproc]):
-            if o.index in self.settled and o.kind == WRITE:
+            if o.index in self.settled and o.is_write:
                 seed = o.index
                 break
         prev = seed
@@ -288,13 +286,12 @@ class ReadCentricChecker:
         count = {u: len(suc[u]) for u in dset}
         pre = {u: [p for p in self.graph.preds[u] if p in dset] for u in dset}
         done: set[int] = set()
-        ops = self.graph.ops
         queue = deque([d])
         while queue:
             u = queue.popleft()
-            if ops[u].kind == WRITE and u not in done:
+            if self.graph.ops[u].is_write and u not in done:
                 for s in suc[u]:
-                    other = s if ops[s].kind == READ else self.rr.get(s)
+                    other = s if self.graph.ops[s].is_read else self.rr.get(s)
                     self.rr[u] = self._earlier_read(self.rr.get(u), other)
                 status, tgt = self.apply_rule_c(u)
                 if status == "cycle":

@@ -1,7 +1,9 @@
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -340,3 +342,65 @@ def test_internal_error_exits_70_with_traceback(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert "Traceback (most recent call last):" in captured.err
     assert captured.err.endswith("error: internal error: KeyError: 'boom'\n")
+
+
+def test_output_to_a_fifo_writes_through_it(tmp_path, capsys):
+    fifo = tmp_path / "g"
+    os.mkfifo(fifo)
+    got = []
+    # a daemon thread, so that a writer that replaces the FIFO fails the test
+    # instead of leaving the reader blocked forever
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    rc = main(["verify", str(_trace(tmp_path, OK)), "--focus", "p2", "--dump-graph", str(fifo)])
+    reader.join(timeout=10)
+    capsys.readouterr()
+    assert rc == 0
+    assert got == ["0 1 PO\n0 2 WR\n1 3 WR\n2 3 PO\n"]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g", "t.trace"]
+
+
+def test_output_to_a_hard_linked_file_keeps_the_links(tmp_path, capsys):
+    target, other = tmp_path / "w", tmp_path / "w.other"
+    target.write_text("old text, longer than the schedule\n")
+    os.link(target, other)
+    rc = main(["verify", str(_trace(tmp_path, OK)), "--focus", "p2", "--witness-out", str(target)])
+    capsys.readouterr()
+    assert rc == 0
+    assert target.read_text() == other.read_text() == "0\n2\n1\n3\n"
+    assert target.stat().st_ino == other.stat().st_ino
+
+
+def test_failed_write_leaves_an_in_place_target_untouched(tmp_path, capsys):
+    target = tmp_path / "w"
+    target.write_text("old\n")
+    os.link(target, tmp_path / "w.other")
+    rc = main(["verify", str(_trace(tmp_path, OK)), "--focus", "p2", "--witness-out", str(target),
+               "--dump-graph", str(tmp_path / "missing" / "g")])
+    capsys.readouterr()
+    assert rc == 64
+    assert target.read_text() == "old\n"
+
+
+def test_output_beside_no_temporary_file_is_written_in_place(tmp_path, capsys, monkeypatch):
+    # an existing file in a directory that takes no new file is still written
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    target = tmp_path / "w"
+    target.write_text("old\n")
+    monkeypatch.setattr("pramcheck.cli.tempfile.mkstemp", refuse)
+    rc = main(["verify", str(_trace(tmp_path, OK)), "--focus", "p2", "--witness-out", str(target)])
+    assert rc == 0
+    assert target.read_text() == "0\n2\n1\n3\n"
+    rc = main(["verify", str(_trace(tmp_path, OK)), "--focus", "p2",
+               "--witness-out", str(tmp_path / "new")])
+    assert rc == 64
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path / 'new'}: Permission denied\n"
+
+
+def test_gen_output_to_dev_stdout_reaches_a_pipe():
+    proc = _run_module("pramcheck", "gen", "--seed", "3", "-o", "/dev/stdout")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == _run_module("pramcheck", "gen", "--seed", "3").stdout != ""
