@@ -3,8 +3,9 @@
 The verifiers answer, per focus process, whether some legal schedule of all
 writes plus that process's reads respects program order; acceptance comes with
 the schedule, rejection with a precedence cycle (or an unreadable read).
-Duplicate write values make the question NP-complete, handled by a budgeted
-exhaustive oracle; `reduction` carries the matching hardness construction.
+Reads that several writes could have dictated make the question NP-complete;
+a focus with such a read goes to a budgeted exhaustive oracle, and
+`reduction` carries the matching hardness construction.
 """
 
 from .legality import (
@@ -13,7 +14,6 @@ from .legality import (
     Verdict,
     WitnessCheck,
     check_pram_witness,
-    is_legal,
     legality_violation,
     parse_schedule,
     serialize_schedule,
@@ -76,7 +76,6 @@ __all__ = [
     "check_pram_witness",
     "classify",
     "gen_pram_trace",
-    "is_legal",
     "legality_violation",
     "mutate_trace",
     "oracle_verify",

@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm",
         choices=("auto", "rw-closure", "read-centric", "oracle"),
         default="auto",
-        help="auto picks read-centric, or the oracle on duplicate-value traces",
+        help="auto picks read-centric, or the oracle for a focus with an ambiguous read",
     )
     p.add_argument(
         "--budget", type=int, default=DEFAULT_MAX_STATES, metavar="N",
@@ -211,11 +211,11 @@ def _suffixed(path: Path, focus: str, multi: bool) -> Path:
     return path.with_name(f"{path.name}.{focus}") if multi else path
 
 
-def _emit(text: str, out: Path | None) -> None:
+def _emit(text: str, out: Path | None, others: tuple[tuple[Path, str], ...] = ()) -> None:
+    """Write `text` to `out`, or to stdout when it is None, and `others`: all or none."""
+    _write_all([*others] if out is None else [(out, text), *others])
     if out is None:
         sys.stdout.write(text)
-    else:
-        _write_all([(out, text)])
 
 
 def _cmd_verify(args) -> int:
@@ -236,21 +236,21 @@ def _cmd_verify(args) -> int:
     outputs: list[tuple[Path, str]] = []  # written together once every focus is decided
     any_violation = any_timeout = False
     for focus in focuses:
-        algorithm = args.algorithm
-        if algorithm == "auto":
-            algorithm = "oracle" if variant.has_duplicates else "read-centric"
+        algorithm = "read-centric" if args.algorithm == "auto" else args.algorithm
         try:
             if algorithm == "rw-closure":
                 result = verify_rw_closure(trace, focus)
             elif algorithm == "read-centric":
                 result = verify_read_centric(trace, focus)
-            else:
-                result = oracle_verify(trace, focus, max_states=args.budget)
-        except DuplicateValueError as exc:
-            raise UsageError(
-                f"--algorithm {algorithm} needs unique write values ({exc}); "
-                "use --algorithm oracle"
-            ) from exc
+        except DuplicateValueError as exc:  # a focus read with several candidate writes
+            if args.algorithm != "auto":
+                raise UsageError(
+                    f"--algorithm {algorithm} cannot decide focus {focus}: {exc}; "
+                    "use --algorithm oracle"
+                ) from exc
+            algorithm = "oracle"
+        if algorithm == "oracle":
+            result = oracle_verify(trace, focus, max_states=args.budget)
 
         entry: dict = {"focus": focus, "algorithm": algorithm}
         if isinstance(result, OracleTimeout):
@@ -358,15 +358,17 @@ def _cmd_reduce(args) -> int:
         trace = reduce_3partition(inst)
     except InvalidInstanceError as exc:
         raise UsageError(f"invalid instance: {exc}") from exc
-    _emit(serialize_trace(trace), args.output)
-    if args.with_witness is not None:
+    witness = ()
+    if args.with_witness is not None:  # solve before writing anything
         partition = solve_3partition(inst)
         if partition is None:
             print("instance is infeasible; no witness schedule exists", file=sys.stderr)
         else:
             sched = build_partition_witness(trace, inst, partition)
-            _write_all([(args.with_witness, serialize_schedule(sched))])
-            print(f"witness written to {args.with_witness} (focus {FOCUS})", file=sys.stderr)
+            witness = ((args.with_witness, serialize_schedule(sched)),)
+    _emit(serialize_trace(trace), args.output, witness)
+    if witness:
+        print(f"witness written to {args.with_witness} (focus {FOCUS})", file=sys.stderr)
     return EXIT_OK
 
 

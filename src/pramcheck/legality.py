@@ -74,7 +74,11 @@ def parse_schedule(text: str) -> Schedule:
             continue
         if not _INDEX.match(line):
             raise ValueError(f"line {lineno}: not an operation index: {line!r}")
-        indices.append(int(line))
+        # at most 19 significant digits, like a trace value: int() refuses 4,301
+        digits = line.lstrip("0") or "0"
+        if len(digits) > 19:
+            raise ValueError(f"line {lineno}: operation index of {len(digits)} digits is too large")
+        indices.append(int(digits))
     return Schedule(indices)
 
 
@@ -106,11 +110,6 @@ def legality_violation(sched: Schedule, ops: Mapping[int, Operation]) -> int | N
             if op.variable not in last_write or last_write[op.variable] != op.value:
                 return i
     return None
-
-
-def is_legal(sched: Schedule, ops: Mapping[int, Operation]) -> bool:
-    """True iff every scheduled read returns its latest preceding same-variable write."""
-    return legality_violation(sched, ops) is None
 
 
 @dataclass(frozen=True)

@@ -43,10 +43,9 @@ class UnknownProcessError(ValueError):
 
 
 class DuplicateValueError(Exception):
-    """A read has several candidate dictating writes (duplicate-value trace).
+    """A focus read has several candidate writes: the polynomial gate refuses the focus.
 
-    The polynomial verifiers require unique (variable, value) pairs; callers
-    seeing this should fall back to the exponential oracle.
+    See `build_read_mapping`; only the exponential oracle decides such a focus.
     """
 
 
@@ -126,9 +125,6 @@ class Trace:
     def n(self) -> int:
         return len(self.ops)
 
-    def process_ids(self) -> tuple[str, ...]:
-        return tuple(self.processes)
-
     def rows(self) -> list[tuple[str, str, str, int]]:
         """The trace as build()-style rows, grouped by process section."""
         return [
@@ -138,6 +134,15 @@ class Trace:
         ]
 
     @functools.cached_property
+    def writers(self) -> dict[tuple[str, int], list[int]]:
+        """(variable, value) -> indices of the writes assigning it; computed once per trace."""
+        table: dict[tuple[str, int], list[int]] = {}
+        for o in self.ops:
+            if o.kind == WRITE:
+                table.setdefault((o.variable, o.value), []).append(o.index)
+        return table
+
+    @functools.cached_property
     def variant(self) -> Variant:
         """Classification by variable count and write-value uniqueness.
 
@@ -145,20 +150,10 @@ class Trace:
         operations; duplicate means some variable is written the same value
         twice.  Computed once per trace.
         """
-        variables = {o.variable for o in self.ops}
-        seen: set[tuple[str, int]] = set()
-        duplicate = False
-        for o in self.ops:
-            if o.kind == WRITE:
-                key = (o.variable, o.value)
-                if key in seen:
-                    duplicate = True
-                    break
-                seen.add(key)
-        multi = len(variables) >= 2
-        if multi:
-            return Variant.MD if duplicate else Variant.MU
-        return Variant.SD if duplicate else Variant.SU
+        multi = len({o.variable for o in self.ops}) >= 2
+        if any(len(ws) > 1 for ws in self.writers.values()):
+            return Variant.MD if multi else Variant.SD
+        return Variant.MU if multi else Variant.SU
 
 
 class Variant(enum.Enum):
@@ -168,10 +163,6 @@ class Variant(enum.Enum):
     MU = "MU"
     SD = "SD"
     MD = "MD"
-
-    @property
-    def has_duplicates(self) -> bool:
-        return self in (Variant.SD, Variant.MD)
 
 
 def classify(trace: Trace) -> Variant:
@@ -210,27 +201,43 @@ def visible(trace: Trace, focus: str) -> VisibleProjection:
     )
 
 
-def build_read_mapping(proj: VisibleProjection) -> dict[int, int]:
-    """Map each visible read's index to the one write with its variable and value.
+def build_read_mapping(trace: Trace, focus: str) -> dict[int, int]:
+    """Map each of `focus`'s reads to its one candidate dictating write.
 
-    Raises UnmatchedReadError when a read's value was never written to its
-    variable, and DuplicateValueError when more than one write matches (the
-    unique-values precondition of the polynomial verifiers is violated).
+    This is the gate of the polynomial verifiers.  A candidate for a read is
+    a write with the read's variable and value.  Raises UnmatchedReadError
+    for the first read without any candidate: no schedule makes it legal, so
+    it rejects the focus however ambiguous the other reads are.  Otherwise
+    raises DuplicateValueError for the first read with several candidates.
+
+    Why one candidate per focus read suffices, whatever values other writes
+    repeat: if read r's only candidate is d, a schedule is legal at r exactly
+    when d precedes r and no other write on r's variable falls between them,
+    since every other write there assigns a different value.  Those are the
+    constraints of the unique-value case, the ones the precedence rules
+    encode, so the closure, its verdict and its witness hold for the focus
+    (Gibbons & Korach, "Testing shared memories", SIAM J. Comput. 1997: given
+    the read-from map, the problem is polynomial).
     """
-    writers: dict[tuple[str, int], list[int]] = {}
-    for o in proj.ops:
-        if o.kind == WRITE:
-            writers.setdefault((o.variable, o.value), []).append(o.index)
+    if focus not in trace.processes:
+        raise UnknownProcessError(f"unknown process {focus!r}")
+    writers = trace.writers
     dictate: dict[int, int] = {}
-    for r in proj.focus_reads():
-        candidates = writers.get((r.variable, r.value), [])
-        if not candidates:
+    ambiguous: tuple[Operation, int] | None = None
+    for r in trace.processes[focus]:
+        if r.kind != READ:
+            continue
+        candidates = writers.get((r.variable, r.value))
+        if candidates is None:
             raise UnmatchedReadError(r.index)
         if len(candidates) > 1:
-            raise DuplicateValueError(
-                f"read #{r.index} ({r.pretty()}) has {len(candidates)} candidate writes"
-            )
-        dictate[r.index] = candidates[0]
+            if ambiguous is None:
+                ambiguous = (r, len(candidates))
+        else:
+            dictate[r.index] = candidates[0]
+    if ambiguous is not None:
+        r, count = ambiguous
+        raise DuplicateValueError(f"read #{r.index} ({r.pretty()}) has {count} candidate writes")
     return dictate
 
 

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .legality import Schedule, Verdict
-from .model import READ, WRITE, Trace, visible
+from .model import READ, Trace, visible
 
 ALGORITHM = "oracle"
 
@@ -87,10 +87,7 @@ def oracle_verify(
     # remaining reads of a variable needs its own write of that value (only
     # the first run can ride on the current store), so a value whose
     # unscheduled writes fall short of its remaining runs is a dead end.
-    supply: dict[tuple[str, int], int] = {}
-    for o in proj.ops:
-        if o.kind == WRITE:
-            supply[(o.variable, o.value)] = supply.get((o.variable, o.value), 0) + 1
+    supply = {pair: len(ws) for pair, ws in trace.writers.items()}
     focus_ops = lanes[focus_lane] if focus_lane is not None else ()
     _wall = object()  # a pending focus write separates runs
     runs_at: list[dict[tuple[str, int], int]] = [{} for _ in range(len(focus_ops) + 1)]
@@ -248,6 +245,8 @@ def solve_3partition(inst: ThreePartitionInstance) -> list[tuple[int, int, int]]
     Exploits the fixed group size of three: anchor the largest unassigned
     element, enumerate completing pairs, skip value-equal pairs already tried.
     Returns index triples into `sizes`, or None when no partition exists.
+    The search keeps one generator per open triple on an explicit stack, so
+    its depth is not bounded by Python's recursion limit.
     """
     sizes = list(inst.sizes)
     if len(sizes) != 3 * inst.m or sum(sizes) != inst.m * inst.B:
@@ -256,9 +255,8 @@ def solve_3partition(inst: ThreePartitionInstance) -> list[tuple[int, int, int]]
     used = [False] * len(sizes)
     triples: list[tuple[int, int, int]] = []
 
-    def rec() -> bool:
-        if len(triples) == inst.m:
-            return True
+    def completions():
+        """Anchor the largest unused element and yield each triple it can close."""
         anchor = next(i for i in order if not used[i])
         used[anchor] = True
         rest = [i for i in order if not used[i]]
@@ -273,13 +271,21 @@ def solve_3partition(inst: ThreePartitionInstance) -> list[tuple[int, int, int]]
                 if pair in tried:
                     continue
                 tried.add(pair)
-                used[j] = used[k] = True
-                triples.append((anchor, j, k))
-                if rec():
-                    return True
-                triples.pop()
-                used[j] = used[k] = False
+                yield anchor, j, k
         used[anchor] = False
-        return False
 
-    return triples if rec() else None
+    stack = []  # stack[t] yields the choices for triples[t]
+    while len(triples) < inst.m:
+        if len(stack) == len(triples):
+            stack.append(completions())
+        triple = next(stack[-1], None)
+        if triple is not None:
+            used[triple[1]] = used[triple[2]] = True
+            triples.append(triple)
+            continue
+        stack.pop()  # no completion left: undo the parent's choice
+        if not triples:
+            return None
+        _, j, k = triples.pop()
+        used[j] = used[k] = False
+    return triples

@@ -24,15 +24,8 @@ from __future__ import annotations
 from collections import deque
 
 from .legality import Verdict
-from .model import (
-    DuplicateValueError,
-    Operation,
-    Trace,
-    UnmatchedReadError,
-    build_read_mapping,
-    classify,
-    visible,
-)
+from .model import Operation, Trace, UnmatchedReadError, build_read_mapping, visible
+from .model import classify  # noqa: F401 - bench/tracing.py wraps this name
 from .opgraph import PO, WPW, WR, Cycle, OperationGraph, add_rule_a_b, build_dag_schedule
 
 ALGORITHM = "read-centric"
@@ -71,13 +64,14 @@ class ReadCentricChecker:
         *,
         debug_checks: bool = False,
     ):
-        if classify(trace).has_duplicates:
-            raise DuplicateValueError("duplicate write values; use the oracle instead")
+        try:  # the gate: an ambiguous focus read raises before any graph is built
+            self.mapping, self.unmatched = build_read_mapping(trace, focus), None
+        except UnmatchedReadError as exc:  # a read without a candidate: run() rejects
+            self.mapping, self.unmatched = {}, str(exc)
         self.focus = focus
         self.debug = debug_checks
         self.proj = visible(trace, focus)
         self.graph = OperationGraph(self.proj.ops)
-        self.mapping = None  # set in run(); a missing dictating write rejects there
         self.reads: tuple[Operation, ...] = self.proj.focus_reads()
         self.read_ord: dict[int, int] = {r.index: i for i, r in enumerate(self.reads)}
 
@@ -368,10 +362,8 @@ class ReadCentricChecker:
     # -- driver -----------------------------------------------------------------
 
     def run(self) -> Verdict:
-        try:
-            self.mapping = build_read_mapping(self.proj)
-        except UnmatchedReadError as exc:
-            return self._verdict(False, reason=str(exc))
+        if self.unmatched is not None:
+            return self._verdict(False, reason=self.unmatched)
         for r in self.reads:  # reads in program order: the first one is the minimum
             self.order_key.setdefault(self.mapping[r.index], self.read_ord[r.index])
 
@@ -425,9 +417,10 @@ class ReadCentricChecker:
 def verify_read_centric(trace: Trace, focus: str, *, debug_checks: bool = False) -> Verdict:
     """Decide consistency from `focus`'s viewpoint, one read at a time.
 
-    Requires unique write values (raises DuplicateValueError otherwise).
-    `debug_checks` cross-checks the incremental dictionaries against the graph
-    at every use.  The verdict carries the checker's live graph: the sparse
-    edges, never closed, so its reachability queries (`reaches()`) raise.
+    Raises DuplicateValueError when a focus read has several candidate
+    writes (see `build_read_mapping`).  `debug_checks` cross-checks the
+    incremental dictionaries against the graph at every use.  The verdict
+    carries the checker's live graph: the sparse edges, never closed, so its
+    reachability queries (`reaches()`) raise.
     """
     return ReadCentricChecker(trace, focus, debug_checks=debug_checks).run()

@@ -12,14 +12,7 @@ counterexample.
 from __future__ import annotations
 
 from .legality import Verdict
-from .model import (
-    DuplicateValueError,
-    Trace,
-    UnmatchedReadError,
-    build_read_mapping,
-    classify,
-    visible,
-)
+from .model import Trace, UnmatchedReadError, build_read_mapping, visible
 from .opgraph import WPW, OperationGraph, add_rule_a_b, build_dag_schedule
 
 ALGORITHM = "rw-closure"
@@ -28,17 +21,16 @@ ALGORITHM = "rw-closure"
 def verify_rw_closure(trace: Trace, focus: str) -> Verdict:
     """Decide consistency from `focus`'s viewpoint by closure iteration.
 
-    Requires unique write values (raises DuplicateValueError otherwise).
+    Raises DuplicateValueError when a focus read has several candidate
+    writes (see `build_read_mapping`).
     The verdict carries the final graph, closure included - useful for dumps
     and for property checks on the saturated edge set (edge-less when a read
     has no dictating write).
     """
-    if classify(trace).has_duplicates:
-        raise DuplicateValueError("duplicate write values; use the oracle instead")
     proj = visible(trace, focus)
     graph = OperationGraph(proj.ops)
     try:
-        mapping = build_read_mapping(proj)
+        mapping = build_read_mapping(trace, focus)
     except UnmatchedReadError as exc:
         return Verdict(False, focus, ALGORITHM, reason=str(exc), graph=graph)
     add_rule_a_b(graph, proj, mapping)

@@ -1,9 +1,12 @@
-"""Acceptance gate: ten end-to-end checks, one test (= one pass/fail line) each.
+"""Acceptance gate: eleven end-to-end checks, one test (= one pass/fail line) each.
 
 Criteria 2-5 share a single three-verifier sweep over the same corpora
 (exhaustive tiny traces, dense seeded small traces, and 10^4 seeded
-unique-value generator traces up to 40 operations); the sweep runs once in a
-module fixture and each criterion asserts its own aspect of the record.
+generator traces up to 40 operations, less the foci whose reads several
+writes could have dictated); the sweep runs once in a module fixture and each
+criterion asserts its own aspect of the record.  Criterion 11 checks the
+polynomial verifiers on duplicate-value traces whose focus reads are not
+ambiguous.
 """
 
 import itertools
@@ -13,8 +16,20 @@ import time
 
 import pytest
 
-from pramcheck import check_pram_witness, classify, gen_pram_trace, mutate_trace, parse_trace
-from pramcheck.legality import Schedule, is_legal
+from pramcheck import (
+    MUTATIONS,
+    DuplicateValueError,
+    MutationError,
+    Trace,
+    UnmatchedReadError,
+    Variant,
+    check_pram_witness,
+    classify,
+    gen_pram_trace,
+    mutate_trace,
+    parse_trace,
+)
+from pramcheck.legality import Schedule, legality_violation
 from pramcheck.model import build_read_mapping, visible
 from pramcheck.oracle import (
     OracleTimeout,
@@ -33,6 +48,7 @@ from pramcheck.reduction import (
 from pramcheck.rw_closure import verify_rw_closure
 
 from test_legality import FOUR_PROCESS_TRACE, KNOWN_LEGAL_SCHEDULE
+from testutil import brute_force_consistent, random_trace_rows
 
 # ---------------------------------------------------------------------------
 # corpora for the shared sweep
@@ -112,8 +128,6 @@ def _generator_traces(count):
                 t = mutate_trace(i, t, kinds[i % 3])
             except Exception:
                 pass
-        if classify(t).has_duplicates:
-            continue
         yield i, t
 
 
@@ -130,7 +144,10 @@ def sweep():
     }
 
     def check(trace, focus):
-        rw = verify_rw_closure(trace, focus)
+        try:
+            rw = verify_rw_closure(trace, focus)
+        except DuplicateValueError:
+            return  # an ambiguous focus read: the oracle's alone
         checker = ReadCentricChecker(trace, focus)
         rc = checker.run()
         orc = oracle_verify(trace, focus)
@@ -144,7 +161,7 @@ def sweep():
         if rw.consistent:
             g = rw.graph
             proj = visible(trace, focus)
-            for r_idx, w_idx in build_read_mapping(proj).items():
+            for r_idx, w_idx in build_read_mapping(trace, focus).items():
                 var = g.ops[r_idx].variable
                 for o in proj.ops:
                     if (
@@ -159,14 +176,14 @@ def sweep():
             record["rulec_refire_violations"].append((trace.rows(), focus))
 
     for t in _exhaustive_traces(4):
-        for focus in t.process_ids():
+        for focus in t.processes:
             check(t, focus)
     rng = random.Random(424242)
     for t in _dense_seeded_traces(rng, sizes=(5, 6, 7, 8), per_size=1500):
-        for focus in t.process_ids():
+        for focus in t.processes:
             check(t, focus)
     for i, t in _generator_traces(10_000):
-        focus = t.process_ids()[i % len(t.process_ids())]
+        focus = tuple(t.processes)[i % len(tuple(t.processes))]
         check(t, focus)
 
     record["seconds"] = time.perf_counter() - started
@@ -181,11 +198,11 @@ def test_criterion_01_known_witness_schedule_is_legal_under_1ms():
     trace = parse_trace(FOUR_PROCESS_TRACE)
     ops = {o.index: o for o in visible(trace, "p0").ops}
     sched = Schedule(tuple(KNOWN_LEGAL_SCHEDULE))
-    assert is_legal(sched, ops)  # warm-up, and the verdict itself is exact
+    assert legality_violation(sched, ops) is None  # warm-up, and the verdict itself is exact
     best = math.inf
     for _ in range(5):
         t0 = time.perf_counter()
-        ok = is_legal(sched, ops)
+        ok = legality_violation(sched, ops) is None
         best = min(best, time.perf_counter() - t0)
         assert ok
     assert best < 0.001, f"legality check took {best * 1000:.3f} ms"
@@ -213,7 +230,7 @@ def test_criterion_06_reduction_operation_count_and_shape():
     inst = ThreePartitionInstance(m=2, B=7, sizes=(3, 3, 2, 2, 2, 2))
     t = reduce_3partition(inst)
     assert len(t.ops) == 104 == 24 * inst.m + 4 * inst.B * inst.m
-    lens = {p: len(t.processes[p]) for p in t.process_ids()}
+    lens = {p: len(t.processes[p]) for p in tuple(t.processes)}
     assert lens["P0"] == 52
     assert sorted(lens[f"Pa{i}"] for i in range(1, 7)) == [4, 4, 4, 4, 5, 5]
     assert (lens["Pc1"], lens["Pc2"], lens["Pc3"]) == (6, 14, 6)
@@ -268,7 +285,7 @@ def test_criterion_09_read_centric_scales_flatter_than_rw_closure():
 
     def total_time(fn, trace, runs):
         total = 0.0
-        for focus in trace.process_ids():
+        for focus in trace.processes:
             best = math.inf
             for _ in range(runs):
                 t0 = time.perf_counter()
@@ -301,7 +318,59 @@ def test_criterion_10_generator_outputs_are_always_accepted():
     rejected = []
     for seed in range(10_000):
         t = gen_pram_trace(seed)
-        for focus in t.process_ids():
+        for focus in t.processes:
             if not verify_read_centric(t, focus).consistent:
                 rejected.append((seed, focus))
     assert rejected == []
+
+
+def _unambiguous_duplicate_foci():
+    """(trace, focus) pairs: the trace repeats a written value, no focus read is ambiguous."""
+    traces = []
+    for i in range(2000):
+        t = gen_pram_trace(i, processes=3, variables=2, ops=6 + i % 7, policy="duplicate")
+        if i % 10 < 6:
+            try:
+                t = mutate_trace(i, t, MUTATIONS[i % 3])
+            except MutationError:
+                pass
+        traces.append(t)
+    rng = random.Random(5)
+    for _ in range(3000):
+        rows = random_trace_rows(
+            rng, processes=3, variables=2, ops=rng.randrange(4, 11), value_pool=(1, 2, 3)
+        )
+        traces.append(Trace.build(rows))
+    for t in traces:
+        if classify(t) not in (Variant.SD, Variant.MD):
+            continue
+        for focus in t.processes:
+            try:
+                build_read_mapping(t, focus)
+            except DuplicateValueError:
+                continue
+            except UnmatchedReadError:
+                pass
+            yield t, focus
+
+
+def test_criterion_11_unambiguous_duplicate_foci_take_the_polynomial_path():
+    verdicts = {True: 0, False: 0}
+    cycles = 0
+    for t, focus in _unambiguous_duplicate_foci():
+        rc = verify_read_centric(t, focus, debug_checks=True)
+        rw = verify_rw_closure(t, focus)
+        orc = oracle_verify(t, focus)
+        want = brute_force_consistent(t, focus)
+        assert rc.consistent is rw.consistent is orc.consistent is want, (t.rows(), focus)
+        verdicts[want] += 1
+        for v in (rc, rw, orc):
+            if v.consistent:
+                assert check_pram_witness(t, focus, v.witness).ok, (t.rows(), focus, v.algorithm)
+        for v in (rc, rw):
+            if v.cycle is not None:
+                cycles += 1
+                for a, b in zip(v.cycle.nodes, v.cycle.nodes[1:]):
+                    assert v.graph.has_edge(a, b), (t.rows(), focus, v.algorithm)
+    assert verdicts[True] > 4000 and verdicts[False] > 2000
+    assert cycles > 400

@@ -404,3 +404,29 @@ def test_gen_output_to_dev_stdout_reaches_a_pipe():
     proc = _run_module("pramcheck", "gen", "--seed", "3", "-o", "/dev/stdout")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == _run_module("pramcheck", "gen", "--seed", "3").stdout != ""
+
+
+def test_check_schedule_names_the_line_of_an_index_too_long_for_int(tmp_path, capsys):
+    sched = _trace(tmp_path, "0\n" + "1" * 5000 + "\n", name="s")
+    rc = main(["check-schedule", str(_trace(tmp_path, OK)), str(sched), "--focus", "p2"])
+    err = capsys.readouterr().err
+    assert rc == 64
+    assert err == f"error: {sched}: line 2: operation index of 5000 digits is too large\n"
+
+
+def test_reduce_with_unwritable_witness_writes_no_trace(tmp_path, capsys):
+    t = tmp_path / "r.trace"
+    rc = main([*REDUCE, "-o", str(t), "--with-witness", str(tmp_path / "missing" / "w")])
+    assert rc == 64
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_reduce_without_output_prints_the_trace_after_the_witness(tmp_path, capsys):
+    w = tmp_path / "w"
+    assert main([*REDUCE, "--with-witness", str(w)]) == 0
+    out = capsys.readouterr().out
+    t = _trace(tmp_path, out)
+    assert main(["check-schedule", str(t), str(w), "--focus", "P0"]) == 0
+    assert main([*REDUCE, "--with-witness", str(tmp_path / "missing" / "w")]) == 64
+    assert capsys.readouterr().out == "LEGAL\n"

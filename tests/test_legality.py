@@ -6,7 +6,6 @@ from pramcheck.legality import (
     NotAPermutationError,
     Schedule,
     check_pram_witness,
-    is_legal,
     legality_violation,
     parse_schedule,
     serialize_schedule,
@@ -49,7 +48,6 @@ def test_known_schedule_is_legal():
     ops = _ops(t, "p0")
     sched = Schedule(tuple(KNOWN_LEGAL_SCHEDULE))
     assert len(ops) == 19
-    assert is_legal(sched, ops)
     assert legality_violation(sched, ops) is None
 
 
@@ -65,14 +63,14 @@ def test_perturbed_schedule_is_illegal():
     seq[0], seq[1] = seq[1], seq[0]
     t = T(FOUR_PROCESS_TRACE)
     ops = _ops(t, "p0")
-    assert not is_legal(Schedule(tuple(seq)), ops)
+    assert legality_violation(Schedule(tuple(seq)), ops) is not None
     assert legality_violation(Schedule(tuple(seq)), ops) == 0  # the f-read
 
 
 def test_read_before_any_write_is_illegal():
     t = T("p1 W x 1\np2 R x 1")
     ops = _ops(t, "p2")
-    assert not is_legal(Schedule((1, 0)), ops)
+    assert legality_violation(Schedule((1, 0)), ops) is not None
     assert legality_violation(Schedule((1, 0)), ops) == 1
 
 
@@ -83,17 +81,17 @@ def test_legality_requires_latest_write():
         p2 R x 1
     """)
     ops = _ops(t, "p2")
-    assert is_legal(Schedule((1, 0, 2)), ops)
-    assert not is_legal(Schedule((0, 1, 2)), ops)
+    assert legality_violation(Schedule((1, 0, 2)), ops) is None
+    assert legality_violation(Schedule((0, 1, 2)), ops) is not None
 
 
 def test_permutation_enforced():
     t = T("p1 W x 1\np2 R x 1")
     ops = _ops(t, "p2")
     with pytest.raises(NotAPermutationError):
-        is_legal(Schedule((0,)), ops)
+        legality_violation(Schedule((0,)), ops)
     with pytest.raises(NotAPermutationError):
-        is_legal(Schedule((0, 0)), ops)
+        legality_violation(Schedule((0, 0)), ops)
 
 
 def test_witness_check_rejects_program_order_violation():
@@ -105,7 +103,7 @@ def test_witness_check_rejects_program_order_violation():
     """)
     # legal as a raw schedule, but p2's reads appear against its program order
     sched = Schedule((0, 3, 1, 2))
-    assert is_legal(sched, _ops(t, "p2"))
+    assert legality_violation(sched, _ops(t, "p2")) is None
     check = check_pram_witness(t, "p2", sched)
     assert not check.ok
     assert check.reason == "program order violated: Rx2@p2#2 after Rx1@p2#3"
@@ -128,7 +126,7 @@ def test_program_order_pairs_cover_focus_reads_and_all_writes():
         ("p2", (2, 0, 3, 4), "Wx1@p1#0 after Wy2@p1#2"),
         ("p2", (0, 2, 4, 3), "Wx3@p2#3 after Ry2@p2#4"),
     ]:
-        assert is_legal(Schedule(seq), _ops(t, focus))
+        assert legality_violation(Schedule(seq), _ops(t, focus)) is None
         check = check_pram_witness(t, focus, Schedule(seq))
         assert check.reason == (violated and f"program order violated: {violated}")
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ def test_parse_basic_fields():
 
         p2 W y -3
     """)
-    assert t.process_ids() == ("p1", "p2")
+    assert tuple(t.processes) == ("p1", "p2")
     assert len(t.ops) == 3
     assert t.ops[0] == Operation(index=0, kind="W", process="p1", variable="x", value=1)
     assert t.ops[1].is_read and not t.ops[1].is_write
@@ -201,8 +202,8 @@ def test_classify_variants():
     assert classify(mu) is Variant.MU
     assert classify(sd) is Variant.SD
     assert classify(md) is Variant.MD
-    assert not classify(su).has_duplicates
-    assert classify(md).has_duplicates
+    assert all(len(ws) == 1 for ws in su.writers.values())
+    assert md.writers == {("x", 1): [0, 1], ("y", 3): [2]}
 
 
 def test_visible_projection_keeps_writes_and_focus_reads():
@@ -234,17 +235,36 @@ def test_read_mapping_unique_values():
         p2 R x 2
         p2 R x 1
     """)
-    m = build_read_mapping(visible(t, "p2"))
+    m = build_read_mapping(t, "p2")
     assert m == {2: 1, 3: 0}
 
 
 def test_read_mapping_unmatched_read():
     t = T("p1 W x 1\np2 R x 9")
     with pytest.raises(UnmatchedReadError):
-        build_read_mapping(visible(t, "p2"))
+        build_read_mapping(t, "p2")
 
 
 def test_read_mapping_rejects_duplicate_written_values():
     t = T("p1 W x 5\np2 W x 5\np3 R x 5")
-    with pytest.raises(DuplicateValueError):
-        build_read_mapping(visible(t, "p3"))
+    with pytest.raises(DuplicateValueError, match=re.escape("read #2 (Rx5@p3#2) has 2 candidate")):
+        build_read_mapping(t, "p3")
+
+
+def test_read_mapping_gates_each_focus_on_its_own_reads():
+    t = T("""
+        p1 W x 5
+        p1 W y 1
+        p2 W x 5
+        p2 R y 1
+        p3 R x 5
+        p3 R y 9
+    """)
+    # x=5 is written twice, but p2 reads only y=1, which one write assigns
+    assert build_read_mapping(t, "p2") == {3: 1}
+    assert build_read_mapping(t, "p1") == {}
+    # an unmatched read rejects the focus, so it wins over an ambiguous one
+    with pytest.raises(UnmatchedReadError):
+        build_read_mapping(t, "p3")
+    with pytest.raises(UnknownProcessError):
+        build_read_mapping(t, "nobody")

@@ -190,7 +190,7 @@ def test_rule_a_b_seeding():
     """)
     proj = visible(t, "p2")
     g = OperationGraph(proj.ops)
-    add_rule_a_b(g, proj, build_read_mapping(proj))
+    add_rule_a_b(g, proj, build_read_mapping(t, "p2"))
     assert set(g.edges()) == {
         (0, 1, PO),  # p1's writes in order
         (2, 3, PO),  # p2's reads in order

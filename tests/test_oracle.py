@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 from pramcheck import check_pram_witness, parse_trace
 from pramcheck.oracle import (
@@ -28,7 +29,7 @@ def _exhaustive_duplicate_traces(max_ops):
 def test_matches_brute_force_on_exhaustive_duplicate_traces():
     checked = 0
     for t in _exhaustive_duplicate_traces(5):
-        for focus in t.process_ids():
+        for focus in t.processes:
             want = brute_force_consistent(t, focus)
             got = oracle_verify(t, focus)
             assert isinstance(got, Verdict)
@@ -49,7 +50,7 @@ def test_memo_does_not_change_verdicts():
             kind = "R" if rng.random() < 0.45 else "W"
             rows.append(f"{proc} {kind} x {rng.randrange(1, 4)}")
         t = parse_trace("\n".join(rows))
-        for focus in t.process_ids():
+        for focus in t.processes:
             assert oracle_verify(t, focus).consistent is brute_force_consistent(t, focus)
 
 
@@ -109,3 +110,12 @@ def test_solve_3partition_feasible():
 
 def test_solve_3partition_infeasible():
     assert solve_3partition(ThreePartitionInstance(m=2, B=13, sizes=(4, 4, 4, 4, 4, 6))) is None
+
+
+def test_solve_3partition_has_no_recursion_limit():
+    inst = ThreePartitionInstance(m=1500, B=75, sizes=(25,) * 4500)
+    t0 = time.perf_counter()
+    part = solve_3partition(inst)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(part) == 1500
+    assert sorted(i for triple in part for i in triple) == list(range(4500))

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -6,15 +7,15 @@ from pramcheck import (
     DuplicateValueError,
     MutationError,
     check_pram_witness,
-    classify,
     gen_pram_trace,
     mutate_trace,
     parse_trace,
     verify_rw_closure,
 )
+from pramcheck.oracle import oracle_verify
 from pramcheck.read_centric import ALGORITHM, ReadCentricChecker, verify_read_centric
 from testutil import T, brute_force_consistent
-from test_rw_closure import FROZEN, _exhaustive_unique_traces
+from test_rw_closure import DUPLICATE_ELSEWHERE, FROZEN, _exhaustive_unique_traces
 
 
 @pytest.mark.parametrize("text,expected", FROZEN)
@@ -77,13 +78,21 @@ def test_unmatched_read_is_rejected_with_reason():
 
 
 def test_duplicate_values_are_refused():
-    with pytest.raises(DuplicateValueError):
-        verify_read_centric(T("p1 W x 1\np2 W x 1"), "p1")
+    """Only a focus with a read that several writes could have dictated is refused."""
+    t = T(DUPLICATE_ELSEWHERE)
+    with pytest.raises(DuplicateValueError, match=re.escape("read #6 (Rx1@p3#6)")):
+        verify_read_centric(t, "p3")
+    # x=1 is written twice, but p1 and p2 read no x
+    for focus, want in (("p1", True), ("p2", False)):
+        v = verify_read_centric(t, focus, debug_checks=True)
+        assert v.consistent is want is oracle_verify(t, focus).consistent
+        if want:
+            assert check_pram_witness(t, focus, v.witness).ok
 
 
 def test_agrees_with_rw_closure_on_exhaustive_small_traces():
     for t in _exhaustive_unique_traces(5):
-        for focus in t.process_ids():
+        for focus in t.processes:
             want = verify_rw_closure(t, focus).consistent
             got = verify_read_centric(t, focus, debug_checks=True)
             assert got.consistent is want
@@ -102,10 +111,11 @@ def test_agrees_with_rw_closure_on_seeded_traces():
                 t = mutate_trace(rng.randrange(10**6), t, kind)
             except Exception:
                 pass
-        if classify(t).has_duplicates:
-            continue
-        for focus in t.process_ids():
-            a = verify_rw_closure(t, focus).consistent
+        for focus in t.processes:
+            try:
+                a = verify_rw_closure(t, focus).consistent
+            except DuplicateValueError:
+                continue
             b = verify_read_centric(t, focus, debug_checks=True).consistent
             if a is not b:
                 disagreements += 1
@@ -117,7 +127,7 @@ def test_witnesses_are_sound_on_seeded_traces():
     accepted = 0
     for _ in range(80):
         t = gen_pram_trace(rng.randrange(10**6), processes=3, variables=2, ops=24)
-        for focus in t.process_ids():
+        for focus in t.processes:
             v = verify_read_centric(t, focus)
             if v.consistent:
                 accepted += 1
@@ -150,10 +160,11 @@ def test_graph_keeps_rw_closure_reachability():
                 t = mutate_trace(rng.randrange(10**6), t, kind)
             except MutationError:
                 pass
-        if classify(t).has_duplicates:
-            continue
-        for focus in t.process_ids():
-            sparse = verify_read_centric(t, focus)
+        for focus in t.processes:
+            try:
+                sparse = verify_read_centric(t, focus)
+            except DuplicateValueError:
+                continue
             if not sparse.consistent:
                 continue
             saturated = verify_rw_closure(t, focus)

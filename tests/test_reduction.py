@@ -44,7 +44,7 @@ def test_reduce_rejects_invalid_instances():
 def test_reference_instance_shape():
     t = reduce_3partition(REFERENCE)
     assert len(t.ops) == 104
-    lens = {p: len(t.processes[p]) for p in t.process_ids()}
+    lens = {p: len(t.processes[p]) for p in tuple(t.processes)}
     assert lens["P0"] == 52
     assert sorted(lens[f"Pa{i}"] for i in range(1, 7)) == [4, 4, 4, 4, 5, 5]
     assert (lens["Pc1"], lens["Pc2"], lens["Pc3"]) == (6, 14, 6)

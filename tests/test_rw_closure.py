@@ -1,12 +1,12 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from pramcheck import (
     DuplicateValueError,
     check_pram_witness,
-    classify,
     gen_pram_trace,
     mutate_trace,
     parse_trace,
@@ -14,6 +14,7 @@ from pramcheck import (
 )
 from pramcheck.model import build_read_mapping, visible
 from pramcheck.rw_closure import ALGORITHM, build_dag_schedule
+from pramcheck.oracle import oracle_verify
 from pramcheck.opgraph import OperationGraph, add_rule_a_b
 from testutil import T, brute_force_consistent
 
@@ -87,9 +88,30 @@ def test_cycle_edges_exist_in_saturated_graph():
         assert v.graph.has_edge(u, w)
 
 
+# x=1 is written twice: p3's read is ambiguous, p1 and p2 read only y
+DUPLICATE_ELSEWHERE = """
+p1 W x 1
+p1 W y 1
+p1 W y 2
+p2 W x 1
+p2 R y 2
+p2 R y 1
+p3 R x 1
+"""
+
+
 def test_duplicate_values_are_refused():
-    with pytest.raises(DuplicateValueError):
-        verify_rw_closure(T("p1 W x 1\np2 W x 1"), "p1")
+    """Only a focus with a read that several writes could have dictated is refused."""
+    t = T(DUPLICATE_ELSEWHERE)
+    with pytest.raises(DuplicateValueError, match=re.escape("read #6 (Rx1@p3#6)")):
+        verify_rw_closure(t, "p3")
+    for focus, want in (("p1", True), ("p2", False)):
+        v = verify_rw_closure(t, focus)
+        assert v.consistent is want is oracle_verify(t, focus).consistent
+        if want:
+            assert check_pram_witness(t, focus, v.witness).ok
+        else:
+            assert v.cycle is not None
 
 
 def _exhaustive_unique_traces(ops_budget):
@@ -123,7 +145,7 @@ def _exhaustive_unique_traces(ops_budget):
 def test_matches_brute_force_on_exhaustive_small_traces():
     checked = 0
     for t in _exhaustive_unique_traces(5):
-        for focus in t.process_ids():
+        for focus in t.processes:
             want = brute_force_consistent(t, focus)
             assert verify_rw_closure(t, focus).consistent is want
             checked += 1
@@ -140,10 +162,12 @@ def test_matches_brute_force_on_seeded_generator_traces():
                 t = mutate_trace(rng.randrange(10**6), t, kind)
             except Exception:
                 pass
-        if classify(t).has_duplicates:
-            continue
-        for focus in t.process_ids():
-            assert verify_rw_closure(t, focus).consistent is brute_force_consistent(t, focus)
+        for focus in t.processes:
+            try:
+                got = verify_rw_closure(t, focus).consistent
+            except DuplicateValueError:
+                continue
+            assert got is brute_force_consistent(t, focus)
 
 
 def test_saturation_property_on_accepting_graphs():
@@ -152,13 +176,13 @@ def test_saturation_property_on_accepting_graphs():
     seen = 0
     for _ in range(60):
         t = gen_pram_trace(rng.randrange(10**6), processes=3, variables=2, ops=14)
-        for focus in t.process_ids():
+        for focus in t.processes:
             v = verify_rw_closure(t, focus)
             if not v.consistent:
                 continue
             g = v.graph
             proj = visible(t, focus)
-            dictate = build_read_mapping(proj)
+            dictate = build_read_mapping(t, focus)
             for r_idx, w_idx in dictate.items():
                 var = g.ops[r_idx].variable
                 for o in proj.ops:
@@ -173,7 +197,7 @@ def test_build_dag_schedule_covers_all_visible_ops():
     t = T("p1 W x 1\np1 W y 2\np2 R y 2\np2 R x 1\np3 W z 9")
     proj = visible(t, "p2")
     g = OperationGraph(proj.ops)
-    add_rule_a_b(g, proj, build_read_mapping(proj))
+    add_rule_a_b(g, proj, build_read_mapping(t, "p2"))
     g.close()
     sched = build_dag_schedule(g, proj)
     assert sorted(sched.seq) == sorted(o.index for o in proj.ops)
