@@ -307,14 +307,13 @@ def _cmd_verify(args) -> int:
         print(json.dumps(report, indent=2))
     else:
         print(f"trace: {trace.n} operations, {len(trace.processes)} processes, variant {variant.value}")
-        ops = {o.index: o for o in trace.ops}
         for entry, result in zip(per_process, results):
             line = f"focus {entry['focus']}: {entry['verdict']} ({entry['algorithm']})"
             print(line)
             if "reason" in entry:
                 print(f"  reason: {entry['reason']}")
             if "cycle" in entry:
-                print(f"  cycle: {result.cycle.pretty(ops)}")
+                print(f"  cycle: {result.cycle.pretty(trace.ops)}")
             if "witness_file" in entry:
                 print(f"  witness: {entry['witness_file']}")
             if "graph_file" in entry:

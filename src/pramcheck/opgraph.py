@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator, Mapping
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from .legality import Schedule
 from .model import Operation, VisibleProjection
@@ -49,7 +49,7 @@ class Cycle:
         assert len(self.nodes) >= 2 and self.nodes[0] == self.nodes[-1]
         assert len(self.tags) == len(self.nodes) - 1
 
-    def pretty(self, ops: Mapping[int, Operation]) -> str:
+    def pretty(self, ops: Sequence[Operation] | Mapping[int, Operation]) -> str:
         parts = [ops[self.nodes[0]].pretty()]
         for node, tag in zip(self.nodes[1:], self.tags):
             parts.append(f"-{tag}-> {ops[node].pretty()}")

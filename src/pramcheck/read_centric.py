@@ -13,14 +13,15 @@ carry everything the overwrite-precedence rule needs:
   w' -> w closes a cycle precisely when w already precedes w' in that order,
   i.e. when pw[w'][var] is at or after w.
 
-When a read's dictating write was already reachable from the previous read,
-the write's downset is re-walked in reverse topological order (`topo_schedule`)
-so every write refreshes `rr` from its successors and gets one overwrite-rule
-check; dependencies discovered mid-walk re-queue the affected write.
+The dictating write's downset is re-walked in reverse topological order
+(`topo_schedule`) only while some write's `rr` has dropped since its last
+rule check; every write there refreshes `rr` from its successors and gets
+one overwrite-rule check.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 
 from .legality import Verdict
@@ -35,21 +36,27 @@ class ReadCentricChecker:
     """One verification run; exposes its dictionaries and counters for tests.
 
     The proactive overwrite-rule pass at a focus read r (dictating write d)
-    orders every settled write on r's variable before d, but adds the edge
-    src -> d only from the last settled write on that variable of each
-    process other than d's own ("last" below).  `settled` is down-closed, so
-    a process's settled writes form a program-order prefix and the other
-    edges are implied; d is settled, so in d's own process program order
-    leads every earlier settled write to d itself ("last" is d there).
-    Every settled write is still checked for a cycle, in index order, so a
-    rejection names the same src (a settled write after d in d's process
-    always closes one).  Skipping src -> d loses nothing:
+    orders every settled write on r's variable before d.  `settled` is
+    down-closed, so each process's settled writes there form a program-order
+    prefix `ws`, and one cycle check per process covers it: once src -> d
+    closes a cycle (pw[src] at or after d), it does for every later write of
+    `ws`, whose predecessors include src's (pw is exact).  d is judged
+    alike: as its process's last settled write it may be the only sign that
+    an earlier write there hits.  A hit at ws[-1] is bisected to the first
+    one, stepping over d and writes already ordered before d; processes go
+    in section order, which is index order, so the rejected source and the
+    edges added before it are those of an index-order scan.  Without a hit,
+    src -> d is added only from each other process's last settled write
+    ("last"): program order leads the rest to last, or in d's process to d,
+    and skipping their edges loses nothing:
 
     1. Reachability: src -PO-> ... -> last -WpW-> d, or src -PO-> ... -> d.
-    2. `rr`: when d is in r's new slice, rr[d] = r, and every settled write
-       already reaches r or an earlier read, so rr[src] would not change.
-       Otherwise `topo_schedule(r)` refreshes rr over d's downset, which
-       holds src.
+    2. `rr`: rr[src] is at or before rr[last], so the edge into d lowers
+       rr[src] only if it lowers rr[last], never when d is new at r (rr[d]
+       = r is later than any older rr).  If it does, last joins `unchecked`
+       and `topo_schedule(r)` refreshes rr over d's downset, which holds
+       src.  The walk is skipped while `unchecked` is empty: every rr is
+       then exact and equals rr_checked, so it would change nothing.
     3. `pw`: pw[last] already accounts for src and for pw[src], so the
        operations after d learn the same latest preceding write from last.
     4. Witnesses: `build_dag_schedule`'s blocks are downset differences and
@@ -57,13 +64,7 @@ class ReadCentricChecker:
        each; both depend on reachability alone.
     """
 
-    def __init__(
-        self,
-        trace: Trace,
-        focus: str,
-        *,
-        debug_checks: bool = False,
-    ):
+    def __init__(self, trace: Trace, focus: str, *, debug_checks: bool = False):
         try:  # the gate: an ambiguous focus read raises before any graph is built
             self.mapping, self.unmatched = build_read_mapping(trace, focus), None
         except UnmatchedReadError as exc:  # a read without a candidate: run() rejects
@@ -78,6 +79,7 @@ class ReadCentricChecker:
         self.settled: set[int] = set()
         self.rr: dict[int, int] = {}  # write index -> earliest reachable focus read
         self.rr_checked: dict[int, int] = {}  # rr value at the write's last rule check
+        self.unchecked: set[int] = set()  # writes whose rr dropped since that check
         self.pw: dict[int, dict[str, int]] = {}  # op -> variable -> preceding write
         # variable -> process -> settled writes on it, in program order
         self.lw: dict[str, dict[str, list[int]]] = {}
@@ -161,6 +163,8 @@ class ReadCentricChecker:
         entries must learn about src.
         """
         self.rr[src] = self._earlier_read(self.rr.get(src), self.rr.get(dst))
+        if self.rr[src] != self.rr_checked[src]:
+            self.unchecked.add(src)
         seen = {dst}
         stack = [dst]
         while stack:
@@ -198,13 +202,8 @@ class ReadCentricChecker:
         d = self.mapping[r.index]
         dproc = self.graph.ops[d].process
         grp_rr_set = {w.index for w in grp_rr}
-        grp_ww = [
-            idx
-            for idx in ordered
-            if self.graph.ops[idx].process == dproc
-            and idx != r.index
-            and idx not in grp_rr_set
-        ]
+        grp_ww = [i for i in ordered if self.graph.ops[i].process == dproc]
+        grp_ww = [i for i in grp_ww if i != r.index and i not in grp_rr_set]
         if self.debug:
             assert delta == grp_rr_set | set(grp_ww) | {r.index}, "unexpected delta shape"
         seed = None
@@ -220,6 +219,17 @@ class ReadCentricChecker:
 
         self.settled |= delta
         return delta
+
+    def first_cycle_source(self, ws: list[int], d: int) -> tuple[int, int] | None:
+        """(src, entry) for the first write of `ws` whose edge into d closes a cycle, or None."""
+        if self.cycle_detection(ws[-1], d) is None:
+            return None
+        def hits(w: int) -> bool:  # False, then True along ws
+            return self.cycle_detection(w, d) is not None
+        for src in ws[bisect_left(ws, True, hi=len(ws) - 1, key=hits) :]:
+            if src != d and not self.graph.has_edge(src, d):
+                return src, self.cycle_detection(src, d)
+        return None
 
     def identify_rule_c(self, src: int, r_old: int) -> int | None:
         """First read of src's variable newly reachable from src, as its dictator.
@@ -249,6 +259,7 @@ class ReadCentricChecker:
         r_old = self.rr_checked[src]
         r_new = self.rr[src]
         self.rr_checked[src] = r_new
+        self.unchecked.discard(src)
         if r_new == r_old:
             return ("none", None)
         tgt = self.identify_rule_c(src, r_old)
@@ -290,13 +301,10 @@ class ReadCentricChecker:
                 status, tgt = self.apply_rule_c(u)
                 if status == "cycle":
                     self.detected_in_topo = True
-                    dst, entry = tgt
-                    return self._reject_cycle(u, dst, entry)
+                    return self._reject_cycle(u, *tgt)
                 if status == "edge":
                     fired[u] = fired.get(u, 0) + 1
-                    self.topo_rulec_per_write_max = max(
-                        self.topo_rulec_per_write_max, fired[u]
-                    )
+                    self.topo_rulec_per_write_max = max(self.topo_rulec_per_write_max, fired[u])
                     if tgt in dset and tgt not in done:
                         pre[tgt].append(u)
                         suc[u].append(tgt)
@@ -312,6 +320,13 @@ class ReadCentricChecker:
         return None
 
     # -- debug cross-checks ----------------------------------------------------
+
+    def _debug_scan_source(self, by_process: dict[str, list[int]], d: int) -> int | None:
+        # The index-order scan the per-process check replaces (edges into d change no hit).
+        for w in sorted(w for ws in by_process.values() for w in ws):
+            if w != d and not self.graph.has_edge(w, d) and self.cycle_detection(w, d) is not None:
+                return w
+        return None
 
     def _debug_check_rr(self, src: int) -> None:
         seen = {src}
@@ -331,11 +346,7 @@ class ReadCentricChecker:
         )
 
     def _debug_check_pw(
-        self,
-        src: int,
-        var: str,
-        entry: int | None,
-        pending: tuple[int, int] | None = None,
+        self, src: int, var: str, entry: int | None, pending: tuple[int, int]
     ) -> None:
         # `pending` is an edge just added but not yet absorbed into pw; the
         # reference walk must ignore it (it may close the very cycle under test).
@@ -377,34 +388,36 @@ class ReadCentricChecker:
                 chain = focus_seq[fpos[r.index] : fpos[d] + 1]
                 nodes = tuple(o.index for o in chain) + (r.index,)
                 tags = (PO,) * (len(chain) - 1) + (WR,)
-                return self._verdict(
-                    False,
-                    cycle=Cycle(nodes=nodes, tags=tags),
-                    reason="read precedes its dictating write",
-                )
+                reason = "read precedes its dictating write"
+                return self._verdict(False, cycle=Cycle(nodes=nodes, tags=tags), reason=reason)
 
         r_prev: Operation | None = None
         for r in self.reads:
             delta = self.init_reachability(r_prev, r)
             d = self.mapping[r.index]
-            by_process = self.lw.get(r.variable, {})
             dproc = self.graph.ops[d].process
-            last = {ws[-1] for p, ws in by_process.items() if p != dproc}
-            for src in sorted(w for ws in by_process.values() for w in ws if w != d):
-                if self.graph.has_edge(src, d):
-                    continue
-                hit = self.cycle_detection(src, d)
-                if hit is None and src not in last:
-                    continue  # program order leads src to its process's last write
-                self.graph.add_edge(src, d, WPW)
-                self.rulec_edges += 1
+            by_process = self.lw.get(r.variable, {})
+            want = self._debug_scan_source(by_process, d) if self.debug else None
+            for ws in sorted(by_process.values()):  # disjoint lists: section order
+                hit = self.first_cycle_source(ws, d)
                 if hit is not None:
-                    return self._reject_cycle(src, d, hit)
-                self.update_reachability(src, d)
-            if d not in delta:
+                    assert not self.debug or hit[0] == want, "per-process check moved the source"
+                    self.graph.add_edge(hit[0], d, WPW)
+                    self.rulec_edges += 1
+                    return self._reject_cycle(hit[0], d, hit[1])
+                last = ws[-1]  # program order leads the others to it
+                if self.graph.ops[last].process != dproc and self.graph.add_edge(last, d, WPW):
+                    self.rulec_edges += 1
+                    self.update_reachability(last, d)
+            assert want is None, "per-process check missed the scan's source"
+            if self.unchecked and d not in delta:
                 verdict = self.topo_schedule(r)
                 if verdict is not None:
                     return verdict
+            elif self.debug and d not in delta:  # the skipped walk had nothing to do
+                for u in self.graph.downset(d) & self.rr.keys():
+                    assert self.rr_checked[u] == self.rr[u], "skipped a pending rule check"
+                    self._debug_check_rr(u)
             r_prev = r
 
         return self._verdict(True, witness=build_dag_schedule(self.final_graph(), self.proj))
@@ -419,8 +432,9 @@ def verify_read_centric(trace: Trace, focus: str, *, debug_checks: bool = False)
 
     Raises DuplicateValueError when a focus read has several candidate
     writes (see `build_read_mapping`).  `debug_checks` cross-checks the
-    incremental dictionaries against the graph at every use.  The verdict
-    carries the checker's live graph: the sparse edges, never closed, so its
+    incremental dictionaries against the graph at every use, and both
+    shortcuts against the scan and walk they skip.  The verdict carries the
+    checker's live graph: the sparse edges, never closed, so its
     reachability queries (`reaches()`) raise.
     """
     return ReadCentricChecker(trace, focus, debug_checks=debug_checks).run()

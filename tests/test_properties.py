@@ -1,0 +1,74 @@
+"""Property tests: the verifiers against brute force on generated small traces.
+
+Hypothesis draws traces of 2-3 processes, 1-2 variables and at most 10
+operations, with unique or repeated write values.  The profile is fixed and
+derandomized, so every run checks the same examples.
+"""
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from pramcheck import (
+    DuplicateValueError,
+    Trace,
+    check_pram_witness,
+    oracle_verify,
+    verify_read_centric,
+    verify_rw_closure,
+)
+from testutil import brute_force_consistent
+
+PROFILE = settings(
+    derandomize=True,
+    max_examples=400,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def small_traces(draw) -> Trace:
+    processes = draw(st.integers(2, 3))
+    variables = "xy"[: draw(st.integers(1, 2))]
+    unique = draw(st.booleans())
+    ops = draw(
+        st.lists(
+            st.tuples(
+                st.integers(1, processes),
+                st.sampled_from("RW"),
+                st.sampled_from(variables),
+                st.integers(1, 3),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    total = {var: sum(1 for op in ops if op[1:3] == ("W", var)) for var in variables}
+    written = dict.fromkeys(variables, 0)
+    rows = []
+    for proc, kind, var, value in ops:
+        if unique and kind == "W":  # 1, 2, ... per variable
+            value = written[var] = written[var] + 1
+        elif unique:  # any value written to var, or one nobody wrote
+            value = draw(st.integers(1, total[var] + 1))
+        rows.append((f"p{proc}", kind, var, value))
+    return Trace.build(rows)
+
+
+@PROFILE
+@given(small_traces())
+def test_verifiers_agree_with_brute_force(trace):
+    for focus in trace.processes:
+        want = brute_force_consistent(trace, focus)
+        oracle = oracle_verify(trace, focus)
+        assert oracle.consistent is want
+        try:
+            rc = verify_read_centric(trace, focus, debug_checks=True)
+        except DuplicateValueError:
+            continue  # an ambiguous focus read: the polynomial verifiers refuse it
+        verdicts = (rc, verify_rw_closure(trace, focus))
+        for v in (oracle, *verdicts):
+            assert v.consistent is want, v.algorithm
+            if v.consistent:
+                assert check_pram_witness(trace, focus, v.witness).ok, v.algorithm

@@ -66,9 +66,90 @@ def test_cycle_found_inside_schedule_construction():
     assert checker.detected_in_topo is True
     # Wx1@p1#0 -> Wx4@p1#2 is not among them: program order implies it
     assert checker.rulec_edges == 4
-    assert checker.topo_calls == 2
+    # One re-walk, where a proactive source's reachable read dropped; the
+    # other read with a settled dictating write changed no rr, so its walk
+    # would have been idle and is skipped.
+    assert checker.topo_calls == 1
     assert v.cycle is not None
     assert v.cycle.nodes == (0, 3, 0)
+
+
+def test_cycle_source_before_the_dictating_write_in_its_own_process():
+    """The rejected write precedes d in d's process, and d is that process's last.
+
+    d closes a cycle too (its predecessors include the source's), so the
+    per-process check must judge d like any other write to find the source.
+    """
+    t = mutate_trace(173, gen_pram_trace(173, processes=2, variables=1, ops=20), "reorder-reads")
+    checker = ReadCentricChecker(t, "p1", debug_checks=True)
+    v = checker.run()
+    assert v.consistent is False
+    assert v.cycle.nodes == (6, 10, 4, 6)
+    assert v.cycle.tags == ("WpW", "WpW", "PO")
+    assert checker.rulec_edges == 1
+    assert checker.mapping[15] == 10 and t.ops[6].process == t.ops[10].process == "p2"
+
+
+class _CountingChecker(ReadCentricChecker):
+    """Counts the proactive pass's cycle checks and pending rule checks, read by read."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.per_read: list[dict] = []
+        self.in_walk = False
+
+    def init_reachability(self, r_prev, r):
+        # an earlier walk can lower a write's rr after checking it
+        left = any(self.rr[w] != self.rr_checked[w] for w in self.rr)
+        delta = super().init_reachability(r_prev, r)
+        procs = len(self.lw.get(r.variable, {}))
+        left = left and self.mapping[r.index] not in delta
+        self.per_read.append({"procs": procs, "checks": 0, "dropped": False, "left": left})
+        return delta
+
+    def cycle_detection(self, src, dst):
+        if not self.in_walk:
+            self.per_read[-1]["checks"] += 1
+        return super().cycle_detection(src, dst)
+
+    def update_reachability(self, src, dst):
+        before = self.rr[src]
+        super().update_reachability(src, dst)
+        if not self.in_walk and self.rr[src] != before:
+            self.per_read[-1]["dropped"] = True
+
+    def topo_schedule(self, r):
+        self.in_walk = True
+        try:
+            return super().topo_schedule(r)
+        finally:
+            self.in_walk = False
+
+
+def test_rule_c_work_is_bounded_per_process_and_per_dropped_read():
+    """One cycle check per process at each read; a re-walk only where an rr dropped."""
+    t = gen_pram_trace(1, processes=16, variables=2, ops=3200, read_fraction=0.35)
+    checker = _CountingChecker(t, "p2")
+    assert checker.run().consistent
+    reads = checker.per_read
+    assert reads and all(x["checks"] <= x["procs"] for x in reads)
+    assert not any(x["left"] for x in reads)
+    assert checker.topo_calls == sum(x["dropped"] for x in reads) > 0
+
+
+def test_write_left_unchecked_by_a_walk_gets_the_next_walk():
+    """A walk can lower a write's rr after its check, through an edge to a
+    write the walk has finished.  The next read with a settled dictating
+    write must walk again, although no proactive source's rr dropped there.
+    """
+    t = gen_pram_trace(471)
+    checker = _CountingChecker(t, "p1", debug_checks=True)
+    assert checker.run().consistent
+    assert checker.topo_calls == 2
+    assert [(x["dropped"], x["left"]) for x in checker.per_read if x["dropped"] or x["left"]] == [
+        (True, False),
+        (False, True),
+    ]
 
 
 def test_unmatched_read_is_rejected_with_reason():
