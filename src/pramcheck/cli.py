@@ -132,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read(path: Path) -> str:
     try:
-        return path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+        return path.read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL, a lone surrogate, bad UTF-8
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
@@ -193,11 +193,11 @@ def _write_all(outputs: list[tuple[Path, str]]) -> None:
                     out.truncate(0)
                 out.write(text)
                 out.flush()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a path the OS cannot take
         for _, tmp, _ in staged:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
-        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise UsageError(f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _load_trace(path: Path) -> Trace:
@@ -208,6 +208,8 @@ def _load_trace(path: Path) -> Trace:
 
 
 def _suffixed(path: Path, focus: str, multi: bool) -> Path:
+    if multi and not path.name:  # "." or "/": a directory, which with_name() refuses
+        raise UsageError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
     return path.with_name(f"{path.name}.{focus}") if multi else path
 
 

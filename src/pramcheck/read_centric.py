@@ -2,12 +2,15 @@
 
 Same decision problem and `OperationGraph` as `rw_closure`, built incrementally
 and never closed.  For each focus read r, only the newly reachable slice of the
-graph (r's downset minus the previous read's) is examined.  Two dictionaries
-carry everything the overwrite-precedence rule needs:
+graph (r's downset minus the previous read's) is examined.  Operations not yet
+settled have only `PO` and `WR` predecessors (every `WpW` edge joins two
+settled writes), so that slice is two program-order prefixes: the focus's
+unsettled operations up to r and those of D(r)'s process up to D(r).  Two
+dictionaries carry everything the overwrite-precedence rule needs:
 
-* `rr` - per write, the earliest focus read it currently reaches.  A write
-  whose `rr` drops may have become ordered before further reads of its
-  variable, which is exactly when the rule can fire again.
+* `rr` - per write, the ordinal of the earliest focus read it currently
+  reaches.  A write whose `rr` drops may have become ordered before further
+  reads of its variable, which is exactly when the rule can fire again.
 * `pw` - per operation and variable, the latest preceding write that dictates
   some read, "latest" in the order of first dictated reads.  A new edge
   w' -> w closes a cycle precisely when w already precedes w' in that order,
@@ -35,20 +38,25 @@ ALGORITHM = "read-centric"
 class ReadCentricChecker:
     """One verification run; exposes its dictionaries and counters for tests.
 
+    `settled`, the union of the processed reads' downsets, is down-closed:
+    each process's settled operations are a program-order prefix,
+    `prefix[process]` long.  Only settled writes carry `WpW` edges, so r's
+    new slice is the focus's unsettled prefix up to r plus D(r)'s
+    process's up to D(r).
+
     The proactive overwrite-rule pass at a focus read r (dictating write d)
-    orders every settled write on r's variable before d.  `settled` is
-    down-closed, so each process's settled writes there form a program-order
-    prefix `ws`, and one cycle check per process covers it: once src -> d
-    closes a cycle (pw[src] at or after d), it does for every later write of
-    `ws`, whose predecessors include src's (pw is exact).  d is judged
-    alike: as its process's last settled write it may be the only sign that
-    an earlier write there hits.  A hit at ws[-1] is bisected to the first
-    one, stepping over d and writes already ordered before d; processes go
-    in section order, which is index order, so the rejected source and the
-    edges added before it are those of an index-order scan.  Without a hit,
-    src -> d is added only from each other process's last settled write
-    ("last"): program order leads the rest to last, or in d's process to d,
-    and skipping their edges loses nothing:
+    orders every settled write on r's variable before d.  Those of each process
+    form a program-order prefix `ws`, and one cycle check per process covers
+    it: once src -> d closes a cycle (pw[src] at or after d), it does for every
+    later write of `ws`, whose predecessors include src's (pw is exact).  d is
+    judged alike: as its process's last settled write it may be the only sign
+    that an earlier write there hits.  A hit at ws[-1] is bisected to the first
+    one, stepping over d and writes already ordered before d; processes go in
+    section order, which is index order, so the rejected source and the edges
+    added before it are those of an index-order scan.  Without a hit, src -> d
+    is added only from each other process's last settled write ("last"):
+    program order leads the rest to last, or in d's process to d, and skipping
+    their edges loses nothing:
 
     1. Reachability: src -PO-> ... -> last -WpW-> d, or src -PO-> ... -> d.
     2. `rr`: rr[src] is at or before rr[last], so the edge into d lowers
@@ -75,9 +83,13 @@ class ReadCentricChecker:
         self.graph = OperationGraph(self.proj.ops)
         self.reads: tuple[Operation, ...] = self.proj.focus_reads()
         self.read_ord: dict[int, int] = {r.index: i for i, r in enumerate(self.reads)}
+        self.pos: dict[int, int] = {  # op -> its position in its process's visible sequence
+            o.index: i for seq in self.proj.by_process.values() for i, o in enumerate(seq)
+        }
 
         self.settled: set[int] = set()
-        self.rr: dict[int, int] = {}  # write index -> earliest reachable focus read
+        self.prefix: dict[str, int] = {}  # process -> length of its settled prefix
+        self.rr: dict[int, int] = {}  # write index -> ordinal of earliest reachable focus read
         self.rr_checked: dict[int, int] = {}  # rr value at the write's last rule check
         self.unchecked: set[int] = set()  # writes whose rr dropped since that check
         self.pw: dict[int, dict[str, int]] = {}  # op -> variable -> preceding write
@@ -92,13 +104,6 @@ class ReadCentricChecker:
         self.detected_in_topo = False
 
     # -- shared plumbing -----------------------------------------------------
-
-    def _earlier_read(self, a: int | None, b: int | None) -> int | None:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return a if self.read_ord[a] <= self.read_ord[b] else b
 
     def _reject_cycle(self, src: int, dst: int, entry: int | None = None) -> Verdict:
         """The edge src -> dst closed a cycle; extract it for the verdict.
@@ -162,7 +167,7 @@ class ReadCentricChecker:
         paths from dst up to the read under scrutiny, so their preceding-write
         entries must learn about src.
         """
-        self.rr[src] = self._earlier_read(self.rr.get(src), self.rr.get(dst))
+        self.rr[src] = min(self.rr[src], self.rr[dst])
         if self.rr[src] != self.rr_checked[src]:
             self.unchecked.add(src)
         seen = {dst}
@@ -178,45 +183,32 @@ class ReadCentricChecker:
 
     # -- per-read processing --------------------------------------------------
 
-    def init_reachability(self, r_prev: Operation | None, r: Operation) -> set[int]:
-        """Absorb r's new downset slice: seed rr/lw, thread pw along both chains."""
-        delta = self.graph.downset(r.index, self.settled)
-        ordered = sorted(delta)
-        for idx in ordered:
-            o = self.graph.ops[idx]
-            if o.is_write:
-                self.rr[idx] = r.index
-                self.rr_checked[idx] = r.index
-                self.lw.setdefault(o.variable, {}).setdefault(o.process, []).append(idx)
+    def init_reachability(self, r: Operation) -> set[int]:
+        """Absorb r's new slice: seed rr/lw, thread pw along both prefixes.
 
-        focus_seq = self.proj.by_process[self.focus]
-        fpos = self._fpos
-        lo = fpos[r_prev.index] + 1 if r_prev is not None else 0
-        grp_rr = focus_seq[lo : fpos[r.index]]
-        prev = r_prev.index if r_prev is not None else None
-        for w in grp_rr:
-            self.pw_update(prev, w.index)
-            prev = w.index
-        self.pw_update(prev, r.index)
-
-        d = self.mapping[r.index]
-        dproc = self.graph.ops[d].process
-        grp_rr_set = {w.index for w in grp_rr}
-        grp_ww = [i for i in ordered if self.graph.ops[i].process == dproc]
-        grp_ww = [i for i in grp_ww if i != r.index and i not in grp_rr_set]
+        Each prefix is threaded from its process's last settled operation.
+        When D(r) is the focus's own, the focus prefix covers it.
+        """
+        d = self.graph.ops[self.mapping[r.index]]
+        delta: set[int] = set()
+        for end in (r,) if d.process == self.focus else (r, d):
+            seq = self.proj.by_process[end.process]
+            lo = self.prefix.get(end.process, 0)
+            prev = seq[lo - 1].index if lo else None
+            chain = seq[lo : self.pos[end.index] + 1]
+            for o in chain:
+                self.pw_update(prev, o.index)
+                prev = o.index
+                delta.add(o.index)
+                if o.is_write:
+                    self.rr[o.index] = self.read_ord[r.index]
+                    self.rr_checked[o.index] = self.read_ord[r.index]
+                    self.lw.setdefault(o.variable, {}).setdefault(o.process, []).append(o.index)
+            if prev != r.index:  # d's chain ends at d, which precedes r
+                self.pw_update(prev, r.index)
+            self.prefix[end.process] = lo + len(chain)
         if self.debug:
-            assert delta == grp_rr_set | set(grp_ww) | {r.index}, "unexpected delta shape"
-        seed = None
-        for o in reversed(self.proj.by_process[dproc]):
-            if o.index in self.settled and o.is_write:
-                seed = o.index
-                break
-        prev = seed
-        for idx in grp_ww:
-            self.pw_update(prev, idx)
-            prev = idx
-        self.pw_update(prev, r.index)
-
+            assert delta == self.graph.downset(r.index, self.settled), "slice is not two prefixes"
         self.settled |= delta
         return delta
 
@@ -237,10 +229,8 @@ class ReadCentricChecker:
         The window is [rr[src], r_old) in focus program order, r_old being the
         rr value when src was last checked.
         """
-        r_new = self.rr[src]
-        lo, hi = self.read_ord[r_new], self.read_ord[r_old]
         var = self.graph.ops[src].variable
-        for r_tmp in self.reads[lo:hi]:
+        for r_tmp in self.reads[self.rr[src] : r_old]:
             if r_tmp.variable == var:
                 tgt = self.mapping[r_tmp.index]
                 if self.debug:
@@ -248,11 +238,11 @@ class ReadCentricChecker:
                 return tgt
         return None
 
-    def apply_rule_c(self, src: int):
+    def apply_rule_c(self, src: int) -> Verdict | int | None:
         """One overwrite-precedence check for `src`.
 
-        Returns ("cycle", dst) when the forced edge closes a cycle,
-        ("edge", dst) when an edge was added, or ("none", None).
+        Returns the rejecting verdict when the forced edge closes a cycle,
+        the edge's target when an edge was added, or None.
         """
         if self.debug:
             self._debug_check_rr(src)
@@ -261,20 +251,21 @@ class ReadCentricChecker:
         self.rr_checked[src] = r_new
         self.unchecked.discard(src)
         if r_new == r_old:
-            return ("none", None)
+            return None
         tgt = self.identify_rule_c(src, r_old)
         if tgt is None:
-            return ("none", None)
+            return None
         if not self.graph.add_edge(src, tgt, WPW):
             # The proactive pass at tgt's own read already ordered src -> tgt
             # (and checked it); later same-variable reads ride tgt's chain.
-            return ("none", None)
+            return None
         self.rulec_edges += 1
         hit = self.cycle_detection(src, tgt)
         if hit is not None:
-            return ("cycle", (tgt, hit))
+            self.detected_in_topo = True
+            return self._reject_cycle(src, tgt, hit)
         self.update_reachability(src, tgt)
-        return ("edge", tgt)
+        return tgt
 
     def topo_schedule(self, r: Operation) -> Verdict | None:
         """Reverse-topological refresh of D(r)'s downset; None means no cycle.
@@ -296,13 +287,12 @@ class ReadCentricChecker:
             u = queue.popleft()
             if self.graph.ops[u].is_write and u not in done:
                 for s in suc[u]:
-                    other = s if self.graph.ops[s].is_read else self.rr.get(s)
-                    self.rr[u] = self._earlier_read(self.rr.get(u), other)
-                status, tgt = self.apply_rule_c(u)
-                if status == "cycle":
-                    self.detected_in_topo = True
-                    return self._reject_cycle(u, *tgt)
-                if status == "edge":
+                    other = self.read_ord[s] if self.graph.ops[s].is_read else self.rr[s]
+                    self.rr[u] = min(self.rr[u], other)
+                tgt = self.apply_rule_c(u)
+                if isinstance(tgt, Verdict):
+                    return tgt
+                if tgt is not None:
                     fired[u] = fired.get(u, 0) + 1
                     self.topo_rulec_per_write_max = max(self.topo_rulec_per_write_max, fired[u])
                     if tgt in dset and tgt not in done:
@@ -331,15 +321,13 @@ class ReadCentricChecker:
     def _debug_check_rr(self, src: int) -> None:
         seen = {src}
         stack = [src]
-        best: int | None = None
         while stack:
             u = stack.pop()
             for s in self.graph.succs[u]:
                 if s not in seen:
                     seen.add(s)
                     stack.append(s)
-                    if self.graph.ops[s].is_read:
-                        best = self._earlier_read(best, s)
+        best = min((self.read_ord[s] for s in seen if self.graph.ops[s].is_read), default=None)
         assert self.rr.get(src) == best, (
             f"stale reachable-read for {self.graph.ops[src].pretty()}: "
             f"have {self.rr.get(src)}, graph says {best}"
@@ -381,19 +369,17 @@ class ReadCentricChecker:
         add_rule_a_b(self.graph, self.proj, self.mapping)
 
         focus_seq = self.proj.by_process.get(self.focus, ())
-        fpos = self._fpos = {o.index: i for i, o in enumerate(focus_seq)}
         for r in self.reads:
             d = self.mapping[r.index]
-            if self.graph.ops[d].process == self.focus and fpos[d] > fpos[r.index]:
-                chain = focus_seq[fpos[r.index] : fpos[d] + 1]
+            if self.graph.ops[d].process == self.focus and self.pos[d] > self.pos[r.index]:
+                chain = focus_seq[self.pos[r.index] : self.pos[d] + 1]
                 nodes = tuple(o.index for o in chain) + (r.index,)
                 tags = (PO,) * (len(chain) - 1) + (WR,)
                 reason = "read precedes its dictating write"
                 return self._verdict(False, cycle=Cycle(nodes=nodes, tags=tags), reason=reason)
 
-        r_prev: Operation | None = None
         for r in self.reads:
-            delta = self.init_reachability(r_prev, r)
+            delta = self.init_reachability(r)
             d = self.mapping[r.index]
             dproc = self.graph.ops[d].process
             by_process = self.lw.get(r.variable, {})
@@ -418,7 +404,6 @@ class ReadCentricChecker:
                 for u in self.graph.downset(d) & self.rr.keys():
                     assert self.rr_checked[u] == self.rr[u], "skipped a pending rule check"
                     self._debug_check_rr(u)
-            r_prev = r
 
         return self._verdict(True, witness=build_dag_schedule(self.final_graph(), self.proj))
 

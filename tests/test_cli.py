@@ -240,9 +240,18 @@ REDUCE = ["reduce", "--m", "1", "--B", "6", "--sizes", "2,2,2"]
         ["check-schedule", "{ok}", "{bad}", "--focus", "p2"],
         ["verify", "{ok}", "--witness-out", "{missing}/w"],
         ["verify", "{ok}", "--dump-graph", "{missing}/g"],
+        ["verify", "{ok}", "--dump-graph", "."],
         ["gen", "--seed", "1", "-o", "{missing}/t"],
         [*REDUCE, "-o", "{missing}/t"],
         [*REDUCE, "-o", "{tmp}/r.trace", "--with-witness", "{missing}/w"],
+        ["verify", "{nul}"],
+        ["verify", "{lone}"],
+        ["check-schedule", "{ok}", "{lone}", "--focus", "p2"],
+        ["verify", "{ok}", "--witness-out", "{nul}"],
+        ["verify", "{ok}", "--witness-out", "{lone}"],
+        ["gen", "--seed", "1", "-o", "{nul}"],
+        [*REDUCE, "-o", "{tmp}/r.trace", "--with-witness", "{nul}"],
+        [*REDUCE, "-o", "{tmp}/r.trace", "--with-witness", "{lone}"],
     ],
     ids=[
         "verify-trace-not-utf8",
@@ -250,12 +259,23 @@ REDUCE = ["reduce", "--m", "1", "--B", "6", "--sizes", "2,2,2"]
         "check-schedule-schedule-not-utf8",
         "witness-out-missing-dir",
         "dump-graph-missing-dir",
+        "dump-graph-dot-several-foci",
         "gen-output-missing-dir",
         "reduce-output-missing-dir",
         "with-witness-missing-dir",
+        "verify-trace-path-nul",
+        "verify-trace-path-lone-surrogate",
+        "check-schedule-schedule-path-lone-surrogate",
+        "witness-out-nul",
+        "witness-out-lone-surrogate",
+        "gen-output-nul",
+        "with-witness-nul",
+        "with-witness-lone-surrogate",
     ],
 )
-def test_unreadable_input_or_unwritable_output_exits_64(tmp_path, capsys, argv):
+def test_unreadable_input_or_unwritable_output_exits_64(tmp_path, capfd, argv):
+    # capfd: its stderr replaces what it cannot encode, as sys.stderr does
+    # (backslashreplace), while capsys's would raise on a lone surrogate
     bad = tmp_path / "bad"
     bad.write_bytes(b"p1 W x 1\xff\n")
     paths = {
@@ -264,11 +284,22 @@ def test_unreadable_input_or_unwritable_output_exits_64(tmp_path, capsys, argv):
         "sched": _trace(tmp_path, "0\n2\n1\n3\n", name="s"),
         "missing": tmp_path / "missing",
         "tmp": tmp_path,
+        "nul": tmp_path / "a\x00b",  # paths the operating system cannot take
+        "lone": tmp_path / "\ud800",
     }
     rc = main([arg.format(**paths) for arg in argv])
-    err = capsys.readouterr().err
+    err = capfd.readouterr().err
     assert rc == 64
     assert err.startswith("error: ")
+
+
+def test_trace_is_decoded_as_utf8_whatever_the_locale(tmp_path, monkeypatch):
+    trace = tmp_path / "t.trace"
+    trace.write_bytes(f"# caf\u00e9\n{OK}".encode("utf-8"))
+    for name, value in (("PYTHONCOERCECLOCALE", "0"), ("PYTHONUTF8", "0"), ("LC_ALL", "C")):
+        monkeypatch.setenv(name, value)
+    proc = _run_module("pramcheck", "verify", str(trace))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_unknown_focus_is_usage_error(tmp_path, capsys):

@@ -98,10 +98,10 @@ class _CountingChecker(ReadCentricChecker):
         self.per_read: list[dict] = []
         self.in_walk = False
 
-    def init_reachability(self, r_prev, r):
+    def init_reachability(self, r):
         # an earlier walk can lower a write's rr after checking it
         left = any(self.rr[w] != self.rr_checked[w] for w in self.rr)
-        delta = super().init_reachability(r_prev, r)
+        delta = super().init_reachability(r)
         procs = len(self.lw.get(r.variable, {}))
         left = left and self.mapping[r.index] not in delta
         self.per_read.append({"procs": procs, "checks": 0, "dropped": False, "left": left})
