@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
@@ -22,11 +23,14 @@ INT64_MAX = 2**63 - 1
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT = re.compile(r"-?[0-9]+\Z")
-# One well-formed row: parse_trace's fast path.  At most 19 digits, so int()
-# never meets its digit limit; anything else takes the field-by-field checks.
-_ROW = re.compile(
-    r"[ \t]*([A-Za-z_][A-Za-z0-9_]*)[ \t]+([RW])[ \t]+([A-Za-z_][A-Za-z0-9_]*)"
-    r"[ \t]+(-?[0-9]{1,19})[ \t]*\Z"
+# parse_trace's fast path takes a text of well-formed rows only: ASCII-spaced
+# fields, lines joined by '\n', an optional final '\n', at most 19 digits a
+# value (so int() never meets its digit limit).  This finds, in '\n' + text,
+# the first line start followed by neither such a row nor the end.  A search
+# keeps no state per line, so a text of any length is checked in constant memory.
+_OFF_ROW = re.compile(
+    r"\n(?![ \t]*[A-Za-z_][A-Za-z0-9_]*[ \t]+[RW][ \t]+[A-Za-z_][A-Za-z0-9_]*"
+    r"[ \t]+-?[0-9]{1,19}[ \t]*(?:\n|\Z)|\Z)"
 )
 
 
@@ -242,11 +246,10 @@ def build_read_mapping(trace: Trace, focus: str) -> dict[int, int]:
 
 
 def _checked_row(raw: str, lineno: int) -> tuple[str, str, str, int] | None:
-    """Field-by-field checks for a line the fast `_ROW` match rejected.
+    """Field-by-field checks for one line of a text the fast path refused.
 
     Returns None for a blank or comment line and the row for a well-formed
-    line the fast match misses (other whitespace, a value of over 19 digits);
-    raises TraceParseError on anything else.
+    line; raises TraceParseError on anything else.
     """
     line = raw.strip()
     if not line or line.startswith("#"):
@@ -272,6 +275,33 @@ def _checked_row(raw: str, lineno: int) -> tuple[str, str, str, int] | None:
     return proc, kind, var, int(sign + digits)
 
 
+def _parse_rows(text: str) -> Trace | None:
+    """The fast path: a text of well-formed rows only, built column by column.
+
+    Returns None when a value leaves the int64 range or a section reopens,
+    so that the line-by-line checks name the line.
+    """
+    if _OFF_ROW.search("\n" + text):
+        return None
+    fields = text.split()
+    procs = fields[0::4]
+    values = list(map(int, fields[3::4]))
+    if values and not (INT64_MIN <= min(values) and max(values) <= INT64_MAX):
+        return None
+    rows = zip(range(len(procs)), fields[1::4], procs, fields[2::4], values)
+    # Operation._make without its field-count check
+    ops = tuple(map(tuple.__new__, itertools.repeat(Operation), rows))
+    sections: dict[str, tuple[Operation, ...]] = {}
+    start = 0
+    for proc, run in itertools.groupby(procs):
+        if proc in sections:
+            return None
+        end = start + len(list(run))
+        sections[proc] = ops[start:end]
+        start = end
+    return Trace(processes=sections, ops=ops)
+
+
 def parse_trace(text: str | bytes) -> Trace:
     """Parse the line-oriented trace format.
 
@@ -282,20 +312,17 @@ def parse_trace(text: str | bytes) -> Trace:
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    trace = _parse_rows(text)
+    if trace is not None:
+        return trace
     rows: list[tuple[str, str, str, int]] = []
     current: str | None = None
     closed: set[str] = set()
-    match = _ROW.match
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        m = match(raw)
-        if m is not None:
-            proc, kind, var, val = m.groups()
-            val = int(val)
-        else:
-            row = _checked_row(raw, lineno)
-            if row is None:
-                continue
-            proc, kind, var, val = row
+        row = _checked_row(raw, lineno)
+        if row is None:
+            continue
+        proc, _, _, val = row
         if not INT64_MIN <= val <= INT64_MAX:
             raise TraceParseError(f"value {val} outside signed 64-bit range", lineno)
         if proc != current:
@@ -304,7 +331,7 @@ def parse_trace(text: str | bytes) -> Trace:
             if current is not None:
                 closed.add(current)
             current = proc
-        rows.append((proc, kind, var, val))
+        rows.append(row)
     return Trace.build(rows)
 
 

@@ -143,28 +143,26 @@ class OperationGraph:
                     stack.append(p)
         return out
 
-    def topo_sort(self, subset: Iterable[int] | None = None) -> list[int]:
-        """Topological order of `subset` (default: all nodes), ties by lowest index.
+    def topo_sort(self, block: Mapping[int, int] | None = None) -> list[int]:
+        """Topological order of all nodes, in one Kahn pass.
 
-        Only edges with both endpoints inside the subset constrain the order.
-        Callers sort acyclic graphs only; a cycle raises RuntimeError.
+        Each step takes the ready node v of least (block[v], v); nodes
+        missing from `block` are in block 0.  Callers sort acyclic graphs
+        only; a cycle raises RuntimeError.
         """
-        members = set(self.nodes) if subset is None else set(subset)
-        indeg = {
-            v: sum(1 for p in self.preds[v] if p in members) for v in members
-        }
-        ready = [v for v in members if indeg[v] == 0]
+        rank = (block or {}).get
+        indeg = {v: len(ps) for v, ps in self.preds.items()}
+        ready = [(rank(v, 0), v) for v, d in indeg.items() if d == 0]
         heapq.heapify(ready)
         out: list[int] = []
         while ready:
-            v = heapq.heappop(ready)
+            v = heapq.heappop(ready)[1]
             out.append(v)
             for s in self.succs[v]:
-                if s in members:
-                    indeg[s] -= 1
-                    if indeg[s] == 0:
-                        heapq.heappush(ready, s)
-        if len(out) != len(members):
+                indeg[s] -= 1
+                if indeg[s] == 0:
+                    heapq.heappush(ready, (rank(s, 0), s))
+        if len(out) != len(indeg):
             raise RuntimeError("topo_sort met a cycle")
         return out
 
@@ -229,16 +227,15 @@ class OperationGraph:
 def build_dag_schedule(graph: OperationGraph, proj: VisibleProjection) -> Schedule:
     """Turn an acyclic precedence graph into a legal schedule.
 
-    Block per focus read, in program order: the read's downset minus
-    everything already scheduled, topologically sorted (ties by lowest
-    operation index); operations preceding no read form a final block.
+    Block per focus read, in program order: the read's downset minus the
+    earlier blocks; operations preceding no read form a final block.  Each
+    block is a downset difference, so a node's predecessors lie in its own
+    block or an earlier one, and one `topo_sort` keyed by (block, index)
+    schedules the blocks in turn, each in its lexicographically smallest
+    topological order.
     """
-    out: list[int] = []
-    done: set[int] = set()
-    for r in proj.focus_reads():
-        delta = graph.downset(r.index, done)
-        out.extend(graph.topo_sort(delta))
-        done.update(delta)
-    rest = set(graph.nodes) - done
-    out.extend(graph.topo_sort(rest))
-    return Schedule(out)
+    reads = proj.focus_reads()
+    block: dict[int, int] = {}
+    for b, r in enumerate(reads):
+        block.update(dict.fromkeys(graph.downset(r.index, block.keys()), b))
+    return Schedule(graph.topo_sort({**dict.fromkeys(graph.nodes, len(reads)), **block}))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pramcheck.model import (
+    _OFF_ROW,
     INT64_MAX,
     INT64_MIN,
     DuplicateValueError,
@@ -191,6 +192,65 @@ _SOUP = st.builds(
 def test_parse_matches_reference_parser_on_line_soup(lines, newline):
     text = newline.join(lines)
     assert _outcome(parse_trace, text) == _outcome(reference_parse_trace, text)
+
+
+# Whole texts of ASCII-spaced rows: the texts parse_trace builds column by
+# column.  One value may lie just outside int64 (19 digits at most, so the
+# whole-text search passes it), and one extra row of a random process may land
+# at a random line, reopening that process's section.
+_IN_RANGE = st.one_of(
+    st.integers(-20, 20),
+    st.integers(INT64_MIN, INT64_MAX),
+    st.sampled_from([INT64_MIN, INT64_MAX]),
+).map(str)
+_OUT_OF_RANGE = st.sampled_from([INT64_MIN - 1, INT64_MAX + 1, -(10**19) + 1, 10**19 - 1]).map(str)
+_ASCII_PAD = st.one_of(st.just(""), _ASCII_SPACE)
+_KIND_VAR = st.tuples(_ASCII_SPACE, _KIND, _ASCII_SPACE, _VAR, _ASCII_SPACE).map("".join)
+
+
+@st.composite
+def _whole_texts(draw):
+    procs = draw(st.lists(_PROC, unique=True, max_size=4))
+    sections = [proc for proc in procs for _ in range(draw(st.integers(1, 5)))]
+    if procs and draw(st.booleans()):
+        sections.insert(draw(st.integers(0, len(sections))), draw(st.sampled_from(procs)))
+    values = [draw(_IN_RANGE) for _ in sections]
+    if values and draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = draw(_OUT_OF_RANGE)
+    lines = [
+        draw(_ASCII_PAD) + proc + draw(_KIND_VAR) + value + draw(_ASCII_PAD)
+        for proc, value in zip(sections, values)
+    ]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])) if lines else ""
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_whole_texts())
+def test_parse_matches_reference_parser_on_whole_row_texts(text):
+    assert not _OFF_ROW.search("\n" + text)  # the text takes the whole-text path
+    assert _outcome(parse_trace, text) == _outcome(reference_parse_trace, text)
+
+
+def _large_text(lines):
+    per = lines // 16
+    return "".join(
+        f"p{p} {'RW'[i % 2]} {'xy'[i % 3 % 2]} {i * 7919 - 10**6}\n"
+        for p in range(16)
+        for i in range(per)
+    )
+
+
+def test_parse_large_text_like_the_reference_and_names_a_faulty_last_line():
+    text = _large_text(200_000)
+    assert parse_trace(text) == reference_parse_trace(text)
+    for last, message in [
+        ("p15 W x 9223372036854775808", "value 9223372036854775808 outside signed 64-bit range"),
+        ("p0 W x 1", "duplicate process section 'p0'"),
+        ("p15 W x one", "non-integer value 'one'"),
+    ]:
+        faulty = text[: text.rindex("\n", 0, -1) + 1] + last + "\n"
+        with pytest.raises(TraceParseError, match=re.escape(f"line 200000: {message}")):
+            parse_trace(faulty)
 
 
 def test_classify_variants():

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from pramcheck.model import Operation, build_read_mapping, visible
-from pramcheck.opgraph import PO, WPW, WR, OperationGraph, add_rule_a_b
-from testutil import T
+from pramcheck.model import Operation, Trace, build_read_mapping, visible
+from pramcheck.opgraph import PO, WPW, WR, OperationGraph, add_rule_a_b, build_dag_schedule
+from testutil import T, random_trace_rows, reference_dag_schedule
 
 
 def _write_ops(n):
@@ -149,11 +149,38 @@ def test_topo_sort_breaks_ties_by_index():
     assert g.topo_sort() == [2, 3, 0, 1, 4]
 
 
-def test_topo_sort_subset_ignores_outside_edges():
-    g = OperationGraph(_write_ops(4))
+def test_topo_sort_orders_ready_nodes_by_block_then_index():
+    g = OperationGraph(_write_ops(5))
     g.add_edge(0, 1, PO)
     g.add_edge(3, 2, PO)
-    assert g.topo_sort({1, 2}) == [1, 2]
+    # 3 and 2 form block 0; nodes missing from the mapping are in block 0 too
+    assert g.topo_sort({0: 1, 1: 1, 2: 0, 3: 0, 4: 2}) == [3, 2, 0, 1, 4]
+    assert g.topo_sort({0: 1, 1: 1, 4: 2}) == [3, 2, 0, 1, 4]
+    assert g.topo_sort({4: 0, 3: 1, 2: 1}) == [0, 1, 4, 3, 2]
+
+
+def test_dag_schedule_equals_the_per_block_reference_on_random_dags():
+    rng = random.Random(7)
+    for _ in range(300):
+        processes, ops = rng.randint(1, 4), rng.randint(1, 30)
+        rows = random_trace_rows(rng, processes=processes, variables=2, ops=ops, value_pool=range(4))
+        trace = Trace.build(rows)
+        proj = visible(trace, rng.choice(rows)[0])
+        g = OperationGraph(proj.ops)
+        add_rule_a_b(g, proj, {})
+        # extra edges follow a random interleaving of the processes, so index
+        # order is no topological order
+        lanes = [[o.index for o in seq] for seq in proj.by_process.values()]
+        order = []
+        while lanes:
+            lane = rng.choice(lanes)
+            order.append(lane.pop(0))
+            lanes = [lane for lane in lanes if lane]
+        for i, u in enumerate(order):
+            for v in order[i + 1 :]:
+                if rng.random() < 0.15:
+                    g.add_edge(u, v, WPW)
+        assert build_dag_schedule(g, proj).seq == reference_dag_schedule(g, proj).seq
 
 
 def test_topo_sort_raises_on_cycle():

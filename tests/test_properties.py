@@ -1,7 +1,8 @@
 """Property tests: the verifiers against brute force on generated small traces.
 
 Hypothesis draws traces of 2-3 processes, 1-2 variables and at most 10
-operations, with unique or repeated write values.  The profile is fixed and
+operations, with unique or repeated write values.  The witness test adds
+`gen_pram_trace` traces of up to 120 operations.  The profile is fixed and
 derandomized, so every run checks the same examples.
 """
 
@@ -12,11 +13,13 @@ from pramcheck import (
     DuplicateValueError,
     Trace,
     check_pram_witness,
+    gen_pram_trace,
     oracle_verify,
     verify_read_centric,
     verify_rw_closure,
+    visible,
 )
-from testutil import brute_force_consistent
+from testutil import brute_force_consistent, reference_dag_schedule
 
 PROFILE = settings(
     derandomize=True,
@@ -72,3 +75,28 @@ def test_verifiers_agree_with_brute_force(trace):
             assert v.consistent is want, v.algorithm
             if v.consistent:
                 assert check_pram_witness(trace, focus, v.witness).ok, v.algorithm
+
+
+@PROFILE
+@given(
+    st.one_of(
+        small_traces(),
+        st.builds(
+            gen_pram_trace,
+            st.integers(0, 10**6),
+            processes=st.integers(2, 6),
+            variables=st.integers(1, 3),
+            ops=st.integers(10, 120),
+        ),
+    )
+)
+def test_witnesses_equal_the_per_block_reference_schedule(trace):
+    for focus in trace.processes:
+        try:
+            verdicts = (verify_read_centric(trace, focus), verify_rw_closure(trace, focus))
+        except DuplicateValueError:
+            continue
+        for v in verdicts:
+            if v.consistent:
+                want = reference_dag_schedule(v.graph, visible(trace, focus))
+                assert v.witness.seq == want.seq, v.algorithm

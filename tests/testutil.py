@@ -4,16 +4,22 @@
 operations with none of the package's accelerations (no forced reads, no
 memoization, no pruning) - a deliberately naive reference for traces up to a
 dozen operations.  `reference_parse_trace` is the plain line-by-line trace
-parser that `parse_trace`'s fast path must agree with.
+parser that `parse_trace`'s fast path must agree with, and
+`reference_dag_schedule` builds witnesses block by block, with one
+topological sort per block, as `build_dag_schedule`'s one-pass sort must.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
 from decimal import Decimal
+from typing import Iterable
 
 from pramcheck import Trace, parse_trace, visible
-from pramcheck.model import INT64_MAX, INT64_MIN, TraceParseError
+from pramcheck.legality import Schedule
+from pramcheck.model import INT64_MAX, INT64_MIN, TraceParseError, VisibleProjection
+from pramcheck.opgraph import OperationGraph
 
 _REF_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _REF_INT = re.compile(r"-?[0-9]+")
@@ -64,6 +70,46 @@ def reference_parse_trace(text: str | bytes) -> Trace:
             current = proc
         rows.append((proc, kind, var, int(val)))
     return Trace.build(rows)
+
+
+def _subset_topo_sort(graph: OperationGraph, subset: Iterable[int]) -> list[int]:
+    """Topological order of `subset`, ties by lowest index; edges leaving it are ignored."""
+    members = set(subset)
+    indeg = {
+        v: sum(1 for p in graph.preds[v] if p in members) for v in members
+    }
+    ready = [v for v in members if indeg[v] == 0]
+    heapq.heapify(ready)
+    out: list[int] = []
+    while ready:
+        v = heapq.heappop(ready)
+        out.append(v)
+        for s in graph.succs[v]:
+            if s in members:
+                indeg[s] -= 1
+                if indeg[s] == 0:
+                    heapq.heappush(ready, s)
+    if len(out) != len(members):
+        raise RuntimeError("topo_sort met a cycle")
+    return out
+
+
+def reference_dag_schedule(graph: OperationGraph, proj: VisibleProjection) -> Schedule:
+    """Turn an acyclic precedence graph into a legal schedule.
+
+    Block per focus read, in program order: the read's downset minus
+    everything already scheduled, topologically sorted (ties by lowest
+    operation index); operations preceding no read form a final block.
+    """
+    out: list[int] = []
+    done: set[int] = set()
+    for r in proj.focus_reads():
+        delta = graph.downset(r.index, done)
+        out.extend(_subset_topo_sort(graph, delta))
+        done.update(delta)
+    rest = set(graph.nodes) - done
+    out.extend(_subset_topo_sort(graph, rest))
+    return Schedule(out)
 
 
 def brute_force_consistent(trace: Trace, focus: str) -> bool:
