@@ -33,18 +33,14 @@ from .model import (
     visible,
 )
 from .opgraph import Cycle, OperationGraph
-from .oracle import (
-    DEFAULT_MAX_STATES,
-    OracleTimeout,
-    ThreePartitionInstance,
-    oracle_verify,
-    solve_3partition,
-)
+from .oracle import DEFAULT_MAX_STATES, OracleTimeout, oracle_verify
 from .read_centric import verify_read_centric
 from .reduction import (
     InvalidInstanceError,
+    ThreePartitionInstance,
     build_partition_witness,
     reduce_3partition,
+    solve_3partition,
     validate_instance,
 )
 from .rw_closure import verify_rw_closure

@@ -33,13 +33,15 @@ from .model import (
     parse_trace,
     serialize_trace,
 )
-from .oracle import DEFAULT_MAX_STATES, OracleTimeout, ThreePartitionInstance, oracle_verify, solve_3partition
+from .oracle import DEFAULT_MAX_STATES, OracleTimeout, oracle_verify
 from .read_centric import verify_read_centric
 from .reduction import (
     FOCUS,
     InvalidInstanceError,
+    ThreePartitionInstance,
     build_partition_witness,
     reduce_3partition,
+    solve_3partition,
 )
 from .rw_closure import verify_rw_closure
 from .tracegen import MUTATIONS, gen_pram_trace, mutate_trace

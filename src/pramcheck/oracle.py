@@ -1,4 +1,4 @@
-"""Exhaustive reference decision procedure and the exact triple-partition solver.
+"""Exhaustive reference decision procedure for any trace, duplicate values included.
 
 `oracle_verify` searches the space of interleavings of the focus process's
 visible operations directly: writes are always schedulable, a read only when
@@ -16,6 +16,10 @@ from dataclasses import dataclass
 from .legality import Schedule, Verdict
 from .model import READ, Trace, visible
 
+# Re-exported only because the benchmark imports them from here; the line goes
+# with the benchmark's next change (ROADMAP item 6).
+from .reduction import ThreePartitionInstance, solve_3partition  # noqa: F401
+
 ALGORITHM = "oracle"
 
 DEFAULT_MAX_STATES = 10_000_000
@@ -29,10 +33,6 @@ class OracleTimeout:
     states: int
     max_states: int
     max_seconds: float | None = None
-
-
-class _Budget(Exception):
-    pass
 
 
 def oracle_verify(
@@ -51,6 +51,12 @@ def oracle_verify(
     the write that would enable the focus's next read, and the memo key
     identifies states whose remaining per-lane suffixes form the same multiset
     (lanes with identical remaining work are interchangeable).
+
+    The search is one loop over an explicit stack of frames, one per open
+    state, so no recursion limit bounds its depth.  A frame holds its state's
+    forced reads, memo key, untried branches and the write to undo before
+    the next branch; a memoised state gets a frame with no branches, so every
+    frame undoes its forced reads in the same place when it closes.
     """
     proj = visible(trace, focus)
     lanes = list(proj.by_process.values())
@@ -136,156 +142,89 @@ def oracle_verify(
                 return True
         return False
 
-    def search() -> bool:
-        nonlocal states
-        # Schedule every enabled read right away: reads do not change the
-        # store, so any solution can be rearranged to take them first.
-        forced: list[int] = []
-        while True:
-            for li in lane_nums:
-                f = frontier[li]
-                s = reading[li][f]
-                if s >= 0 and lastvals[s] == cells[li][f][1]:
+    # A frame is (lanes of the reads forced on entering the state, memo key,
+    # iterator over the sorted branch candidates, lane signatures already
+    # branched on, write to undo).  The current state's frame is held in the
+    # locals below, and its ancestors' frames on `stack`.
+    stack: list[tuple] = []
+    enter = True  # the last write led to a new state: open a frame for it
+    while True:
+        if enter:
+            # Schedule every enabled read right away: reads do not change the
+            # store, so any solution can be rearranged to take them first.
+            forced: list[int] = []
+            while True:
+                for li in lane_nums:
+                    f = frontier[li]
+                    s = reading[li][f]
+                    if s >= 0 and lastvals[s] == cells[li][f][1]:
+                        break
+                else:
                     break
-            else:
-                break
-            sched.append(cells[li][f][2])
-            frontier[li] = f + 1
-            forced.append(li)
-        won = False
-        try:
+                sched.append(cells[li][f][2])
+                frontier[li] = f + 1
+                forced.append(li)
             if len(sched) == total:
-                won = True
-                return True
+                return Verdict(
+                    consistent=True, focus=focus, algorithm=ALGORITHM, witness=Schedule(sched)
+                )
             key = (
                 tuple(sorted(suffix_sig[li][f] for li, f in enumerate(frontier))),
                 tuple(lastvals),
             )
-            if key in failed:
-                return False
-            states += 1
-            if states > max_states:
-                raise _Budget
-            if deadline is not None and states % 2048 == 0 and time.monotonic() > deadline:
-                raise _Budget
-
-            need: tuple[str, int] | None = None
-            if focus_lane is not None:
-                f = frontier[focus_lane]
-                if reading[focus_lane][f] >= 0:
-                    need = cells[focus_lane][f][3]
             candidates: list[tuple[int, int]] = []
-            for li in lane_nums:
-                f = frontier[li]
-                if reading[li][f] == -1:
-                    candidates.append((0 if need == cells[li][f][3] else 1, li))
-            candidates.sort()
-            tried_sigs: set[int] = set()
-            for _, li in candidates:
-                f = frontier[li]
-                sig = suffix_sig[li][f]
-                if sig in tried_sigs:  # an identical lane already branched here
-                    continue
-                tried_sigs.add(sig)
-                s, val, index, pair = cells[li][f]
-                prev = lastvals[s]
-                lastvals[s] = val
-                frontier[li] = f + 1
-                sched.append(index)
-                supply[pair] -= 1
-                if not starved(s) and search():
-                    won = True
-                    return True
-                supply[pair] += 1
-                sched.pop()
-                frontier[li] = f
-                lastvals[s] = prev
+            if key not in failed:  # a memoised state opens a frame with no candidates
+                states += 1
+                if states > max_states or (
+                    deadline is not None and states % 2048 == 0 and time.monotonic() > deadline
+                ):
+                    return OracleTimeout(
+                        focus=focus, states=states, max_states=max_states, max_seconds=max_seconds
+                    )
+                need: tuple[str, int] | None = None
+                if focus_lane is not None:
+                    f = frontier[focus_lane]
+                    if reading[focus_lane][f] >= 0:
+                        need = cells[focus_lane][f][3]
+                for li in lane_nums:
+                    f = frontier[li]
+                    if reading[li][f] == -1:
+                        candidates.append((0 if need == cells[li][f][3] else 1, li))
+                candidates.sort()
+            branches, tried_sigs, undo = iter(candidates), set(), None
+        if undo is not None:
+            li, s, prev, pair = undo
+            supply[pair] += 1
+            sched.pop()
+            frontier[li] -= 1
+            lastvals[s] = prev
+        for _, li in branches:
+            f = frontier[li]
+            sig = suffix_sig[li][f]
+            if sig in tried_sigs:  # an identical lane already branched here
+                continue
+            tried_sigs.add(sig)
+            s, val, index, pair = cells[li][f]
+            undo = (li, s, lastvals[s], pair)
+            lastvals[s] = val
+            frontier[li] = f + 1
+            sched.append(index)
+            supply[pair] -= 1
+            enter = not starved(s)  # a starved state is undone on the next turn
+            if enter:
+                stack.append((forced, key, branches, tried_sigs, undo))
+            break
+        else:  # every branch failed: the state is hopeless
             failed.add(key)
-            return False
-        finally:
-            if not won:
-                for li in reversed(forced):
-                    frontier[li] -= 1
-                    sched.pop()
-
-    try:
-        found = search()
-    except _Budget:
-        return OracleTimeout(
-            focus=focus, states=states, max_states=max_states, max_seconds=max_seconds
-        )
-    finally:
-        # search refers to itself through its closure cell; clearing the cell
-        # frees the memo now instead of at the next cyclic garbage collection.
-        search = None
-    if found:
-        return Verdict(
-            consistent=True, focus=focus, algorithm=ALGORITHM, witness=Schedule(sched)
-        )
-    return Verdict(
-        consistent=False,
-        focus=focus,
-        algorithm=ALGORITHM,
-        reason="search exhausted: no legal schedule exists",
-    )
-
-
-@dataclass(frozen=True)
-class ThreePartitionInstance:
-    """Numbers to split into m triples, each summing to B."""
-
-    m: int
-    B: int
-    sizes: tuple[int, ...]
-
-
-def solve_3partition(inst: ThreePartitionInstance) -> list[tuple[int, int, int]] | None:
-    """Exact search for a partition of `sizes` into m triples summing to B each.
-
-    Exploits the fixed group size of three: anchor the largest unassigned
-    element, enumerate completing pairs, skip value-equal pairs already tried.
-    Returns index triples into `sizes`, or None when no partition exists.
-    The search keeps one generator per open triple on an explicit stack, so
-    its depth is not bounded by Python's recursion limit.
-    """
-    sizes = list(inst.sizes)
-    if len(sizes) != 3 * inst.m or sum(sizes) != inst.m * inst.B:
-        return None
-    order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
-    used = [False] * len(sizes)
-    triples: list[tuple[int, int, int]] = []
-
-    def completions():
-        """Anchor the largest unused element and yield each triple it can close."""
-        anchor = next(i for i in order if not used[i])
-        used[anchor] = True
-        rest = [i for i in order if not used[i]]
-        tried: set[tuple[int, int]] = set()
-        for x in range(len(rest)):
-            j = rest[x]
-            for y in range(x + 1, len(rest)):
-                k = rest[y]
-                if sizes[anchor] + sizes[j] + sizes[k] != inst.B:
-                    continue
-                pair = (sizes[j], sizes[k])
-                if pair in tried:
-                    continue
-                tried.add(pair)
-                yield anchor, j, k
-        used[anchor] = False
-
-    stack = []  # stack[t] yields the choices for triples[t]
-    while len(triples) < inst.m:
-        if len(stack) == len(triples):
-            stack.append(completions())
-        triple = next(stack[-1], None)
-        if triple is not None:
-            used[triple[1]] = used[triple[2]] = True
-            triples.append(triple)
-            continue
-        stack.pop()  # no completion left: undo the parent's choice
-        if not triples:
-            return None
-        _, j, k = triples.pop()
-        used[j] = used[k] = False
-    return triples
+            for li in reversed(forced):
+                frontier[li] -= 1
+                sched.pop()
+            if not stack:
+                return Verdict(
+                    consistent=False,
+                    focus=focus,
+                    algorithm=ALGORITHM,
+                    reason="search exhausted: no legal schedule exists",
+                )
+            forced, key, branches, tried_sigs, undo = stack.pop()
+            enter = False

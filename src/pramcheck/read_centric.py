@@ -98,11 +98,7 @@ class ReadCentricChecker:
         self.lw: dict[str, dict[str, list[int]]] = {}
         self.order_key: dict[int, int] = {}  # write -> ordinal of first dictated read
 
-        # instrumentation
-        self.rulec_edges = 0
-        self.topo_calls = 0
-        self.topo_rulec_per_write_max = 0
-        self.detected_in_topo = False
+        self.rulec_edges = 0  # WpW edges added by rule C
 
     # -- shared plumbing -----------------------------------------------------
 
@@ -263,7 +259,6 @@ class ReadCentricChecker:
         self.rulec_edges += 1
         hit = self.cycle_detection(src, tgt)
         if hit is not None:
-            self.detected_in_topo = True
             return self._reject_cycle(src, tgt, hit)
         self.update_reachability(src, tgt)
         return tgt
@@ -275,8 +270,6 @@ class ReadCentricChecker:
         one rule check each; an edge into a not-yet-done member makes the
         source wait for it and be re-checked.
         """
-        self.topo_calls += 1
-        fired: dict[int, int] = {}
         d = self.mapping[r.index]
         dset = self.graph.downset(d)
         suc = {u: [s for s in self.graph.succs[u] if s in dset] for u in dset}
@@ -293,13 +286,10 @@ class ReadCentricChecker:
                 tgt = self.apply_rule_c(u)
                 if isinstance(tgt, Verdict):
                     return tgt
-                if tgt is not None:
-                    fired[u] = fired.get(u, 0) + 1
-                    self.topo_rulec_per_write_max = max(self.topo_rulec_per_write_max, fired[u])
-                    if tgt in dset and tgt not in done:
-                        pre[tgt].append(u)
-                        suc[u].append(tgt)
-                        count[u] += 1
+                if tgt in dset and tgt not in done:  # tgt may be None: no rule fired
+                    pre[tgt].append(u)
+                    suc[u].append(tgt)
+                    count[u] += 1
             if count[u] == 0:
                 done.add(u)
                 for p in pre[u]:

@@ -13,16 +13,17 @@ Reading "2" (an opening) forces some Pa_i to start, and its units (value 4)
 must all be consumed as that slot's B units before its closing "6" can satisfy
 the slot's closings - so a legal schedule exists iff the three processes
 opened in a slot have sizes summing to exactly B, i.e. iff the instance is
-feasible.
+feasible.  `solve_3partition` decides feasibility directly, to check the
+encoding against.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 
 from .legality import Schedule
 from .model import READ, WRITE, Trace
-from .oracle import ThreePartitionInstance
 
 VAR = "x"
 FOCUS = "P0"
@@ -31,6 +32,15 @@ FOCUS = "P0"
 OPEN_SIGNAL, OPEN_ACK = 1, 2
 UNIT_SIGNAL, UNIT_ACK = 3, 4
 CLOSE_SIGNAL, CLOSE_ACK = 5, 6
+
+
+@dataclass(frozen=True)
+class ThreePartitionInstance:
+    """Numbers to split into m triples, each summing to B."""
+
+    m: int
+    B: int
+    sizes: tuple[int, ...]
 
 
 class InvalidInstanceError(ValueError):
@@ -128,3 +138,55 @@ def build_partition_witness(
             take(number_process(j))
             take(FOCUS)
     return Schedule(out)
+
+
+def solve_3partition(inst: ThreePartitionInstance) -> list[tuple[int, int, int]] | None:
+    """Exact search for a partition of `sizes` into m triples summing to B each.
+
+    Exploits the fixed group size of three: anchor the largest unassigned
+    element, enumerate completing pairs, skip value-equal pairs already tried.
+    Returns index triples into `sizes`, or None when no partition exists.
+    The search keeps one generator per open triple on an explicit stack, so
+    its depth is not bounded by Python's recursion limit.
+    """
+    sizes = list(inst.sizes)
+    if len(sizes) != 3 * inst.m or sum(sizes) != inst.m * inst.B:
+        return None
+    order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
+    used = [False] * len(sizes)
+    triples: list[tuple[int, int, int]] = []
+
+    def completions():
+        """Anchor the largest unused element and yield each triple it can close."""
+        anchor = next(i for i in order if not used[i])
+        used[anchor] = True
+        rest = [i for i in order if not used[i]]
+        tried: set[tuple[int, int]] = set()
+        for x in range(len(rest)):
+            j = rest[x]
+            for y in range(x + 1, len(rest)):
+                k = rest[y]
+                if sizes[anchor] + sizes[j] + sizes[k] != inst.B:
+                    continue
+                pair = (sizes[j], sizes[k])
+                if pair in tried:
+                    continue
+                tried.add(pair)
+                yield anchor, j, k
+        used[anchor] = False
+
+    stack = []  # stack[t] yields the choices for triples[t]
+    while len(triples) < inst.m:
+        if len(stack) == len(triples):
+            stack.append(completions())
+        triple = next(stack[-1], None)
+        if triple is not None:
+            used[triple[1]] = used[triple[2]] = True
+            triples.append(triple)
+            continue
+        stack.pop()  # no completion left: undo the parent's choice
+        if not triples:
+            return None
+        _, j, k = triples.pop()
+        used[j] = used[k] = False
+    return triples

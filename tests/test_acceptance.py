@@ -31,23 +31,21 @@ from pramcheck import (
 )
 from pramcheck.legality import Schedule, legality_violation
 from pramcheck.model import build_read_mapping, visible
-from pramcheck.oracle import (
-    OracleTimeout,
-    ThreePartitionInstance,
-    oracle_verify,
-    solve_3partition,
-)
-from pramcheck.read_centric import ReadCentricChecker, verify_read_centric
+from pramcheck.oracle import OracleTimeout, oracle_verify
+from pramcheck.read_centric import verify_read_centric
 from pramcheck.reduction import (
     FOCUS,
     InvalidInstanceError,
+    ThreePartitionInstance,
     build_partition_witness,
     reduce_3partition,
+    solve_3partition,
     validate_instance,
 )
 from pramcheck.rw_closure import verify_rw_closure
 
 from test_legality import FOUR_PROCESS_TRACE, KNOWN_LEGAL_SCHEDULE
+from test_read_centric import WalkCountingChecker
 from testutil import brute_force_consistent, random_trace_rows
 
 # ---------------------------------------------------------------------------
@@ -148,7 +146,7 @@ def sweep():
             rw = verify_rw_closure(trace, focus)
         except DuplicateValueError:
             return  # an ambiguous focus read: the oracle's alone
-        checker = ReadCentricChecker(trace, focus)
+        checker = WalkCountingChecker(trace, focus)
         rc = checker.run()
         orc = oracle_verify(trace, focus)
         record["checks"] += 1

@@ -160,6 +160,17 @@ def test_verify_budget_timeout_exit_two(tmp_path, capsys):
     assert "overall: unknown (timeout)" in out
 
 
+def test_verify_deep_duplicate_trace_times_out_instead_of_crashing(tmp_path, capsys):
+    # every focus needs thousands of nested search states
+    trace = tmp_path / "deep.trace"
+    assert main(["gen", "--seed", "1", "--ops", "3000", "--policy", "duplicate", "-o", str(trace)]) == 0
+    capsys.readouterr()
+    rc = main(["verify", str(trace), "--budget", "5000"])
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert "overall: unknown (timeout)" in out
+
+
 def test_violation_beats_timeout(tmp_path, capsys):
     # p2's unreadable value is refuted within the budget; every other focus
     # times out, and the definite violation must win

@@ -22,8 +22,7 @@ from pathlib import Path
 
 from pramcheck.cli import main
 from pramcheck.model import MutationError, parse_trace, serialize_trace
-from pramcheck.oracle import ThreePartitionInstance
-from pramcheck.reduction import FOCUS, reduce_3partition
+from pramcheck.reduction import FOCUS, ThreePartitionInstance, reduce_3partition
 from pramcheck.tracegen import MUTATIONS, gen_pram_trace, mutate_trace
 
 from test_read_centric import DETECTED_IN_TOPO

@@ -1,14 +1,18 @@
+import hashlib
 import itertools
 import random
 import time
 
-from pramcheck import check_pram_witness, parse_trace
-from pramcheck.oracle import (
-    OracleTimeout,
-    ThreePartitionInstance,
-    oracle_verify,
-    solve_3partition,
+from pramcheck import (
+    MUTATIONS,
+    MutationError,
+    check_pram_witness,
+    gen_pram_trace,
+    mutate_trace,
+    parse_trace,
 )
+from pramcheck.oracle import OracleTimeout, oracle_verify
+from pramcheck.reduction import ThreePartitionInstance, solve_3partition
 from pramcheck.rw_closure import Verdict
 from testutil import T, brute_force_consistent
 
@@ -90,6 +94,48 @@ def test_budget_exhaustion_reports_timeout():
     assert not isinstance(out, Verdict)
     assert out.focus == "p3"
     assert out.states >= 3 and out.max_states == 3
+
+
+def test_deep_trace_times_out_at_the_budget():
+    """Thousands of forced reads and writes deep: the search has no depth limit."""
+    t = gen_pram_trace(1, ops=3000, policy="duplicate")
+    for focus in t.processes:
+        out = oracle_verify(t, focus, max_states=5000)
+        assert isinstance(out, OracleTimeout), focus
+        assert out.states == 5001
+
+
+def _search_digest() -> str:
+    """sha256 over each focus's result class, states or verdict, and witness.
+
+    The traces: 4-process duplicate-value traces of 75 and 100 operations,
+    seeds 0-9, each also with one mutation applied where it applies.
+    """
+    h = hashlib.sha256()
+    for ops in (75, 100):
+        for seed in range(10):
+            t = gen_pram_trace(seed, processes=4, variables=2, ops=ops, policy="duplicate")
+            traces = [t]
+            try:
+                traces.append(mutate_trace(seed, t, MUTATIONS[seed % len(MUTATIONS)]))
+            except MutationError:
+                pass
+            for trace in traces:
+                for focus in trace.processes:
+                    out = oracle_verify(trace, focus, max_states=5000)
+                    if isinstance(out, OracleTimeout):
+                        row = f"OracleTimeout {out.states}"
+                    else:
+                        seq = out.witness.seq if out.witness is not None else None
+                        row = f"Verdict {out.consistent} {out.reason} {seq}"
+                    h.update(f"{ops} {seed} {focus} {row}\n".encode())
+    return h.hexdigest()
+
+
+def test_search_results_are_frozen():
+    """Branch order, memo and state counting decide every timeout's `states`
+    and every witness; changing any of them moves this digest."""
+    assert _search_digest() == "aba4980807934f8977a0c328c8911e1e086d00ec19fb2bfff1cb6909ab365859"
 
 
 def test_verdict_metadata():

@@ -6,6 +6,7 @@ import pytest
 from pramcheck import (
     DuplicateValueError,
     MutationError,
+    Verdict,
     check_pram_witness,
     gen_pram_trace,
     mutate_trace,
@@ -58,9 +59,34 @@ p3 R y 2
 """
 
 
+class WalkCountingChecker(ReadCentricChecker):
+    """Counts re-walks, rejections found in one, and each write's rule-C edges per walk."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.topo_calls = 0
+        self.detected_in_topo = False
+        self.topo_rulec_per_write_max = 0
+        self.fired: dict[int, int] = {}  # write -> rule-C edges it added in this walk
+
+    def topo_schedule(self, r):
+        self.topo_calls += 1
+        self.fired = {}
+        return super().topo_schedule(r)
+
+    def apply_rule_c(self, src):
+        tgt = super().apply_rule_c(src)  # only a walk applies the rule
+        if isinstance(tgt, Verdict):
+            self.detected_in_topo = True
+        elif tgt is not None:
+            self.fired[src] = self.fired.get(src, 0) + 1
+            self.topo_rulec_per_write_max = max(self.topo_rulec_per_write_max, self.fired[src])
+        return tgt
+
+
 def test_cycle_found_inside_schedule_construction():
     """A conflict that only materializes while topo-sorting a read's downset."""
-    checker = ReadCentricChecker(T(DETECTED_IN_TOPO), "p3", debug_checks=True)
+    checker = WalkCountingChecker(T(DETECTED_IN_TOPO), "p3", debug_checks=True)
     v = checker.run()
     assert v.consistent is False
     assert checker.detected_in_topo is True
@@ -90,7 +116,7 @@ def test_cycle_source_before_the_dictating_write_in_its_own_process():
     assert checker.mapping[15] == 10 and t.ops[6].process == t.ops[10].process == "p2"
 
 
-class _CountingChecker(ReadCentricChecker):
+class _CountingChecker(WalkCountingChecker):
     """Counts the proactive pass's cycle checks and pending rule checks, read by read."""
 
     def __init__(self, *args, **kwargs):
@@ -216,7 +242,7 @@ def test_witnesses_are_sound_on_seeded_traces():
     assert accepted > 100
 
 
-def test_final_graph_callback_sees_every_cycle_edge():
+def test_every_cycle_edge_is_in_the_verdict_graph():
     v = verify_read_centric(T(DETECTED_IN_TOPO), "p3")
     for u, w in zip(v.cycle.nodes, v.cycle.nodes[1:]):
         assert v.graph.has_edge(u, w)

@@ -2,12 +2,14 @@ import pytest
 
 from pramcheck import check_pram_witness, classify
 from pramcheck.model import Variant
-from pramcheck.oracle import OracleTimeout, ThreePartitionInstance, oracle_verify, solve_3partition
+from pramcheck.oracle import OracleTimeout, oracle_verify
 from pramcheck.reduction import (
     FOCUS,
     InvalidInstanceError,
+    ThreePartitionInstance,
     build_partition_witness,
     reduce_3partition,
+    solve_3partition,
     validate_instance,
 )
 
