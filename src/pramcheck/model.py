@@ -32,6 +32,12 @@ _OFF_ROW = re.compile(
     r"\n(?![ \t]*[A-Za-z_][A-Za-z0-9_]*[ \t]+[RW][ \t]+[A-Za-z_][A-Za-z0-9_]*"
     r"[ \t]+-?[0-9]{1,19}[ \t]*(?:\n|\Z)|\Z)"
 )
+# In '\n' + text: a whole-line comment or blank line with its leading '\n', and
+# the '\r' of a '\r\n', which the line loop skips alike.  A comment stops at any
+# separator str.splitlines honours, so it hides no row the line loop would read.
+_SKIPPED = re.compile(
+    r"\n[ \t]*(?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)?\r?(?=\n|\Z)|\r(?=\n)"
+)
 
 
 class TraceParseError(ValueError):
@@ -194,15 +200,13 @@ def visible(trace: Trace, focus: str) -> VisibleProjection:
     """Project `trace` onto what `focus` must schedule: every write + its own reads."""
     if focus not in trace.processes:
         raise UnknownProcessError(f"unknown process {focus!r}")
-    kept = tuple(o for o in trace.ops if o.kind == WRITE or o.process == focus)
-    by_proc: dict[str, list[Operation]] = {}
-    for o in kept:
-        by_proc.setdefault(o.process, []).append(o)
-    return VisibleProjection(
-        focus=focus,
-        ops=kept,
-        by_process={p: tuple(seq) for p, seq in by_proc.items()},
-    )
+    by_proc = {
+        p: seq if p == focus else tuple(o for o in seq if o.kind == WRITE)
+        for p, seq in trace.processes.items()
+    }
+    by_proc = {p: seq for p, seq in by_proc.items() if seq}
+    ops = tuple(itertools.chain.from_iterable(by_proc.values()))  # sections are in index order
+    return VisibleProjection(focus=focus, ops=ops, by_process=by_proc)
 
 
 def build_read_mapping(trace: Trace, focus: str) -> dict[int, int]:
@@ -275,15 +279,15 @@ def _checked_row(raw: str, lineno: int) -> tuple[str, str, str, int] | None:
     return proc, kind, var, int(sign + digits)
 
 
-def _parse_rows(text: str) -> Trace | None:
-    """The fast path: a text of well-formed rows only, built column by column.
+def _parse_rows(lines: str) -> Trace | None:
+    """The fast path: '\n' + a text of well-formed rows only, built column by column.
 
-    Returns None when a value leaves the int64 range or a section reopens,
-    so that the line-by-line checks name the line.
+    Returns None for any other text, and when a value leaves the int64
+    range or a section reopens, so that the line-by-line checks name the line.
     """
-    if _OFF_ROW.search("\n" + text):
+    if _OFF_ROW.search(lines):
         return None
-    fields = text.split()
+    fields = lines.split()
     procs = fields[0::4]
     values = list(map(int, fields[3::4]))
     if values and not (INT64_MIN <= min(values) and max(values) <= INT64_MAX):
@@ -312,7 +316,9 @@ def parse_trace(text: str | bytes) -> Trace:
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    trace = _parse_rows(text)
+    trace = _parse_rows("\n" + text)
+    if trace is None:  # comments, blank lines, '\r\n' line ends, or a fault
+        trace = _parse_rows(_SKIPPED.sub("", "\n" + text))
     if trace is not None:
         return trace
     rows: list[tuple[str, str, str, int]] = []

@@ -31,9 +31,12 @@ def add_rule_a_b(
     Program order: consecutive visible operations of the same process.
     Write-to order: each dictating write before the read it dictates.
     """
-    for seq in proj.by_process.values():
-        for a, b in zip(seq, seq[1:]):
-            graph.add_edge(a.index, b.index, PO)
+    succs, preds = graph.succs, graph.preds
+    for seq in proj.by_process.values():  # a fresh graph: no edge to keep
+        idx = [o.index for o in seq]
+        for a, b in zip(idx, idx[1:]):
+            succs[a][b] = PO
+            preds[b].add(a)
     for read_idx, write_idx in mapping.items():
         graph.add_edge(write_idx, read_idx, WR)
 
@@ -143,15 +146,18 @@ class OperationGraph:
                     stack.append(p)
         return out
 
-    def topo_sort(self, block: Mapping[int, int] | None = None) -> list[int]:
-        """Topological order of all nodes, in one Kahn pass.
+    def topo_sort(
+        self, block: Mapping[int, int] | None = None, nodes: Iterable[int] | None = None
+    ) -> list[int]:
+        """Topological order of `nodes` (default: all), in one Kahn pass.
 
         Each step takes the ready node v of least (block[v], v); nodes
-        missing from `block` are in block 0.  Callers sort acyclic graphs
-        only; a cycle raises RuntimeError.
+        missing from `block` are in block 0.  `nodes` must be down-closed:
+        each node's predecessors are among them.  Callers sort acyclic
+        graphs only; a cycle raises RuntimeError.
         """
         rank = (block or {}).get
-        indeg = {v: len(ps) for v, ps in self.preds.items()}
+        indeg = {v: len(self.preds[v]) for v in (self.nodes if nodes is None else nodes)}
         ready = [(rank(v, 0), v) for v, d in indeg.items() if d == 0]
         heapq.heapify(ready)
         out: list[int] = []
@@ -159,9 +165,10 @@ class OperationGraph:
             v = heapq.heappop(ready)[1]
             out.append(v)
             for s in self.succs[v]:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    heapq.heappush(ready, (rank(s, 0), s))
+                if s in indeg:
+                    indeg[s] -= 1
+                    if indeg[s] == 0:
+                        heapq.heappush(ready, (rank(s, 0), s))
         if len(out) != len(indeg):
             raise RuntimeError("topo_sort met a cycle")
         return out
@@ -230,12 +237,17 @@ def build_dag_schedule(graph: OperationGraph, proj: VisibleProjection) -> Schedu
     Block per focus read, in program order: the read's downset minus the
     earlier blocks; operations preceding no read form a final block.  Each
     block is a downset difference, so a node's predecessors lie in its own
-    block or an earlier one, and one `topo_sort` keyed by (block, index)
-    schedules the blocks in turn, each in its lexicographically smallest
-    topological order.
+    block or an earlier one, and one `topo_sort` keyed by (block, index) over
+    the read blocks schedules them in turn, each in its lexicographically
+    smallest topological order.  The final block follows in index order when
+    its edges all run up in index, as in the verifiers' graphs (it carries
+    only `PO` edges); otherwise the sort takes it too, last.
     """
     reads = proj.focus_reads()
     block: dict[int, int] = {}
     for b, r in enumerate(reads):
         block.update(dict.fromkeys(graph.downset(r.index, block.keys()), b))
-    return Schedule(graph.topo_sort({**dict.fromkeys(graph.nodes, len(reads)), **block}))
+    rest = [v for v in graph.nodes if v not in block]  # edges from rest stay in rest
+    if any(s < v for v in rest for s in graph.succs[v]):
+        return Schedule(graph.topo_sort({**dict.fromkeys(rest, len(reads)), **block}))
+    return Schedule(graph.topo_sort(block, block.keys()) + rest)

@@ -67,10 +67,11 @@ class ReadCentricChecker:
        then exact and equals rr_checked, so it would change nothing.
     3. `pw`: pw[last] already accounts for src and for pw[src], so the
        operations after d learn the same latest preceding write from last.
-    4. Witnesses: `build_dag_schedule`'s blocks are downset differences, and
-       one `topo_sort` keyed by (block, index) takes the lexicographically
-       smallest linear extension of each in turn; both depend on
-       reachability alone.
+    4. Witnesses: `build_dag_schedule`'s blocks are downset differences, one
+       `topo_sort` keyed by (block, index) takes the lexicographically
+       smallest linear extension of each read block in turn, and the
+       operations preceding no read, which carry only `PO` edges, follow in
+       index order; all of it depends on reachability alone.
     """
 
     def __init__(self, trace: Trace, focus: str, *, debug_checks: bool = False):

@@ -2,13 +2,15 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pramcheck import model
 from pramcheck.model import (
     _OFF_ROW,
     INT64_MAX,
     INT64_MIN,
+    WRITE,
     DuplicateValueError,
     Operation,
     Trace,
@@ -253,6 +255,49 @@ def test_parse_large_text_like_the_reference_and_names_a_faulty_last_line():
             parse_trace(faulty)
 
 
+# Texts of the whole-text kind with skipped lines dropped in: comments, blank
+# lines, and line ends that mix '\n', '\r\n' and the other separators that
+# str.splitlines honours, inside comments too.
+_SEPARATORS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_SKIP_LINE = st.one_of(
+    st.builds(
+        lambda pad, body: pad + "#" + body,
+        _ASCII_PAD,
+        st.text(st.sampled_from(["a", " ", "\t", "#", "\x1f", "\xa0"] + _SEPARATORS), max_size=6),
+    ),
+    st.text(st.sampled_from(" \t"), max_size=3),
+)
+_LINE_END = st.one_of(st.sampled_from(["\n", "\r\n"]), st.sampled_from(_SEPARATORS))
+
+
+@st.composite
+def _commented_texts(draw):
+    lines = []
+    for row in draw(_whole_texts()).split("\n"):
+        lines += draw(st.lists(_SKIP_LINE, max_size=2)) + [row]
+    lines += draw(st.lists(_SKIP_LINE, max_size=2))
+    return "".join(line + draw(_LINE_END) for line in lines[:-1]) + lines[-1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_commented_texts())
+@example("# c\x0bp1 W x 1\n")  # the row after a separator inside a comment
+@example("p1 W x 1\r\n#\u2028p1 W x 2\r\n\r\np2 R x 1\r")
+def test_parse_matches_reference_parser_with_comments_blank_lines_and_line_ends(text):
+    assert _outcome(parse_trace, text) == _outcome(reference_parse_trace, text)
+
+
+def test_comments_blank_lines_and_crlf_take_the_whole_text_path(monkeypatch):
+    text = "# head\r\n\n" + _large_text(1600).replace("\n", "\r\n", 700) + " \t\n\n# tail"
+    want = reference_parse_trace(text)
+
+    def no_line_loop(raw, lineno):
+        raise AssertionError(f"line {lineno} went through the line loop")
+
+    monkeypatch.setattr(model, "_checked_row", no_line_loop)
+    assert parse_trace(text) == want
+
+
 def test_classify_variants():
     su = T("p1 W x 1\np2 R x 1")
     mu = T("p1 W x 1\np1 W y 2\np2 R x 1")
@@ -281,6 +326,24 @@ def test_visible_projection_keeps_writes_and_focus_reads():
     assert [o.index for o in proj.by_process["p2"]] == [2]
     # a read-only process contributes nothing to other focuses
     assert "p3" not in proj.by_process or proj.by_process["p3"] == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_PROC, _KIND, _VAR, st.integers(0, 3)), min_size=1, max_size=25),
+    st.data(),
+)
+def test_visible_keeps_every_write_and_the_focus_in_section_order(rows, data):
+    trace = Trace.build(rows)  # rows interleave processes; build orders sections
+    focus = data.draw(st.sampled_from(list(trace.processes)))
+    proj = visible(trace, focus)
+    assert proj.ops == tuple(o for o in trace.ops if o.kind == WRITE or o.process == focus)
+    assert list(proj.by_process) == [p for p in trace.processes if p in proj.by_process]
+    assert all(
+        seq and seq == tuple(o for o in proj.ops if o.process == p)
+        for p, seq in proj.by_process.items()
+    )
+    assert set(proj.by_process) == {o.process for o in proj.ops}
 
 
 def test_visible_unknown_focus():

@@ -183,6 +183,22 @@ def test_dag_schedule_equals_the_per_block_reference_on_random_dags():
         assert build_dag_schedule(g, proj).seq == reference_dag_schedule(g, proj).seq
 
 
+def test_dag_schedule_sorts_unread_operations_with_a_downward_edge():
+    t = T("""
+        p1 W x 1
+        p1 R x 1
+        p2 W y 1
+        p2 W y 2
+        p3 W y 3
+    """)
+    proj = visible(t, "p1")
+    g = OperationGraph(proj.ops)
+    add_rule_a_b(g, proj, build_read_mapping(t, "p1"))
+    g.add_edge(4, 2, WPW)  # among the operations no read reaches, against index order
+    g.add_edge(0, 3, WPW)  # from the read's block into them
+    assert build_dag_schedule(g, proj).seq == reference_dag_schedule(g, proj).seq == (0, 1, 4, 2, 3)
+
+
 def test_topo_sort_raises_on_cycle():
     g = OperationGraph(_write_ops(3))
     g.add_edge(0, 1, PO)

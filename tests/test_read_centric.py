@@ -13,6 +13,8 @@ from pramcheck import (
     parse_trace,
     verify_rw_closure,
 )
+from pramcheck.model import visible
+from pramcheck.opgraph import OperationGraph
 from pramcheck.oracle import oracle_verify
 from pramcheck.read_centric import ALGORITHM, ReadCentricChecker, verify_read_centric
 from testutil import T, brute_force_consistent
@@ -161,6 +163,24 @@ def test_rule_c_work_is_bounded_per_process_and_per_dropped_read():
     assert reads and all(x["checks"] <= x["procs"] for x in reads)
     assert not any(x["left"] for x in reads)
     assert checker.topo_calls == sum(x["dropped"] for x in reads) > 0
+
+
+def test_witness_sort_takes_only_the_operations_the_reads_reach(monkeypatch):
+    t = gen_pram_trace(1, processes=16, variables=2, ops=1600, read_fraction=0.35)
+    sorted_sizes = []
+    topo_sort = OperationGraph.topo_sort
+
+    def counting(graph, *args, **kwargs):
+        out = topo_sort(graph, *args, **kwargs)
+        sorted_sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(OperationGraph, "topo_sort", counting)
+    v = verify_read_centric(t, "p1")
+    proj = visible(t, "p1")
+    reached = set().union(*(v.graph.downset(r.index) for r in proj.focus_reads()))
+    assert v.consistent and sorted_sizes == [len(reached)]
+    assert len(reached) < len(proj.ops) / 4
 
 
 def test_write_left_unchecked_by_a_walk_gets_the_next_walk():
