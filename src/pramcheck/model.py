@@ -100,7 +100,9 @@ class Trace:
     """An immutable trace: per-process operation sequences plus a global index order.
 
     `processes` preserves first-appearance order; operation indices are dense,
-    starting at 0, in load order.  `ops[i].index == i` always holds.
+    starting at 0, in section order: each process's section is one contiguous
+    run of indices, the sections in `processes` order.  `ops[i].index == i`
+    always holds.  `build` and `parse_trace` both lay traces out this way.
     """
 
     processes: Mapping[str, tuple[Operation, ...]]
@@ -205,7 +207,7 @@ def visible(trace: Trace, focus: str) -> VisibleProjection:
         for p, seq in trace.processes.items()
     }
     by_proc = {p: seq for p, seq in by_proc.items() if seq}
-    ops = tuple(itertools.chain.from_iterable(by_proc.values()))  # sections are in index order
+    ops = tuple(itertools.chain.from_iterable(by_proc.values()))  # section order: see Trace
     return VisibleProjection(focus=focus, ops=ops, by_process=by_proc)
 
 

@@ -32,10 +32,10 @@ def add_rule_a_b(
     Write-to order: each dictating write before the read it dictates.
     """
     succs, preds = graph.succs, graph.preds
-    for seq in proj.by_process.values():  # a fresh graph: no edge to keep
+    for seq in proj.by_process.values():  # add_edge inlined: it runs once per visible op
         idx = [o.index for o in seq]
         for a, b in zip(idx, idx[1:]):
-            succs[a][b] = PO
+            succs[a].setdefault(b, PO)
             preds[b].add(a)
     for read_idx, write_idx in mapping.items():
         graph.add_edge(write_idx, read_idx, WR)
