@@ -11,10 +11,15 @@ dictionaries carry everything the overwrite-precedence rule needs:
 * `rr` - per write, the ordinal of the earliest focus read it currently
   reaches.  A write whose `rr` drops may have become ordered before further
   reads of its variable, which is exactly when the rule can fire again.
-* `pw` - per operation and variable, the latest preceding write that dictates
-  some read, "latest" in the order of first dictated reads.  A new edge
-  w' -> w closes a cycle precisely when w already precedes w' in that order,
-  i.e. when pw[w'][var] is at or after w.
+* `pw` - per operation and variable, the order key of the latest preceding
+  write that dictates some read: the ordinal of the first read that write
+  dictates, so a merge compares ints and `key_write` maps a key back to its
+  write.  A new edge w' -> w closes a cycle precisely when w already precedes
+  w' in that order, i.e. when pw[w'][var] is at or after w's key.
+
+Every edge that the proactive pass at a read adds ends at the read's
+dictating write d, and a path from d through such an edge returns to d, so
+none of them changes what d reaches: one forward walk from d serves them all.
 
 The dictating write's downset is re-walked in reverse topological order
 (`topo_schedule`) only while some write's `rr` has dropped since its last
@@ -24,11 +29,12 @@ one overwrite-rule check.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
+from operator import attrgetter
 
 from .legality import Verdict
-from .model import Operation, Trace, UnmatchedReadError, build_read_mapping, visible
+from .model import WRITE, Operation, Trace, UnmatchedReadError, build_read_mapping, visible
 from .model import classify  # noqa: F401 - bench/tracing.py wraps this name
 from .opgraph import PO, WPW, WR, Cycle, OperationGraph, add_rule_a_b, build_dag_schedule
 
@@ -47,13 +53,13 @@ class ReadCentricChecker:
     The proactive overwrite-rule pass at a focus read r (dictating write d)
     orders every settled write on r's variable before d.  Those of each process
     form a program-order prefix `ws`, and one cycle check per process covers
-    it: once src -> d closes a cycle (pw[src] at or after d), it does for every
-    later write of `ws`, whose predecessors include src's (pw is exact).  d is
-    judged alike: as its process's last settled write it may be the only sign
-    that an earlier write there hits.  A hit at ws[-1] is bisected to the first
-    one, stepping over d and writes already ordered before d; processes go in
-    section order, which is index order, so the rejected source and the edges
-    added before it are those of an index-order scan.  Without a hit, src -> d
+    it: once src -> d closes a cycle (pw[src] at or after d's key), it does for
+    every later write of `ws`, whose predecessors include src's (pw is exact).
+    d is judged alike: as its process's last settled write it may be the only
+    sign that an earlier write there hits.  A hit at ws[-1] is bisected to the
+    first one, stepping over d and writes already ordered before d; processes
+    go in section order, which is index order, so the rejected source and the
+    edges added before it are those of an index-order scan.  Without a hit, src -> d
     is added only from each other process's last settled write ("last"):
     program order leads the rest to last, or in d's process to d, and skipping
     their edges loses nothing:
@@ -72,6 +78,9 @@ class ReadCentricChecker:
        smallest linear extension of each read block in turn, and the
        operations preceding no read, which carry only `PO` edges, follow in
        index order; all of it depends on reachability alone.
+
+    The pass walks d's settled forward set once, at its first edge, and every
+    later `last -> d` edge reuses it: no edge into d changes what d reaches.
     """
 
     def __init__(self, trace: Trace, focus: str, *, debug_checks: bool = False):
@@ -85,19 +94,18 @@ class ReadCentricChecker:
         self.graph = OperationGraph(self.proj.ops)
         self.reads: tuple[Operation, ...] = self.proj.focus_reads()
         self.read_ord: dict[int, int] = {r.index: i for i, r in enumerate(self.reads)}
-        self.pos: dict[int, int] = {  # op -> its position in its process's visible sequence
-            o.index: i for seq in self.proj.by_process.values() for i, o in enumerate(seq)
-        }
 
         self.settled: set[int] = set()
         self.prefix: dict[str, int] = {}  # process -> length of its settled prefix
         self.rr: dict[int, int] = {}  # write index -> ordinal of earliest reachable focus read
         self.rr_checked: dict[int, int] = {}  # rr value at the write's last rule check
         self.unchecked: set[int] = set()  # writes whose rr dropped since that check
-        self.pw: dict[int, dict[str, int]] = {}  # op -> variable -> preceding write
-        # variable -> process -> settled writes on it, in program order
-        self.lw: dict[str, dict[str, list[int]]] = {}
+        self.pw: dict[int, dict[str, int]] = {}  # op -> variable -> preceding write's key
+        read_vars = {r.variable for r in self.reads}
+        # variable the focus reads -> process, in section order -> settled writes on it
+        self.lw = {v: {p: [] for p in self.proj.by_process} for v in read_vars}
         self.order_key: dict[int, int] = {}  # write -> ordinal of first dictated read
+        self.key_write: list[int] = []  # order key -> the write it belongs to
 
         self.rulec_edges = 0  # WpW edges added by rule C
 
@@ -123,24 +131,26 @@ class ReadCentricChecker:
 
     # -- the dictionaries ----------------------------------------------------
 
-    def pw_update(self, o: int | None, o2: int) -> None:
-        """Merge o's preceding-write knowledge into o2, then consider o itself.
+    def pw_after(self, o: int) -> dict[str, int]:
+        """What every operation after o learns: a fresh copy of pw[o] that counts o itself."""
+        known = self.pw[o].copy()
+        key = self.order_key.get(o)
+        if key is not None:  # o dictates a read
+            var = self.graph.ops[o].variable
+            if known.get(var, -1) < key:
+                known[var] = key
+        return known
 
-        With o = None this just ensures o2 has an (empty) entry: the start of a
-        process precedes nothing.
-        """
-        dst = self.pw.setdefault(o2, {})
-        if o is None:
-            return
-        for var, w in self.pw.get(o, {}).items():
-            cur = dst.get(var)
-            if cur is None or self.order_key[w] > self.order_key[cur]:
-                dst[var] = w
-        oop = self.graph.ops[o]
-        if oop.is_write and o in self.order_key:
-            cur = dst.get(oop.variable)
-            if cur is None or self.order_key[o] > self.order_key[cur]:
-                dst[oop.variable] = o
+    def pw_update(self, o: int, targets: set[int]) -> None:
+        """Merge o's preceding-write knowledge, o included, into each target's."""
+        known = self.pw_after(o).items()
+        pw = self.pw
+        for o2 in targets:
+            dst = pw[o2]
+            get = dst.get
+            for var, key in known:
+                if get(var, -1) < key:
+                    dst[var] = key
 
     def cycle_detection(self, src: int, dst: int) -> int | None:
         """Does the just-added edge src -> dst close a cycle?
@@ -151,33 +161,36 @@ class ReadCentricChecker:
         detection (the cycle runs through it), else None.
         """
         var = self.graph.ops[src].variable
-        entry = self.pw.get(src, {}).get(var)
+        key = self.pw[src].get(var)
         if self.debug:
-            self._debug_check_pw(src, var, entry, pending=(src, dst))
-        if entry is not None and self.order_key[dst] <= self.order_key[entry]:
-            return entry
+            self._debug_check_pw(src, var, key, pending=(src, dst))
+        if key is not None and self.order_key[dst] <= key:
+            return self.key_write[key]
         return None
 
-    def update_reachability(self, src: int, dst: int) -> None:
+    def update_reachability(self, src: int, dst: int, reach: set[int] | None = None) -> set[int]:
         """Propagate the consequences of the new edge src -> dst.
 
         src now reaches whatever dst reaches, and src precedes everything on
         paths from dst up to the read under scrutiny, so their preceding-write
-        entries must learn about src.
+        entries must learn about src.  `reach` is dst's settled forward set
+        (dst included), walked here when not given; it is returned for reuse
+        while no edge is added out of it.
         """
         self.rr[src] = min(self.rr[src], self.rr[dst])
         if self.rr[src] != self.rr_checked[src]:
             self.unchecked.add(src)
-        seen = {dst}
-        stack = [dst]
-        while stack:
-            u = stack.pop()
-            for s in self.graph.succs[u]:
-                if s not in seen and s in self.settled:
-                    seen.add(s)
-                    stack.append(s)
-        for o in seen:
-            self.pw_update(src, o)
+        if reach is None:
+            succs, settled = self.graph.succs, self.settled
+            reach = {dst}
+            stack = [dst]
+            while stack:
+                for s in succs[stack.pop()]:
+                    if s not in reach and s in settled:
+                        reach.add(s)
+                        stack.append(s)
+        self.pw_update(src, reach)
+        return reach
 
     # -- per-read processing --------------------------------------------------
 
@@ -188,23 +201,27 @@ class ReadCentricChecker:
         When D(r) is the focus's own, the focus prefix covers it.
         """
         d = self.graph.ops[self.mapping[r.index]]
+        k = self.read_ord[r.index]
+        rr, rr_checked, pw, pw_after = self.rr, self.rr_checked, self.pw, self.pw_after
         delta: set[int] = set()
         for end in (r,) if d.process == self.focus else (r, d):
-            seq = self.proj.by_process[end.process]
-            lo = self.prefix.get(end.process, 0)
+            p = end.process
+            seq = self.proj.by_process[p]
+            lo = self.prefix.get(p, 0)
             prev = seq[lo - 1].index if lo else None
-            chain = seq[lo : self.pos[end.index] + 1]
+            chain = seq[lo : bisect_right(seq, end.index, lo, key=attrgetter("index"))]
             for o in chain:
-                self.pw_update(prev, o.index)
-                prev = o.index
-                delta.add(o.index)
-                if o.is_write:
-                    self.rr[o.index] = self.read_ord[r.index]
-                    self.rr_checked[o.index] = self.read_ord[r.index]
-                    self.lw.setdefault(o.variable, {}).setdefault(o.process, []).append(o.index)
+                i = o.index
+                pw[i] = {} if prev is None else pw_after(prev)  # i is new to pw
+                prev = i
+                delta.add(i)
+                if o.kind == WRITE:
+                    rr[i] = rr_checked[i] = k
+                    if o.variable in self.lw:  # the focus reads o's variable
+                        self.lw[o.variable][p].append(i)
             if prev != r.index:  # d's chain ends at d, which precedes r
-                self.pw_update(prev, r.index)
-            self.prefix[end.process] = lo + len(chain)
+                self.pw_update(prev, {r.index})
+            self.prefix[p] = lo + len(chain)
         if self.debug:
             assert delta == self.graph.downset(r.index, self.settled), "slice is not two prefixes"
         self.settled |= delta
@@ -326,7 +343,7 @@ class ReadCentricChecker:
         )
 
     def _debug_check_pw(
-        self, src: int, var: str, entry: int | None, pending: tuple[int, int]
+        self, src: int, var: str, key: int | None, pending: tuple[int, int]
     ) -> None:
         # `pending` is an edge just added but not yet absorbed into pw; the
         # reference walk must ignore it (it may close the very cycle under test).
@@ -341,13 +358,12 @@ class ReadCentricChecker:
                 if p not in seen:
                     seen.add(p)
                     stack.append(p)
-                    o = self.graph.ops[p]
-                    if o.is_write and o.variable == var and p in self.order_key:
-                        if best is None or self.order_key[p] > self.order_key[best]:
-                            best = p
-        assert entry == best, (
-            f"stale preceding-write for {self.graph.ops[src].pretty()}[{var}]: "
-            f"have {entry}, graph says {best}"
+                    if p in self.order_key and self.graph.ops[p].variable == var:
+                        if best is None or self.order_key[p] > best:
+                            best = self.order_key[p]
+        assert key == best, (
+            f"stale preceding-write key for {self.graph.ops[src].pretty()}[{var}]: "
+            f"have {key}, graph says {best}"
         )
 
     # -- driver -----------------------------------------------------------------
@@ -355,18 +371,17 @@ class ReadCentricChecker:
     def run(self) -> Verdict:
         if self.unmatched is not None:
             return self._verdict(False, reason=self.unmatched)
-        for r in self.reads:  # reads in program order: the first one is the minimum
-            self.order_key.setdefault(self.mapping[r.index], self.read_ord[r.index])
+        self.key_write = [self.mapping[r.index] for r in self.reads]
+        for key, w in enumerate(self.key_write):  # reads in program order: first wins
+            self.order_key.setdefault(w, key)
 
         add_rule_a_b(self.graph, self.proj, self.mapping)
 
-        focus_seq = self.proj.by_process.get(self.focus, ())
-        for r in self.reads:
+        for r in self.reads:  # the focus's section is one run of indices: see Trace
             d = self.mapping[r.index]
-            if self.graph.ops[d].process == self.focus and self.pos[d] > self.pos[r.index]:
-                chain = focus_seq[self.pos[r.index] : self.pos[d] + 1]
-                nodes = tuple(o.index for o in chain) + (r.index,)
-                tags = (PO,) * (len(chain) - 1) + (WR,)
+            if self.graph.ops[d].process == self.focus and d > r.index:
+                nodes = (*range(r.index, d + 1), r.index)
+                tags = (PO,) * (d - r.index) + (WR,)
                 reason = "read precedes its dictating write"
                 return self._verdict(False, cycle=Cycle(nodes=nodes, tags=tags), reason=reason)
 
@@ -374,9 +389,12 @@ class ReadCentricChecker:
             delta = self.init_reachability(r)
             d = self.mapping[r.index]
             dproc = self.graph.ops[d].process
-            by_process = self.lw.get(r.variable, {})
+            by_process = self.lw[r.variable]
             want = self._debug_scan_source(by_process, d) if self.debug else None
-            for ws in sorted(by_process.values()):  # disjoint lists: section order
+            reach = None  # d's settled forward set, once an edge into d needs it
+            for p, ws in by_process.items():  # section order
+                if not ws:
+                    continue
                 hit = self.first_cycle_source(ws, d)
                 if hit is not None:
                     assert not self.debug or hit[0] == want, "per-process check moved the source"
@@ -384,9 +402,9 @@ class ReadCentricChecker:
                     self.rulec_edges += 1
                     return self._reject_cycle(hit[0], d, hit[1])
                 last = ws[-1]  # program order leads the others to it
-                if self.graph.ops[last].process != dproc and self.graph.add_edge(last, d, WPW):
+                if p != dproc and self.graph.add_edge(last, d, WPW):
                     self.rulec_edges += 1
-                    self.update_reachability(last, d)
+                    reach = self.update_reachability(last, d, reach)
             assert want is None, "per-process check missed the scan's source"
             if self.unchecked and d not in delta:
                 verdict = self.topo_schedule(r)

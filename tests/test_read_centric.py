@@ -1,9 +1,11 @@
+import hashlib
 import random
 import re
 
 import pytest
 
 from pramcheck import (
+    MUTATIONS,
     DuplicateValueError,
     MutationError,
     Verdict,
@@ -118,21 +120,45 @@ def test_cycle_source_before_the_dictating_write_in_its_own_process():
     assert checker.mapping[15] == 10 and t.ops[6].process == t.ops[10].process == "p2"
 
 
+class _WatchedSuccs(dict):
+    """A successor table that counts the lookups of one node's successors."""
+
+    def __init__(self, table, checker):
+        super().__init__(table)
+        self.checker = checker
+        self.watched = None
+
+    def __getitem__(self, u):
+        if u == self.watched and not self.checker.in_walk:
+            self.checker.per_read[-1]["walks"] += 1
+        return super().__getitem__(u)
+
+
 class _CountingChecker(WalkCountingChecker):
-    """Counts the proactive pass's cycle checks and pending rule checks, read by read."""
+    """Counts the proactive pass's cycle checks, edges, walks from the dictating
+    write d and pending rule checks, read by read.
+
+    A forward walk from d looks d's successors up once, so the lookups of
+    succs[d] between the read's slice and its re-walk count those walks.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.per_read: list[dict] = []
         self.in_walk = False
+        self.graph.succs = _WatchedSuccs(self.graph.succs, self)
 
     def init_reachability(self, r):
         # an earlier walk can lower a write's rr after checking it
         left = any(self.rr[w] != self.rr_checked[w] for w in self.rr)
+        self.graph.succs.watched = None
         delta = super().init_reachability(r)
-        procs = len(self.lw.get(r.variable, {}))
+        procs = sum(1 for ws in self.lw[r.variable].values() if ws)
         left = left and self.mapping[r.index] not in delta
-        self.per_read.append({"procs": procs, "checks": 0, "dropped": False, "left": left})
+        self.per_read.append(
+            {"procs": procs, "checks": 0, "edges": 0, "walks": 0, "dropped": False, "left": left}
+        )
+        self.graph.succs.watched = self.mapping[r.index]
         return delta
 
     def cycle_detection(self, src, dst):
@@ -140,11 +166,14 @@ class _CountingChecker(WalkCountingChecker):
             self.per_read[-1]["checks"] += 1
         return super().cycle_detection(src, dst)
 
-    def update_reachability(self, src, dst):
+    def update_reachability(self, src, dst, reach=None):
         before = self.rr[src]
-        super().update_reachability(src, dst)
-        if not self.in_walk and self.rr[src] != before:
-            self.per_read[-1]["dropped"] = True
+        reach = super().update_reachability(src, dst, reach)
+        if not self.in_walk:
+            self.per_read[-1]["edges"] += 1
+            if self.rr[src] != before:
+                self.per_read[-1]["dropped"] = True
+        return reach
 
     def topo_schedule(self, r):
         self.in_walk = True
@@ -152,6 +181,10 @@ class _CountingChecker(WalkCountingChecker):
             return super().topo_schedule(r)
         finally:
             self.in_walk = False
+
+    def final_graph(self):
+        self.graph.succs.watched = None
+        return super().final_graph()
 
 
 def test_rule_c_work_is_bounded_per_process_and_per_dropped_read():
@@ -163,6 +196,19 @@ def test_rule_c_work_is_bounded_per_process_and_per_dropped_read():
     assert reads and all(x["checks"] <= x["procs"] for x in reads)
     assert not any(x["left"] for x in reads)
     assert checker.topo_calls == sum(x["dropped"] for x in reads) > 0
+
+
+def test_proactive_pass_walks_the_forward_set_of_d_once_per_read():
+    """Every edge the pass adds ends at d, so none changes what d reaches:
+    the walk at the read's first edge serves all its other edges."""
+    for seed in (1, 2):
+        t = gen_pram_trace(seed, processes=16, variables=2, ops=1600, read_fraction=0.35)
+        for focus in ("p1", "p8", "p16"):
+            checker = _CountingChecker(t, focus)
+            assert checker.run().consistent
+            reads = checker.per_read
+            assert [x["walks"] for x in reads] == [min(x["edges"], 1) for x in reads]
+            assert sum(x["edges"] for x in reads) > len(reads)
 
 
 def test_witness_sort_takes_only_the_operations_the_reads_reach(monkeypatch):
@@ -298,3 +344,36 @@ def test_graph_keeps_rw_closure_reachability():
             assert saturated.consistent
             assert _reachability(sparse.graph) == _reachability(saturated.graph)
             checked += 1
+
+
+def _read_centric_digest() -> str:
+    """sha256 over each focus's verdict, reason, cycle, witness and edge list.
+
+    The traces: 16-process `gen_pram_trace` traces of 1,600 operations (the
+    benchmark's `gen-large` shape), seeds 1-6, each also with every mutation
+    that applies to it.
+    """
+    h = hashlib.sha256()
+    for seed in range(1, 7):
+        t = gen_pram_trace(seed, processes=16, variables=2, ops=1600, read_fraction=0.35)
+        traces = [("none", t)]
+        for kind in MUTATIONS:
+            try:
+                traces.append((kind, mutate_trace(seed, t, kind)))
+            except MutationError:
+                pass
+        for kind, trace in traces:
+            for focus in trace.processes:
+                v = verify_read_centric(trace, focus)
+                cycle = (v.cycle.nodes, v.cycle.tags) if v.cycle is not None else None
+                seq = v.witness.seq if v.witness is not None else None
+                edges = sorted(v.graph.edges())
+                row = f"{seed} {kind} {focus} {v.consistent} {v.reason} {cycle} {seq} {edges}"
+                h.update(f"{row}\n".encode())
+    return h.hexdigest()
+
+
+def test_outputs_on_16_process_traces_are_frozen():
+    """Verdicts, cycles, witnesses and the edge list with its tags: any change
+    to the graph read-centric builds moves this digest."""
+    assert _read_centric_digest() == "53455ea35043e59115598431781c17ce0844526d2c210909d4b017a0bb27a7b6"
