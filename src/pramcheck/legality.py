@@ -38,6 +38,22 @@ class Schedule:
         return iter(self.seq)
 
 
+class _BuiltOnFirstRead:
+    """A field holding a value or a zero-argument builder; the first read builds and keeps it."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        value = None if obj is None else obj.__dict__[self.name]  # None: the field's default
+        if callable(value):
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of one focus-process verification.
@@ -46,13 +62,17 @@ class Verdict:
     rejections caused by a precedence cycle; rejections for a read without any
     dictating write carry no cycle, only `reason`.  The polynomial verifiers
     attach the precedence graph they built as `graph` (edge-less when a read
-    has no dictating write); the oracle keeps none.
+    has no dictating write); the oracle keeps none.  `witness` is a `Schedule`
+    or a zero-argument builder of one, run once on the first read (`==`,
+    `hash` and `repr` read it too).  The polynomial verifiers pass a `partial`
+    over `graph` and the projection, no closure that would keep their tables
+    alive, so a witness never read is never sorted.
     """
 
     consistent: bool
     focus: str
     algorithm: str
-    witness: Schedule | None = None
+    witness: Schedule | None = _BuiltOnFirstRead()
     cycle: Cycle | None = None
     reason: str | None = None
     graph: OperationGraph | None = field(default=None, compare=False, repr=False)

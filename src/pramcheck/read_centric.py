@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
+from functools import partial
 from operator import attrgetter
 
 from .legality import Verdict
@@ -415,7 +416,8 @@ class ReadCentricChecker:
                     assert self.rr_checked[u] == self.rr[u], "skipped a pending rule check"
                     self._debug_check_rr(u)
 
-        return self._verdict(True, witness=build_dag_schedule(self.final_graph(), self.proj))
+        witness = partial(build_dag_schedule, self.final_graph(), self.proj)
+        return self._verdict(True, witness=witness)
 
     def final_graph(self) -> OperationGraph:
         """The live graph as built so far; never closed, so `reaches()` raises on it."""

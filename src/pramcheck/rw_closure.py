@@ -11,6 +11,8 @@ counterexample.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .legality import Verdict
 from .model import Trace, UnmatchedReadError, build_read_mapping, visible
 from .opgraph import WPW, OperationGraph, add_rule_a_b, build_dag_schedule
@@ -72,7 +74,7 @@ def verify_rw_closure(trace: Trace, focus: str) -> Verdict:
             graph=graph,
         )
 
-    witness = build_dag_schedule(graph, proj)
+    witness = partial(build_dag_schedule, graph, proj)
     return Verdict(
         consistent=True, focus=focus, algorithm=ALGORITHM, witness=witness, graph=graph
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -9,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import pramcheck
+from pramcheck import read_centric, rw_closure
 from pramcheck.cli import main
+from pramcheck.model import serialize_trace
+from pramcheck.tracegen import gen_pram_trace, mutate_trace
 
 OK = "p1 W x 1\np1 W x 2\np2 R x 1\np2 R x 2\n"
 BAD = "p1 W x 1\np1 W x 2\np2 R x 2\np2 R x 1\n"
@@ -472,3 +476,34 @@ def test_reduce_without_output_prints_the_trace_after_the_witness(tmp_path, caps
     assert main(["check-schedule", str(t), str(w), "--focus", "P0"]) == 0
     assert main([*REDUCE, "--with-witness", str(tmp_path / "missing" / "w")]) == 64
     assert capsys.readouterr().out == "LEGAL\n"
+
+
+@pytest.mark.parametrize("algorithm", ["read-centric", "rw-closure"])
+def test_verify_builds_a_witness_only_for_witness_out(tmp_path, capsys, monkeypatch, algorithm):
+    built = []
+    for module in (read_centric, rw_closure):
+        def counting(graph, proj, build=module.build_dag_schedule):
+            built.append(proj.focus)
+            return build(graph, proj)
+
+        monkeypatch.setattr(module, "build_dag_schedule", counting)
+    # six foci, of which p3 is inconsistent
+    trace = mutate_trace(1, gen_pram_trace(1, processes=6, ops=240), "reorder-reads")
+    path = str(_trace(tmp_path, serialize_trace(trace)))
+    verify = ["verify", path, "--algorithm", algorithm]
+    for extra in (["--focus", "p1"], ["--focus", "p3"], ["--json"], []):
+        main([*verify, *extra])
+        assert built == [], extra
+    assert main([*verify, "--focus", "p1", "--witness-out", str(tmp_path / "one")]) == 0
+    assert built == ["p1"]
+    built.clear()
+    w = tmp_path / "w"
+    assert main([*verify, "--json", "--witness-out", str(w)]) == 1
+    capsys.readouterr()
+    assert built == ["p1", "p2", "p4", "p5", "p6"]
+    files = {p.name: p.read_text() for p in sorted(tmp_path.glob("w.*"))}
+    assert sorted(files) == ["w.p1", "w.p2", "w.p4", "w.p5", "w.p6"]
+    assert (tmp_path / "one").read_text() == files["w.p1"]
+    # the witness files these arguments wrote when every witness was sorted eagerly
+    digest = hashlib.sha256(json.dumps(files, sort_keys=True).encode()).hexdigest()
+    assert digest == "3374035ff39af3e56fa98063d2a21397860ce76a177b107d7ea0076a7a14b377"

@@ -1,16 +1,20 @@
+import gc
 import re
+import weakref
 
 import pytest
 
 from pramcheck.legality import (
     NotAPermutationError,
     Schedule,
+    Verdict,
     check_pram_witness,
     legality_violation,
     parse_schedule,
     serialize_schedule,
 )
 from pramcheck.model import visible
+from pramcheck.read_centric import ReadCentricChecker
 from testutil import T
 
 # A four-process trace whose focus p0 reads seven values written by three
@@ -139,3 +143,38 @@ def test_schedule_text_roundtrip():
     for bad in ("nope", "-1", "+0", "1_0", "\u0663"):
         with pytest.raises(ValueError, match=re.escape(f"line 2: not an operation index: {bad!r}")):
             parse_schedule(f"2\n{bad}\n")
+
+
+def test_verdict_builds_a_deferred_witness_once_and_compares_like_an_eager_one():
+    sched = Schedule((0, 1))
+    calls = []
+
+    def build():
+        calls.append(1)
+        return Schedule((0, 1))
+
+    eager = Verdict(True, "p2", "test", witness=sched)
+    deferred = Verdict(True, "p2", "test", witness=build)
+    assert calls == []
+    assert deferred.witness is deferred.witness
+    assert calls == [1]
+    assert deferred == eager and hash(deferred) == hash(eager) and repr(deferred) == repr(eager)
+    assert eager.witness is sched
+    assert Verdict(False, "p2", "test", reason="precedence cycle").witness is None
+    # ==, hash and repr read the field, so they build an unread witness too
+    for read in (lambda v: v == eager, hash, repr):
+        calls.clear()
+        read(Verdict(True, "p2", "test", witness=build))
+        assert calls == [1]
+
+
+def test_deferred_witness_keeps_no_checker_alive():
+    t = T(FOUR_PROCESS_TRACE)
+    checker = ReadCentricChecker(t, "p0")
+    v = checker.run()
+    assert v.consistent
+    ref = weakref.ref(checker)
+    del checker
+    gc.collect()
+    assert ref() is None
+    assert check_pram_witness(t, "p0", v.witness).ok
