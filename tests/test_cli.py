@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import hashlib
 import json
 import os
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import pramcheck
-from pramcheck import read_centric, rw_closure
+from pramcheck import cli, read_centric, rw_closure
 from pramcheck.cli import main
 from pramcheck.model import serialize_trace
 from pramcheck.tracegen import gen_pram_trace, mutate_trace
@@ -382,12 +384,16 @@ def test_internal_error_exits_70_with_traceback(tmp_path, capsys, monkeypatch):
         raise KeyError("boom")
 
     monkeypatch.setattr("pramcheck.cli.verify_read_centric", broken)
-    rc = main(["verify", str(_trace(tmp_path, OK))])
+    argv = ["verify", str(_trace(tmp_path, OK))]
+    rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 70
     assert captured.out == ""
     assert "Traceback (most recent call last):" in captured.err
     assert captured.err.endswith("error: internal error: KeyError: 'boom'\n")
+    # the traceback and the exception leave no cycle for the paused collector
+    assert _cyclic_garbage(main, argv) == 0
+    capsys.readouterr()
 
 
 def test_output_to_a_fifo_writes_through_it(tmp_path, capsys):
@@ -507,3 +513,151 @@ def test_verify_builds_a_witness_only_for_witness_out(tmp_path, capsys, monkeypa
     # the witness files these arguments wrote when every witness was sorted eagerly
     digest = hashlib.sha256(json.dumps(files, sort_keys=True).encode()).hexdigest()
     assert digest == "3374035ff39af3e56fa98063d2a21397860ce76a177b107d7ea0076a7a14b377"
+
+
+def _cyclic_garbage(run, *args) -> int:
+    """How many objects `gc.collect()` finds unreachable after `run(*args)`.
+
+    The collector stays paused from one collection to the next, so it counts
+    only what reference counting could not free: objects in reference cycles.
+    """
+    gc.disable()
+    try:
+        gc.collect()
+        run(*args)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+DUP = "p1 W x 1\np1 W x 2\np2 W x 2\np2 W x 1\np3 R x 1\np3 R x 2\np3 R x 1\n"
+
+
+def _cycle_corpus_files(tmp: Path) -> dict[str, str]:
+    """The files `CYCLE_CORPUS`'s argument lists name, written to `tmp`."""
+    texts = {
+        "ok": OK,
+        # six foci; p3's reads were reordered and it is rejected with a cycle
+        "gen": serialize_trace(
+            mutate_trace(1, gen_pram_trace(1, processes=6, ops=240), "reorder-reads")
+        ),
+        "dup": DUP,
+        "unmatched": "p1 W x 1\np2 R x 99\n",
+        "malformed": "p1 Q x 1\n",
+        "sched": "0\n2\n1\n3\n",
+        "small": serialize_trace(gen_pram_trace(2, processes=3, ops=40)),
+        "large": serialize_trace(gen_pram_trace(2, processes=16, ops=1600, read_fraction=0.35)),
+    }
+    paths = {name: str(_trace(tmp, text, name=name)) for name, text in texts.items()}
+    paths["deep"] = str(tmp / "deep")
+    assert main(["gen", "--seed", "1", "--ops", "3000", "--policy", "duplicate",
+                 "-o", paths["deep"]]) == 0
+    return {**paths, "missing": str(tmp / "missing"), "out": str(tmp)}
+
+
+# (id, exit code, argument list): every way out of main(), each of which must
+# leave no cyclic garbage behind while the collector is paused
+CYCLE_CORPUS = [
+    ("focus", 0, ["verify", "{gen}", "--focus", "p1"]),
+    ("all-foci", 1, ["verify", "{gen}"]),
+    ("rw-closure", 1, ["verify", "{gen}", "--algorithm", "rw-closure"]),
+    ("witness-out-and-dump-graph", 1,
+     ["verify", "{gen}", "--witness-out", "{out}/w", "--dump-graph", "{out}/g"]),
+    ("auto-routes-to-oracle", 0, ["verify", "{dup}"]),
+    ("oracle-timeout", 2, ["verify", "{deep}", "--budget", "5000"]),
+    ("precedence-cycle", 1, ["verify", "{gen}", "--focus", "p3"]),
+    ("no-dictating-write", 1, ["verify", "{unmatched}"]),
+    ("malformed-text", 64, ["verify", "{malformed}"]),
+    ("missing-file", 64, ["verify", "{missing}"]),
+    ("unknown-focus", 64, ["verify", "{ok}", "--focus", "p9"]),
+    ("unwritable-output", 64, ["verify", "{ok}", "--witness-out", "{missing}/w"]),
+    ("budget-0", 64, ["verify", "{ok}", "--budget", "0"]),
+    ("read-centric-on-ambiguous-focus", 64,
+     ["verify", "{dup}", "--algorithm", "read-centric", "--focus", "p3"]),
+    ("check-schedule", 0, ["check-schedule", "{ok}", "{sched}", "--focus", "p2"]),
+    ("reduce", 0, [*REDUCE, "-o", "{out}/r.trace", "--with-witness", "{out}/r.sched"]),
+    ("gen", 0, ["gen", "--seed", "4", "--ops", "20", "-o", "{out}/g.trace"]),
+]
+
+
+@pytest.fixture(scope="module")
+def cycle_corpus_files(tmp_path_factory):
+    return _cycle_corpus_files(tmp_path_factory.mktemp("cycles"))
+
+
+@pytest.mark.parametrize("code, argv", [case[1:] for case in CYCLE_CORPUS],
+                         ids=[case[0] for case in CYCLE_CORPUS])
+def test_command_leaves_no_cyclic_garbage(cycle_corpus_files, capsys, code, argv):
+    # main() runs with the collector paused, which is safe only because
+    # reference counting frees everything a command builds
+    argv = [arg.format(**cycle_corpus_files) for arg in argv]
+    assert main(argv) == code
+    capsys.readouterr()
+    assert _cyclic_garbage(main, argv) == 0
+    capsys.readouterr()
+
+
+def test_json_report_leaves_only_the_encoders_garbage(cycle_corpus_files, capsys):
+    # json.dumps(indent=2) runs the pure-Python encoder, whose nested
+    # functions form a fixed number of cycles per call before Python 3.13;
+    # the count must not grow with the trace
+    small, large = (
+        _cyclic_garbage(main, ["verify", cycle_corpus_files[name], "--json"])
+        for name in ("small", "large")
+    )
+    capsys.readouterr()
+    assert small == large
+
+
+def test_rejected_arguments_leave_only_argparses_garbage(capsys):
+    # Python 3.10's ArgumentParser.parse_known_args keeps the ArgumentError it
+    # caught in a local, a cycle through its own frame; 3.11 binds it with
+    # `except ... as`, which unbinds it, and leaves none
+    def parse(argv):
+        with contextlib.suppress(cli.UsageError):
+            cli.build_parser().parse_args(argv)
+
+    for argv in (["frobnicate"], ["verify", "t.trace", "--budget", "many"]):
+        assert main(argv) == 64
+        left = _cyclic_garbage(parse, argv)
+        assert _cyclic_garbage(main, argv) == left
+        assert left == 0 or sys.version_info < (3, 11), argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller-enabled", "caller-disabled"])
+def test_main_pauses_the_collector_and_restores_the_callers_setting(
+    tmp_path, capsys, monkeypatch, enabled
+):
+    seen = []
+
+    def watching(trace, focus, **kwargs):
+        seen.append(gc.isenabled())
+        if focus == "boom":
+            raise KeyError("boom")
+        return read_centric.verify_read_centric(trace, focus, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_read_centric", watching)
+    ok, bad, dup, boom = (
+        str(_trace(tmp_path, text, name=f"{i}.trace"))
+        for i, text in enumerate((OK, BAD, DUP, "boom R x 0\n"))
+    )
+    cases = [
+        (["verify", ok], 0),
+        (["verify", bad], 1),
+        (["verify", dup, "--focus", "p3", "--budget", "3"], 2),
+        (["verify", str(tmp_path / "missing")], 64),
+        (["verify", boom, "--focus", "boom"], 70),
+    ]
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, code in cases:
+            assert main(argv) == code
+            assert gc.isenabled() is enabled, argv
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert seen == [False] * 6  # two foci each of ok and bad, then dup and boom

@@ -15,6 +15,7 @@ from pramcheck.legality import (
 )
 from pramcheck.model import visible
 from pramcheck.read_centric import ReadCentricChecker
+from pramcheck.rw_closure import verify_rw_closure
 from testutil import T
 
 # A four-process trace whose focus p0 reads seven values written by three
@@ -169,12 +170,31 @@ def test_verdict_builds_a_deferred_witness_once_and_compares_like_an_eager_one()
 
 
 def test_deferred_witness_keeps_no_checker_alive():
+    # `pramcheck` runs with the cyclic collector paused, so reference counting
+    # alone must free a checker once its verdict is out, and a verdict with
+    # everything it holds once it is dropped, read or not
     t = T(FOUR_PROCESS_TRACE)
-    checker = ReadCentricChecker(t, "p0")
-    v = checker.run()
-    assert v.consistent
-    ref = weakref.ref(checker)
-    del checker
-    gc.collect()
-    assert ref() is None
-    assert check_pram_witness(t, "p0", v.witness).ok
+    rejected = T("p1 W x 1\np1 W x 2\np2 R x 2\np2 R x 1\n")
+    gc.disable()
+    try:
+        for trace, focus, consistent in ((t, "p0", True), (rejected, "p2", False)):
+            checker = ReadCentricChecker(trace, focus)
+            v = checker.run()
+            assert v.consistent is consistent
+            ref = weakref.ref(checker)
+            del checker
+            assert ref() is None
+            refs = (weakref.ref(v), weakref.ref(v.graph))
+            if consistent:
+                assert check_pram_witness(trace, focus, v.witness).ok
+            del v
+            assert [r() for r in refs] == [None, None]
+        for read in (False, True):
+            v = verify_rw_closure(t, "p0")
+            refs = (weakref.ref(v), weakref.ref(v.graph))
+            if read:
+                assert check_pram_witness(t, "p0", v.witness).ok
+            del v
+            assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
