@@ -28,7 +28,7 @@ from pramcheck.tracegen import MUTATIONS, gen_pram_trace, mutate_trace
 from test_read_centric import DETECTED_IN_TOPO
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
-ALGORITHMS = ("auto", "rw-closure", "read-centric")
+ALGORITHMS = ("auto", "rw-closure", "read-centric", "oracle")
 
 
 def _traces():
@@ -47,6 +47,11 @@ def _traces():
                 continue
             yield f"mutated-{seed}-{kind}", mutated, []
     yield "detected-in-topo", parse_trace(DETECTED_IN_TOPO), []
+    # A tiny oracle budget: a violation outranks a timeout (exit 1), and a
+    # timeout with no violation leaves the overall verdict unknown (exit 2).
+    retargeted = mutate_trace(1, gen_pram_trace(1, ops=16, policy="duplicate"), "retarget-read")
+    yield "retarget-budget-3", retargeted, ["--budget", "3"]
+    yield "duplicate-budget-3", gen_pram_trace(2, ops=16, policy="duplicate"), ["--budget", "3"]
     inst = ThreePartitionInstance(2, 10, (4, 4, 3, 3, 3, 3))
     yield "reduction-2-10", reduce_3partition(inst), ["--focus", FOCUS]
 
