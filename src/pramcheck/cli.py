@@ -77,6 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("verify", help="decide consistency of a trace file")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("trace", type=Path, help="trace file")
     who = p.add_mutually_exclusive_group()
     who.add_argument("--focus", metavar="PROCESS", help="verify this viewpoint only")
@@ -105,11 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", dest="as_json", help="machine-readable report")
 
     p = sub.add_parser("check-schedule", help="check a schedule file as a witness")
+    p.set_defaults(run=_cmd_check_schedule)
     p.add_argument("trace", type=Path)
     p.add_argument("schedule", type=Path)
     p.add_argument("--focus", required=True, metavar="PROCESS")
 
     p = sub.add_parser("reduce", help="emit the trace encoding a 3-partition instance")
+    p.set_defaults(run=_cmd_reduce)
     p.add_argument("--m", type=int, required=True, help="number of triples")
     p.add_argument("--B", type=int, required=True, help="target triple sum")
     p.add_argument("--sizes", required=True, help="comma-separated list of 3m sizes")
@@ -120,6 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("gen", help="generate a seeded random PRAM-consistent trace")
+    p.set_defaults(run=_cmd_gen)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--processes", type=int, default=3)
     p.add_argument("--vars", type=int, default=2)
@@ -223,43 +227,45 @@ def _emit(text: str, out: Path | None, others: tuple[tuple[Path, str], ...] = ()
         sys.stdout.write(text)
 
 
+def _decide(trace: Trace, focus: str, algorithm: str, budget: int):
+    """Decide one focus: (the algorithm that decided it, its Verdict or OracleTimeout).
+
+    `auto` runs read-centric, and the budgeted oracle when a focus read has
+    several candidate writes.  The verifiers are looked up in this module's
+    globals at each call, so that wrappers set on `cli.verify_read_centric`
+    or `cli.oracle_verify` (the benchmark's tracer, tests) see every call.
+    """
+    try:
+        if algorithm == "rw-closure":
+            return algorithm, verify_rw_closure(trace, focus)
+        if algorithm != "oracle":
+            return "read-centric", verify_read_centric(trace, focus)
+    except DuplicateValueError as exc:  # a focus read with several candidate writes
+        if algorithm != "auto":
+            raise UsageError(
+                f"--algorithm {algorithm} cannot decide focus {focus}: {exc}; "
+                "use --algorithm oracle"
+            ) from exc
+    return "oracle", oracle_verify(trace, focus, max_states=budget)
+
+
 def _cmd_verify(args) -> int:
     if args.budget < 1:
         raise UsageError(f"--budget must be at least 1, got {args.budget}")
     trace = _load_trace(args.trace)
     variant = classify(trace)
-    if args.focus is not None:
-        if args.focus not in trace.processes:
-            raise UsageError(f"unknown focus process {args.focus!r}")
-        focuses = [args.focus]
-    else:
-        focuses = sorted(trace.processes)
+    if args.focus is not None and args.focus not in trace.processes:
+        raise UsageError(f"unknown focus process {args.focus!r}")
+    focuses = sorted(trace.processes) if args.focus is None else [args.focus]
     multi = len(focuses) > 1
 
+    # One record per focus, shaped for its view; past the first three keys, one text line each.
     per_process = []
-    results = []
     outputs: list[tuple[Path, str]] = []  # written together once every focus is decided
-    any_violation = any_timeout = False
     for focus in focuses:
-        algorithm = "read-centric" if args.algorithm == "auto" else args.algorithm
-        try:
-            if algorithm == "rw-closure":
-                result = verify_rw_closure(trace, focus)
-            elif algorithm == "read-centric":
-                result = verify_read_centric(trace, focus)
-        except DuplicateValueError as exc:  # a focus read with several candidate writes
-            if args.algorithm != "auto":
-                raise UsageError(
-                    f"--algorithm {algorithm} cannot decide focus {focus}: {exc}; "
-                    "use --algorithm oracle"
-                ) from exc
-            algorithm = "oracle"
-        if algorithm == "oracle":
-            result = oracle_verify(trace, focus, max_states=args.budget)
-
+        algorithm, result = _decide(trace, focus, args.algorithm, args.budget)
         entry: dict = {"focus": focus, "algorithm": algorithm}
         if isinstance(result, OracleTimeout):
-            any_timeout = True
             entry["verdict"] = "timeout"
             entry["reason"] = f"budget exhausted after {result.states} search states"
         elif result.consistent:
@@ -269,15 +275,15 @@ def _cmd_verify(args) -> int:
                 outputs.append((path, serialize_schedule(result.witness)))
                 entry["witness_file"] = str(path)
         else:
-            any_violation = True
             entry["verdict"] = "inconsistent"
             if result.reason:
                 entry["reason"] = result.reason
-            if result.cycle is not None:
-                entry["cycle"] = {
-                    "nodes": list(result.cycle.nodes),
-                    "ops": [trace.ops[i].pretty() for i in result.cycle.nodes],
-                    "tags": list(result.cycle.tags),
+            cycle = result.cycle
+            if cycle is not None:
+                entry["cycle"] = cycle.pretty(trace.ops) if not args.as_json else {
+                    "nodes": list(cycle.nodes),
+                    "ops": [trace.ops[i].pretty() for i in cycle.nodes],
+                    "tags": list(cycle.tags),
                 }
         if args.dump_graph is not None:
             graph = None if isinstance(result, OracleTimeout) else result.graph
@@ -291,16 +297,10 @@ def _cmd_verify(args) -> int:
                     file=sys.stderr,
                 )
         per_process.append(entry)
-        results.append(result)
     _write_all(outputs)
 
-    consistent: bool | None
-    if any_violation:
-        consistent = False
-    elif any_timeout:
-        consistent = None
-    else:
-        consistent = True
+    verdicts = {entry["verdict"] for entry in per_process}
+    consistent = False if "inconsistent" in verdicts else None if "timeout" in verdicts else True
 
     if args.as_json:
         report = {
@@ -312,25 +312,13 @@ def _cmd_verify(args) -> int:
         print(json.dumps(report, indent=2))
     else:
         print(f"trace: {trace.n} operations, {len(trace.processes)} processes, variant {variant.value}")
-        for entry, result in zip(per_process, results):
-            line = f"focus {entry['focus']}: {entry['verdict']} ({entry['algorithm']})"
-            print(line)
-            if "reason" in entry:
-                print(f"  reason: {entry['reason']}")
-            if "cycle" in entry:
-                print(f"  cycle: {result.cycle.pretty(trace.ops)}")
-            if "witness_file" in entry:
-                print(f"  witness: {entry['witness_file']}")
-            if "graph_file" in entry:
-                print(f"  graph: {entry['graph_file']}")
+        for entry in per_process:
+            print(f"focus {entry['focus']}: {entry['verdict']} ({entry['algorithm']})")
+            for key, value in list(entry.items())[3:]:
+                print(f"  {key.removesuffix('_file')}: {value}")
         overall = {True: "consistent", False: "inconsistent", None: "unknown (timeout)"}[consistent]
         print(f"overall: {overall}")
-
-    if any_violation:
-        return EXIT_VIOLATION
-    if any_timeout:
-        return EXIT_TIMEOUT
-    return EXIT_OK
+    return {True: EXIT_OK, False: EXIT_VIOLATION, None: EXIT_TIMEOUT}[consistent]
 
 
 def _cmd_check_schedule(args) -> int:
@@ -401,15 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "check-schedule":
-            return _cmd_check_schedule(args)
-        if args.command == "reduce":
-            return _cmd_reduce(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,7 +17,7 @@ from .legality import Schedule, Verdict
 from .model import READ, Trace, visible
 
 # Re-exported only because the benchmark imports them from here; the line goes
-# with the benchmark's next change (ROADMAP item 6).
+# with the benchmark change of ROADMAP item 1.
 from .reduction import ThreePartitionInstance, solve_3partition  # noqa: F401
 
 ALGORITHM = "oracle"
