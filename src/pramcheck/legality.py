@@ -50,8 +50,8 @@ class _BuiltOnFirstRead:
             value = obj.__dict__[self.name] = value()
         return value
 
-    def __set__(self, obj, value) -> None:
-        obj.__dict__[self.name] = value
+    def __set__(self, obj, value) -> None:  # a default given in `field()` arrives as self
+        obj.__dict__[self.name] = None if value is self else value
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,12 @@ class Verdict:
     rejections caused by a precedence cycle; rejections for a read without any
     dictating write carry no cycle, only `reason`.  The polynomial verifiers
     attach the precedence graph they built as `graph` (edge-less when a read
-    has no dictating write); the oracle keeps none.  `witness` is a `Schedule`
-    or a zero-argument builder of one, run once on the first read (`==`,
-    `hash` and `repr` read it too).  The polynomial verifiers pass a `partial`
-    over `graph` and the projection, no closure that would keep their tables
-    alive, so a witness never read is never sorted.
+    has no dictating write); the oracle keeps none.  `witness` and `graph`
+    each hold a value or a zero-argument builder of one, run once on the
+    first read (`==`, `hash` and `repr` read `witness`, never `graph`).  The
+    verifiers pass `partial`s, no closures that keep their tables alive: a
+    witness never read is never sorted, and read-centric's graph gets the
+    unsettled operations' `PO` and `WR` edges only when read.
     """
 
     consistent: bool
@@ -75,7 +76,7 @@ class Verdict:
     witness: Schedule | None = _BuiltOnFirstRead()
     cycle: Cycle | None = None
     reason: str | None = None
-    graph: OperationGraph | None = field(default=None, compare=False, repr=False)
+    graph: OperationGraph | None = field(default=_BuiltOnFirstRead(), compare=False, repr=False)
 
 
 class NotAPermutationError(ValueError):

@@ -4,6 +4,10 @@ Nodes are operation indices; edges are tagged with why they exist: "PO"
 (program order), "WR" (a write precedes the reads it dictates), or "WpW" (an
 overwritten write must precede the overwriting one).  Both polynomial verifiers
 build their graph here; `downset` and `build_dag_schedule` walk the edges alone.
+A node gets its tables on its first stored edge; a node without them is
+edge-less.  Read-centric stores only the edges of the operations its reads
+settle; `add_rule_a_b` seeds every `PO` and `WR` edge, for rw-closure or on
+the first read of a read-centric verdict's graph.
 Only rw-closure's rule loop needs `close()`, which keeps transitive closure as
 bitset rows (Python ints), one strict-reachability bit per node pair; `reaches`
 is reflexive on top of that.
@@ -25,13 +29,16 @@ WPW = "WpW"
 
 def add_rule_a_b(
     graph: "OperationGraph", proj: VisibleProjection, mapping: Mapping[int, int]
-) -> None:
-    """Seed a graph with the always-true precedences.
+) -> "OperationGraph":
+    """Seed a graph with the always-true precedences; returns the graph.
 
     Program order: consecutive visible operations of the same process.
     Write-to order: each dictating write before the read it dictates.
+    Edges already stored keep their tags.
     """
     succs, preds = graph.succs, graph.preds
+    for v in set(graph.nodes) - succs.keys():  # tables for the nodes that have none yet
+        succs[v], preds[v] = {}, set()
     for seq in proj.by_process.values():  # add_edge inlined: it runs once per visible op
         idx = [o.index for o in seq]
         for a, b in zip(idx, idx[1:]):
@@ -39,6 +46,7 @@ def add_rule_a_b(
             preds[b].add(a)
     for read_idx, write_idx in mapping.items():
         graph.add_edge(write_idx, read_idx, WR)
+    return graph
 
 
 @dataclass(frozen=True)
@@ -65,8 +73,8 @@ class OperationGraph:
     def __init__(self, ops: Iterable[Operation]):
         self.ops: dict[int, Operation] = {o.index: o for o in ops}
         self.nodes: list[int] = sorted(self.ops)
-        self.succs: dict[int, dict[int, str]] = {v: {} for v in self.nodes}
-        self.preds: dict[int, set[int]] = {v: set() for v in self.nodes}
+        self.succs: dict[int, dict[int, str]] = {}  # node -> successor -> tag
+        self.preds: dict[int, set[int]] = {}
         self._rows: list[int] | None = None  # strict reachability, bit j of _rows[i]
         self.pos: dict[int, int] = {}  # node -> its bit position; filled by close()
 
@@ -78,17 +86,21 @@ class OperationGraph:
         Reachability queries keep answering from the last close() snapshot;
         callers batching edge additions re-close when the batch is done.
         """
-        if dst in self.succs[src]:
+        succs, preds = self.succs, self.preds
+        for v in (src, dst):
+            if v not in succs:
+                succs[v], preds[v] = {}, set()
+        if dst in succs[src]:
             return False
-        self.succs[src][dst] = tag
-        self.preds[dst].add(src)
+        succs[src][dst] = tag
+        preds[dst].add(src)
         return True
 
     def has_edge(self, src: int, dst: int) -> bool:
-        return dst in self.succs[src]
+        return dst in self.succs.get(src, ())
 
     def edges(self) -> Iterator[tuple[int, int, str]]:
-        for src in self.nodes:
+        for src in sorted(self.succs):
             for dst in sorted(self.succs[src]):
                 yield src, dst, self.succs[src][dst]
 
@@ -138,9 +150,10 @@ class OperationGraph:
         and lacks `node`, this is the downset of `node` minus `exclude`.
         """
         out = {node}
-        stack = [node]
+        stack = [node] if node in self.preds else []  # a node's predecessors have tables
+        preds = self.preds
         while stack:
-            for p in self.preds[stack.pop()]:
+            for p in preds[stack.pop()]:
                 if p not in out and p not in exclude:
                     out.add(p)
                     stack.append(p)
@@ -157,14 +170,14 @@ class OperationGraph:
         graphs only; a cycle raises RuntimeError.
         """
         rank = (block or {}).get
-        indeg = {v: len(self.preds[v]) for v in (self.nodes if nodes is None else nodes)}
+        indeg = {v: len(self.preds.get(v, ())) for v in (self.nodes if nodes is None else nodes)}
         ready = [(rank(v, 0), v) for v, d in indeg.items() if d == 0]
         heapq.heapify(ready)
         out: list[int] = []
         while ready:
             v = heapq.heappop(ready)[1]
             out.append(v)
-            for s in self.succs[v]:
+            for s in self.succs.get(v, ()):
                 if s in indeg:
                     indeg[s] -= 1
                     if indeg[s] == 0:
@@ -177,7 +190,7 @@ class OperationGraph:
         """Some directed cycle over the sparse edges, or None if acyclic."""
         WHITE, GRAY, BLACK = 0, 1, 2
         color = {v: WHITE for v in self.nodes}
-        for root in self.nodes:
+        for root in sorted(self.succs):  # a node without tables is on no cycle
             if color[root] != WHITE:
                 continue
             stack: list[tuple[int, Iterator[int]]] = [(root, iter(sorted(self.succs[root])))]
@@ -248,6 +261,6 @@ def build_dag_schedule(graph: OperationGraph, proj: VisibleProjection) -> Schedu
     for b, r in enumerate(reads):
         block.update(dict.fromkeys(graph.downset(r.index, block.keys()), b))
     rest = [v for v in graph.nodes if v not in block]  # edges from rest stay in rest
-    if any(s < v for v in rest for s in graph.succs[v]):
+    if any(s < v for v in rest for s in graph.succs.get(v, ())):
         return Schedule(graph.topo_sort({**dict.fromkeys(rest, len(reads)), **block}))
     return Schedule(graph.topo_sort(block, block.keys()) + rest)

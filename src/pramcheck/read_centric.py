@@ -3,10 +3,12 @@
 Same decision problem and `OperationGraph` as `rw_closure`, built incrementally
 and never closed.  For each focus read r, only the newly reachable slice of the
 graph (r's downset minus the previous read's) is examined.  Operations not yet
-settled have only `PO` and `WR` predecessors (every `WpW` edge joins two
-settled writes), so that slice is two program-order prefixes: the focus's
-unsettled operations up to r and those of D(r)'s process up to D(r).  Two
-dictionaries carry everything the overwrite-precedence rule needs:
+settled have no stored edges: a read's slice gets its `PO` and `WR` edges as
+it settles, and every `WpW` edge joins two settled writes.  So that slice is
+two program-order prefixes: the focus's unsettled operations up to r and
+those of D(r)'s process up to D(r).  The verdict's graph gets the other `PO`
+and `WR` edges on its first read.  Two dictionaries carry everything the
+overwrite-precedence rule needs:
 
 * `rr` - per write, the ordinal of the earliest focus read it currently
   reaches.  A write whose `rr` drops may have become ordered before further
@@ -47,9 +49,9 @@ class ReadCentricChecker:
 
     `settled`, the union of the processed reads' downsets, is down-closed:
     each process's settled operations are a program-order prefix,
-    `prefix[process]` long.  Only settled writes carry `WpW` edges, so r's
-    new slice is the focus's unsettled prefix up to r plus D(r)'s
-    process's up to D(r).
+    `prefix[process]` long.  Operations not yet settled have no stored
+    edges, so r's new slice is the focus's unsettled prefix up to r plus
+    D(r)'s process's up to D(r).
 
     The proactive overwrite-rule pass at a focus read r (dictating write d)
     orders every settled write on r's variable before d.  Those of each process
@@ -128,7 +130,8 @@ class ReadCentricChecker:
         return self._verdict(False, cycle=cycle, reason="precedence cycle")
 
     def _verdict(self, consistent: bool, **details) -> Verdict:
-        return Verdict(consistent, self.focus, ALGORITHM, graph=self.graph, **details)
+        graph = partial(add_rule_a_b, self.graph, self.proj, self.mapping)  # built on first read
+        return Verdict(consistent, self.focus, ALGORITHM, graph=graph, **details)
 
     # -- the dictionaries ----------------------------------------------------
 
@@ -182,12 +185,12 @@ class ReadCentricChecker:
         if self.rr[src] != self.rr_checked[src]:
             self.unchecked.add(src)
         if reach is None:
-            succs, settled = self.graph.succs, self.settled
+            succs = self.graph.succs  # every stored edge joins settled operations
             reach = {dst}
             stack = [dst]
             while stack:
                 for s in succs[stack.pop()]:
-                    if s not in reach and s in settled:
+                    if s not in reach:
                         reach.add(s)
                         stack.append(s)
         self.pw_update(src, reach)
@@ -196,14 +199,16 @@ class ReadCentricChecker:
     # -- per-read processing --------------------------------------------------
 
     def init_reachability(self, r: Operation) -> set[int]:
-        """Absorb r's new slice: seed rr/lw, thread pw along both prefixes.
+        """Absorb r's new slice: store its edges, seed rr/lw, thread pw along both prefixes.
 
-        Each prefix is threaded from its process's last settled operation.
-        When D(r) is the focus's own, the focus prefix covers it.
+        Each prefix is threaded from its process's last settled operation,
+        storing each operation's `PO` edge from its predecessor; then r's
+        `WR` edge.  When D(r) is the focus's own, the focus prefix covers it.
         """
         d = self.graph.ops[self.mapping[r.index]]
         k = self.read_ord[r.index]
         rr, rr_checked, pw, pw_after = self.rr, self.rr_checked, self.pw, self.pw_after
+        succs, preds = self.graph.succs, self.graph.preds
         delta: set[int] = set()
         for end in (r,) if d.process == self.focus else (r, d):
             p = end.process
@@ -212,8 +217,13 @@ class ReadCentricChecker:
             prev = seq[lo - 1].index if lo else None
             chain = seq[lo : bisect_right(seq, end.index, lo, key=attrgetter("index"))]
             for o in chain:
-                i = o.index
-                pw[i] = {} if prev is None else pw_after(prev)  # i is new to pw
+                i = o.index  # i is new to pw and to the graph's tables
+                succs[i] = {}
+                if prev is None:
+                    pw[i], preds[i] = {}, set()
+                else:
+                    pw[i], preds[i] = pw_after(prev), {prev}
+                    succs[prev][i] = PO
                 prev = i
                 delta.add(i)
                 if o.kind == WRITE:
@@ -223,6 +233,7 @@ class ReadCentricChecker:
             if prev != r.index:  # d's chain ends at d, which precedes r
                 self.pw_update(prev, {r.index})
             self.prefix[p] = lo + len(chain)
+        self.graph.add_edge(d.index, r.index, WR)
         if self.debug:
             assert delta == self.graph.downset(r.index, self.settled), "slice is not two prefixes"
         self.settled |= delta
@@ -370,13 +381,11 @@ class ReadCentricChecker:
     # -- driver -----------------------------------------------------------------
 
     def run(self) -> Verdict:
-        if self.unmatched is not None:
-            return self._verdict(False, reason=self.unmatched)
+        if self.unmatched is not None:  # its graph stays edge-less
+            return Verdict(False, self.focus, ALGORITHM, reason=self.unmatched, graph=self.graph)
         self.key_write = [self.mapping[r.index] for r in self.reads]
         for key, w in enumerate(self.key_write):  # reads in program order: first wins
             self.order_key.setdefault(w, key)
-
-        add_rule_a_b(self.graph, self.proj, self.mapping)
 
         for r in self.reads:  # the focus's section is one run of indices: see Trace
             d = self.mapping[r.index]
@@ -420,7 +429,7 @@ class ReadCentricChecker:
         return self._verdict(True, witness=witness)
 
     def final_graph(self) -> OperationGraph:
-        """The live graph as built so far; never closed, so `reaches()` raises on it."""
+        """The live graph: the settled operations' edges, never closed (`reaches()` raises)."""
         return self.graph
 
 
@@ -430,8 +439,8 @@ def verify_read_centric(trace: Trace, focus: str, *, debug_checks: bool = False)
     Raises DuplicateValueError when a focus read has several candidate
     writes (see `build_read_mapping`).  `debug_checks` cross-checks the
     incremental dictionaries against the graph at every use, and both
-    shortcuts against the scan and walk they skip.  The verdict carries the
-    checker's live graph: the sparse edges, never closed, so its
-    reachability queries (`reaches()`) raise.
+    shortcuts against the scan and walk they skip.  The verdict's `graph`,
+    completed with every `PO` and `WR` edge on its first read, is sparse and
+    never closed, so its reachability queries (`reaches()`) raise.
     """
     return ReadCentricChecker(trace, focus, debug_checks=debug_checks).run()

@@ -515,6 +515,26 @@ def test_verify_builds_a_witness_only_for_witness_out(tmp_path, capsys, monkeypa
     assert digest == "3374035ff39af3e56fa98063d2a21397860ce76a177b107d7ea0076a7a14b377"
 
 
+def test_verify_completes_read_centric_graph_only_for_dump_graph(tmp_path, capsys, monkeypatch):
+    """Read-centric stores only the settled operations' edges; seeding every
+    `PO` and `WR` edge is left to a read of the verdict's graph."""
+
+    def seeding(*_args):
+        raise AssertionError("the whole graph was seeded")
+
+    monkeypatch.setattr(read_centric, "add_rule_a_b", seeding)
+    # six foci, of which p3 is inconsistent
+    trace = mutate_trace(1, gen_pram_trace(1, processes=6, ops=240), "reorder-reads")
+    path = str(_trace(tmp_path, serialize_trace(trace)))
+    for focus in trace.processes:
+        want = 1 if focus == "p3" else 0
+        assert main(["verify", path, "--focus", focus]) == want
+        assert main(["verify", path, "--focus", focus, "--witness-out", str(tmp_path / "w")]) == want
+    assert main(["verify", path, "--json"]) == 1
+    assert main(["verify", path, "--focus", "p1", "--dump-graph", str(tmp_path / "g")]) == 70
+    capsys.readouterr()
+
+
 def _cyclic_garbage(run, *args) -> int:
     """How many objects `gc.collect()` finds unreachable after `run(*args)`.
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import re
 
@@ -19,7 +20,7 @@ from pramcheck.model import visible
 from pramcheck.opgraph import OperationGraph
 from pramcheck.oracle import oracle_verify
 from pramcheck.read_centric import ALGORITHM, ReadCentricChecker, verify_read_centric
-from testutil import T, brute_force_consistent
+from testutil import T, brute_force_consistent, reread_trace
 from test_rw_closure import DUPLICATE_ELSEWHERE, FROZEN, _exhaustive_unique_traces
 
 
@@ -379,3 +380,71 @@ def test_outputs_on_16_process_traces_are_frozen():
     """Verdicts, cycles, witnesses and the edge list with its tags: any change
     to the graph read-centric builds moves this digest."""
     assert _read_centric_digest() == "53455ea35043e59115598431781c17ce0844526d2c210909d4b017a0bb27a7b6"
+
+
+def test_live_graph_stores_only_the_settled_operations_edges():
+    """Each process's settled operations are a program-order prefix, so its
+    unsettled suffix needs no stored edges (Jagadish's chain decomposition).
+    Until the verdict's graph is read, only settled operations have tables."""
+    t = gen_pram_trace(1, processes=16, variables=2, ops=1600, read_fraction=0.35)
+    tables = visible_ops = 0
+    for focus in t.processes:
+        checker = ReadCentricChecker(t, focus)
+        v = checker.run()
+        assert v.consistent
+        graph, settled = checker.graph, checker.settled
+        assert callable(v.__dict__["graph"])  # the verdict holds the completion, not yet run
+        assert graph.succs.keys() == graph.preds.keys() == settled
+        assert all(u in settled for out in graph.succs.values() for u in out)
+        assert all(u in settled for ins in graph.preds.values() for u in ins)
+        tables += len(graph.succs)
+        visible_ops += len(checker.proj.ops)
+        assert v.graph is graph and graph.succs.keys() == set(graph.nodes)  # completed on read
+    assert tables < 0.2 * visible_ops, (tables, visible_ops)
+
+
+def test_witness_and_graph_agree_in_either_read_order():
+    """The witness sorts the live graph, or the completed one when the graph
+    was read first; the schedules and edge lists match either way."""
+    from test_acceptance import _exhaustive_traces, _generator_traces
+
+    traces = itertools.chain(_exhaustive_traces(4), (t for _, t in _generator_traces(2000)))
+    seen = {True: 0, False: 0}
+    for t in traces:
+        for focus in t.processes:
+            try:
+                first = verify_read_centric(t, focus)
+            except DuplicateValueError:
+                continue
+            second = verify_read_centric(t, focus)
+            sched = first.witness
+            edges = sorted(first.graph.edges())
+            assert sorted(second.graph.edges()) == edges
+            assert second.witness == sched
+            assert first.graph is first.graph
+            seen[first.consistent] += 1
+    assert min(seen.values()) > 1000, seen
+    unmatched = verify_read_centric(T("p1 W x 1\np2 W x 2\np2 R x 7"), "p2")
+    assert unmatched.reason and unmatched.graph.nodes and list(unmatched.graph.edges()) == []
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 60])
+def test_reread_family_is_accepted_with_a_legal_witness(k):
+    t = reread_trace(k)
+    assert t.n == 6 * k + 2
+    v = verify_read_centric(t, "f")
+    assert v.consistent and check_pram_witness(t, "f", v.witness).ok
+
+
+def test_reread_family_graph_matches_rw_closure_and_is_frozen():
+    """At k = 60: rw-closure agrees with the same reachability, and the
+    sparse edge list (2,251 edges) is pinned: any change to the graph
+    read-centric builds on this family moves the digest."""
+    t = reread_trace(60)
+    sparse, saturated = verify_read_centric(t, "f"), verify_rw_closure(t, "f")
+    assert saturated.consistent
+    edges = sorted(sparse.graph.edges())
+    assert len(edges) == 2251
+    digest = hashlib.sha256(repr(edges).encode()).hexdigest()
+    assert digest == "9e05e8c76e6d8811b3cbb25db66f71e24ddd3e380c136139f969ffbdf71fe7aa"
+    assert _reachability(sparse.graph) == _reachability(saturated.graph)

@@ -154,6 +154,24 @@ def brute_force_consistent(trace: Trace, focus: str) -> bool:
     return rec(0)
 
 
+def reread_trace(k: int) -> Trace:
+    """The re-read family: consistent, 6k + 2 operations over k + 2 processes.
+
+    Writers `b1..bk` each write two unique `z` values, then `W x i`, then
+    `W y i`; process `a` writes `W x 0`; the focus `f` reads `R x 0`, then
+    `R y i` and `R x 0` for i = 1..k.  Every re-read of `x 0` orders
+    `W x i` before `W x 0`.
+    """
+    rows = [("a", "W", "x", 0)]
+    for i in range(1, k + 1):
+        b = f"b{i}"
+        rows += [(b, "W", "z", 2 * i - 1), (b, "W", "z", 2 * i), (b, "W", "x", i), (b, "W", "y", i)]
+    rows.append(("f", "R", "x", 0))
+    for i in range(1, k + 1):
+        rows += [("f", "R", "y", i), ("f", "R", "x", 0)]
+    return Trace.build(rows)
+
+
 def random_trace_rows(rng, *, processes, variables, ops, value_pool):
     """Unstructured random rows: reads may be unsatisfiable on purpose."""
     procs = [f"p{i}" for i in range(1, processes + 1)]
