@@ -108,10 +108,18 @@ def serialize_schedule(sched: Schedule) -> str:
 
 
 def _check_permutation(sched: Schedule, ops: Mapping[int, Operation]) -> None:
-    if len(sched) != len(ops) or set(sched.seq) != set(ops):
-        raise NotAPermutationError(
-            f"schedule covers {len(set(sched.seq))} distinct of {len(ops)} expected operations"
-        )
+    """Raise naming the first repeated or foreign index, else the first missing operation."""
+    if len(sched) == len(ops) and set(sched.seq) == ops.keys():
+        return
+    seen: set[int] = set()
+    for i in sched:
+        if i not in ops:
+            raise NotAPermutationError(f"index {i} is not a visible operation")
+        if i in seen:
+            raise NotAPermutationError(f"index {i} ({ops[i].pretty()}) appears twice")
+        seen.add(i)
+    missing = min(ops.keys() - seen)
+    raise NotAPermutationError(f"operation {missing} ({ops[missing].pretty()}) is missing")
 
 
 def legality_violation(sched: Schedule, ops: Mapping[int, Operation]) -> int | None:

@@ -86,13 +86,12 @@ class ReadCentricChecker:
     later `last -> d` edge reuses it: no edge into d changes what d reaches.
     """
 
-    def __init__(self, trace: Trace, focus: str, *, debug_checks: bool = False):
+    def __init__(self, trace: Trace, focus: str):
         try:  # the gate: an ambiguous focus read raises before any graph is built
             self.mapping, self.unmatched = build_read_mapping(trace, focus), None
         except UnmatchedReadError as exc:  # a read without a candidate: run() rejects
             self.mapping, self.unmatched = {}, str(exc)
         self.focus = focus
-        self.debug = debug_checks
         self.proj = visible(trace, focus)
         self.graph = OperationGraph(self.proj.ops)
         self.reads: tuple[Operation, ...] = self.proj.focus_reads()
@@ -166,8 +165,6 @@ class ReadCentricChecker:
         """
         var = self.graph.ops[src].variable
         key = self.pw[src].get(var)
-        if self.debug:
-            self._debug_check_pw(src, var, key, pending=(src, dst))
         if key is not None and self.order_key[dst] <= key:
             return self.key_write[key]
         return None
@@ -234,8 +231,6 @@ class ReadCentricChecker:
                 self.pw_update(prev, {r.index})
             self.prefix[p] = lo + len(chain)
         self.graph.add_edge(d.index, r.index, WR)
-        if self.debug:
-            assert delta == self.graph.downset(r.index, self.settled), "slice is not two prefixes"
         self.settled |= delta
         return delta
 
@@ -259,10 +254,7 @@ class ReadCentricChecker:
         var = self.graph.ops[src].variable
         for r_tmp in self.reads[self.rr[src] : r_old]:
             if r_tmp.variable == var:
-                tgt = self.mapping[r_tmp.index]
-                if self.debug:
-                    assert tgt != src, "write found dictating a read it already precedes"
-                return tgt
+                return self.mapping[r_tmp.index]
         return None
 
     def apply_rule_c(self, src: int) -> Verdict | int | None:
@@ -271,8 +263,6 @@ class ReadCentricChecker:
         Returns the rejecting verdict when the forced edge closes a cycle,
         the edge's target when an edge was added, or None.
         """
-        if self.debug:
-            self._debug_check_rr(src)
         r_old = self.rr_checked[src]
         r_new = self.rr[src]
         self.rr_checked[src] = r_new
@@ -326,57 +316,35 @@ class ReadCentricChecker:
                     count[p] -= 1
                     if count[p] == 0:
                         queue.append(p)
-        if self.debug:
-            assert done == dset, "reverse-topological walk did not cover the downset"
+        if len(done) != len(dset):  # done is a subset of dset
+            raise RuntimeError("reverse-topological walk did not cover the downset")
         return None
 
-    # -- debug cross-checks ----------------------------------------------------
+    def settle(self, r: Operation) -> Verdict | None:
+        """Process focus read r: its slice, the proactive pass, a re-walk if due.
 
-    def _debug_scan_source(self, by_process: dict[str, list[int]], d: int) -> int | None:
-        # The index-order scan the per-process check replaces (edges into d change no hit).
-        for w in sorted(w for ws in by_process.values() for w in ws):
-            if w != d and not self.graph.has_edge(w, d) and self.cycle_detection(w, d) is not None:
-                return w
+        Returns the rejecting verdict, or None.  D(r)'s downset is re-walked
+        only while some write's rr dropped since its last rule check.
+        """
+        delta = self.init_reachability(r)
+        d = self.mapping[r.index]
+        dproc = self.graph.ops[d].process
+        reach = None  # d's settled forward set, once an edge into d needs it
+        for p, ws in self.lw[r.variable].items():  # section order
+            if not ws:
+                continue
+            hit = self.first_cycle_source(ws, d)
+            if hit is not None:
+                self.graph.add_edge(hit[0], d, WPW)
+                self.rulec_edges += 1
+                return self._reject_cycle(hit[0], d, hit[1])
+            last = ws[-1]  # program order leads the others to it
+            if p != dproc and self.graph.add_edge(last, d, WPW):
+                self.rulec_edges += 1
+                reach = self.update_reachability(last, d, reach)
+        if self.unchecked and d not in delta:
+            return self.topo_schedule(r)
         return None
-
-    def _debug_check_rr(self, src: int) -> None:
-        seen = {src}
-        stack = [src]
-        while stack:
-            u = stack.pop()
-            for s in self.graph.succs[u]:
-                if s not in seen:
-                    seen.add(s)
-                    stack.append(s)
-        best = min((self.read_ord[s] for s in seen if self.graph.ops[s].is_read), default=None)
-        assert self.rr.get(src) == best, (
-            f"stale reachable-read for {self.graph.ops[src].pretty()}: "
-            f"have {self.rr.get(src)}, graph says {best}"
-        )
-
-    def _debug_check_pw(
-        self, src: int, var: str, key: int | None, pending: tuple[int, int]
-    ) -> None:
-        # `pending` is an edge just added but not yet absorbed into pw; the
-        # reference walk must ignore it (it may close the very cycle under test).
-        seen = set()
-        stack = [src]
-        best: int | None = None
-        while stack:
-            u = stack.pop()
-            for p in self.graph.preds[u]:
-                if pending is not None and (p, u) == pending:
-                    continue
-                if p not in seen:
-                    seen.add(p)
-                    stack.append(p)
-                    if p in self.order_key and self.graph.ops[p].variable == var:
-                        if best is None or self.order_key[p] > best:
-                            best = self.order_key[p]
-        assert key == best, (
-            f"stale preceding-write key for {self.graph.ops[src].pretty()}[{var}]: "
-            f"have {key}, graph says {best}"
-        )
 
     # -- driver -----------------------------------------------------------------
 
@@ -396,34 +364,9 @@ class ReadCentricChecker:
                 return self._verdict(False, cycle=Cycle(nodes=nodes, tags=tags), reason=reason)
 
         for r in self.reads:
-            delta = self.init_reachability(r)
-            d = self.mapping[r.index]
-            dproc = self.graph.ops[d].process
-            by_process = self.lw[r.variable]
-            want = self._debug_scan_source(by_process, d) if self.debug else None
-            reach = None  # d's settled forward set, once an edge into d needs it
-            for p, ws in by_process.items():  # section order
-                if not ws:
-                    continue
-                hit = self.first_cycle_source(ws, d)
-                if hit is not None:
-                    assert not self.debug or hit[0] == want, "per-process check moved the source"
-                    self.graph.add_edge(hit[0], d, WPW)
-                    self.rulec_edges += 1
-                    return self._reject_cycle(hit[0], d, hit[1])
-                last = ws[-1]  # program order leads the others to it
-                if p != dproc and self.graph.add_edge(last, d, WPW):
-                    self.rulec_edges += 1
-                    reach = self.update_reachability(last, d, reach)
-            assert want is None, "per-process check missed the scan's source"
-            if self.unchecked and d not in delta:
-                verdict = self.topo_schedule(r)
-                if verdict is not None:
-                    return verdict
-            elif self.debug and d not in delta:  # the skipped walk had nothing to do
-                for u in self.graph.downset(d) & self.rr.keys():
-                    assert self.rr_checked[u] == self.rr[u], "skipped a pending rule check"
-                    self._debug_check_rr(u)
+            verdict = self.settle(r)
+            if verdict is not None:
+                return verdict
 
         witness = partial(build_dag_schedule, self.final_graph(), self.proj)
         return self._verdict(True, witness=witness)
@@ -433,14 +376,12 @@ class ReadCentricChecker:
         return self.graph
 
 
-def verify_read_centric(trace: Trace, focus: str, *, debug_checks: bool = False) -> Verdict:
+def verify_read_centric(trace: Trace, focus: str) -> Verdict:
     """Decide consistency from `focus`'s viewpoint, one read at a time.
 
     Raises DuplicateValueError when a focus read has several candidate
-    writes (see `build_read_mapping`).  `debug_checks` cross-checks the
-    incremental dictionaries against the graph at every use, and both
-    shortcuts against the scan and walk they skip.  The verdict's `graph`,
-    completed with every `PO` and `WR` edge on its first read, is sparse and
-    never closed, so its reachability queries (`reaches()`) raise.
+    writes (see `build_read_mapping`).  The verdict's `graph`, completed
+    with every `PO` and `WR` edge on its first read, is sparse and never
+    closed, so its reachability queries (`reaches()`) raise.
     """
-    return ReadCentricChecker(trace, focus, debug_checks=debug_checks).run()
+    return ReadCentricChecker(trace, focus).run()

@@ -46,7 +46,7 @@ from pramcheck.rw_closure import verify_rw_closure
 
 from test_legality import FOUR_PROCESS_TRACE, KNOWN_LEGAL_SCHEDULE
 from test_read_centric import WalkCountingChecker
-from testutil import brute_force_consistent, random_trace_rows
+from testutil import brute_force_consistent, random_trace_rows, verify_read_centric_checked
 
 # ---------------------------------------------------------------------------
 # corpora for the shared sweep
@@ -356,7 +356,7 @@ def test_criterion_11_unambiguous_duplicate_foci_take_the_polynomial_path():
     verdicts = {True: 0, False: 0}
     cycles = 0
     for t, focus in _unambiguous_duplicate_foci():
-        rc = verify_read_centric(t, focus, debug_checks=True)
+        rc = verify_read_centric_checked(t, focus)
         rw = verify_rw_closure(t, focus)
         orc = oracle_verify(t, focus)
         want = brute_force_consistent(t, focus)

@@ -119,6 +119,23 @@ def test_check_schedule_illegal(tmp_path, capsys):
     assert out.startswith("ILLEGAL:")
 
 
+@pytest.mark.parametrize(
+    "text,fault",
+    [
+        ("0\n0\n", "index 0 (Wx1@p1#0) appears twice"),
+        ("5\n", "index 5 is not a visible operation"),
+        ("", "operation 0 (Wx1@p1#0) is missing"),
+    ],
+)
+def test_check_schedule_names_the_index_that_breaks_the_permutation(tmp_path, capsys, text, fault):
+    t = _trace(tmp_path, "p1 W x 1\n")
+    sched = tmp_path / "s"
+    sched.write_text(text)
+    rc = main(["check-schedule", str(t), str(sched), "--focus", "p1"])
+    assert rc == 1
+    assert capsys.readouterr().out == f"ILLEGAL: not a permutation of visible operations: {fault}\n"
+
+
 def test_verify_dump_graph(tmp_path, capsys):
     # single focus writes to the bare path; --all adds per-focus suffixes
     rc = main(["verify", str(_trace(tmp_path, OK)), "--focus", "p2",

@@ -93,10 +93,17 @@ def test_legality_requires_latest_write():
 def test_permutation_enforced():
     t = T("p1 W x 1\np2 R x 1")
     ops = _ops(t, "p2")
-    with pytest.raises(NotAPermutationError):
+    with pytest.raises(NotAPermutationError, match=re.escape("operation 1 (Rx1@p2#1) is missing")):
         legality_violation(Schedule((0,)), ops)
-    with pytest.raises(NotAPermutationError):
+    with pytest.raises(NotAPermutationError, match=re.escape("index 0 (Wx1@p1#0) appears twice")):
         legality_violation(Schedule((0, 0)), ops)
+    # the first fault in schedule order is named, whatever the length
+    with pytest.raises(NotAPermutationError, match="index 5 is not a visible operation"):
+        legality_violation(Schedule((0, 5, 0)), ops)
+    with pytest.raises(NotAPermutationError, match=re.escape("index 1 (Rx1@p2#1) appears twice")):
+        legality_violation(Schedule((1, 1, 7)), ops)
+    with pytest.raises(NotAPermutationError, match="index 1 is not a visible operation"):
+        legality_violation(Schedule((0, 1)), _ops(t, "p1"))  # p2's read is not visible to p1
 
 
 def test_witness_check_rejects_program_order_violation():

@@ -19,7 +19,7 @@ from pramcheck import (
     verify_rw_closure,
     visible,
 )
-from testutil import brute_force_consistent, reference_dag_schedule
+from testutil import brute_force_consistent, reference_dag_schedule, verify_read_centric_checked
 
 PROFILE = settings(
     derandomize=True,
@@ -67,7 +67,7 @@ def test_verifiers_agree_with_brute_force(trace):
         oracle = oracle_verify(trace, focus)
         assert oracle.consistent is want
         try:
-            rc = verify_read_centric(trace, focus, debug_checks=True)
+            rc = verify_read_centric_checked(trace, focus)
         except DuplicateValueError:
             continue  # an ambiguous focus read: the polynomial verifiers refuse it
         verdicts = (rc, verify_rw_closure(trace, focus))

@@ -20,7 +20,14 @@ from pramcheck.model import visible
 from pramcheck.opgraph import OperationGraph
 from pramcheck.oracle import oracle_verify
 from pramcheck.read_centric import ALGORITHM, ReadCentricChecker, verify_read_centric
-from testutil import T, brute_force_consistent, reread_trace
+from testutil import (
+    CheckedReadCentricChecker,
+    CrossChecks,
+    T,
+    brute_force_consistent,
+    reread_trace,
+    verify_read_centric_checked,
+)
 from test_rw_closure import DUPLICATE_ELSEWHERE, FROZEN, _exhaustive_unique_traces
 
 
@@ -47,7 +54,7 @@ def test_preceding_write_tracks_the_latest_settled_write():
         p1 R x 1
     """)
     assert brute_force_consistent(t, "p1") is False
-    assert verify_read_centric(t, "p1", debug_checks=True).consistent is False
+    assert verify_read_centric_checked(t, "p1").consistent is False
 
 
 DETECTED_IN_TOPO = """
@@ -89,9 +96,13 @@ class WalkCountingChecker(ReadCentricChecker):
         return tgt
 
 
+class _CheckedWalkCountingChecker(CrossChecks, WalkCountingChecker):
+    """`WalkCountingChecker` with every cross-check on."""
+
+
 def test_cycle_found_inside_schedule_construction():
     """A conflict that only materializes while topo-sorting a read's downset."""
-    checker = WalkCountingChecker(T(DETECTED_IN_TOPO), "p3", debug_checks=True)
+    checker = _CheckedWalkCountingChecker(T(DETECTED_IN_TOPO), "p3")
     v = checker.run()
     assert v.consistent is False
     assert checker.detected_in_topo is True
@@ -112,7 +123,7 @@ def test_cycle_source_before_the_dictating_write_in_its_own_process():
     per-process check must judge d like any other write to find the source.
     """
     t = mutate_trace(173, gen_pram_trace(173, processes=2, variables=1, ops=20), "reorder-reads")
-    checker = ReadCentricChecker(t, "p1", debug_checks=True)
+    checker = CheckedReadCentricChecker(t, "p1")
     v = checker.run()
     assert v.consistent is False
     assert v.cycle.nodes == (6, 10, 4, 6)
@@ -188,6 +199,11 @@ class _CountingChecker(WalkCountingChecker):
         return super().final_graph()
 
 
+class _CheckedCountingChecker(CrossChecks, _CountingChecker):
+    """Counts as `_CountingChecker` does, the cross-checks' own calls included;
+    the tests that count walks from d take the plain class."""
+
+
 def test_rule_c_work_is_bounded_per_process_and_per_dropped_read():
     """One cycle check per process at each read; a re-walk only where an rr dropped."""
     t = gen_pram_trace(1, processes=16, variables=2, ops=3200, read_fraction=0.35)
@@ -238,7 +254,7 @@ def test_write_left_unchecked_by_a_walk_gets_the_next_walk():
     write must walk again, although no proactive source's rr dropped there.
     """
     t = gen_pram_trace(471)
-    checker = _CountingChecker(t, "p1", debug_checks=True)
+    checker = _CheckedCountingChecker(t, "p1")
     assert checker.run().consistent
     assert checker.topo_calls == 2
     assert [(x["dropped"], x["left"]) for x in checker.per_read if x["dropped"] or x["left"]] == [
@@ -260,7 +276,7 @@ def test_duplicate_values_are_refused():
         verify_read_centric(t, "p3")
     # x=1 is written twice, but p1 and p2 read no x
     for focus, want in (("p1", True), ("p2", False)):
-        v = verify_read_centric(t, focus, debug_checks=True)
+        v = verify_read_centric_checked(t, focus)
         assert v.consistent is want is oracle_verify(t, focus).consistent
         if want:
             assert check_pram_witness(t, focus, v.witness).ok
@@ -270,15 +286,15 @@ def test_agrees_with_rw_closure_on_exhaustive_small_traces():
     for t in _exhaustive_unique_traces(5):
         for focus in t.processes:
             want = verify_rw_closure(t, focus).consistent
-            got = verify_read_centric(t, focus, debug_checks=True)
+            got = verify_read_centric_checked(t, focus)
             assert got.consistent is want
             if got.consistent:
                 assert check_pram_witness(t, focus, got.witness).ok
 
 
-def test_agrees_with_rw_closure_on_seeded_traces():
+def _seeded_traces():
+    """200 seeded 4-process traces of 18 operations, 60 % of them mutated."""
     rng = random.Random(88)
-    disagreements = 0
     for _ in range(200):
         t = gen_pram_trace(rng.randrange(10**6), processes=4, variables=3, ops=18)
         if rng.random() < 0.6:
@@ -287,15 +303,78 @@ def test_agrees_with_rw_closure_on_seeded_traces():
                 t = mutate_trace(rng.randrange(10**6), t, kind)
             except Exception:
                 pass
+        yield t
+
+
+def test_agrees_with_rw_closure_on_seeded_traces():
+    disagreements = 0
+    for t in _seeded_traces():
         for focus in t.processes:
             try:
                 a = verify_rw_closure(t, focus).consistent
             except DuplicateValueError:
                 continue
-            b = verify_read_centric(t, focus, debug_checks=True).consistent
+            b = verify_read_centric_checked(t, focus).consistent
             if a is not b:
                 disagreements += 1
     assert disagreements == 0
+
+
+class _SkipsPwAtTheRead(ReadCentricChecker):
+    """Planted defect: a read's slice does not pass the end of D(r)'s chain
+    on to r in pw (the `pw_update(prev, {r.index})` of `init_reachability`)."""
+
+    in_slice = False
+
+    def init_reachability(self, r):
+        self.in_slice = True
+        try:
+            return super().init_reachability(r)
+        finally:
+            self.in_slice = False
+
+    def pw_update(self, o, targets):
+        if not self.in_slice:  # the slice's only pw_update is the one at r
+            super().pw_update(o, targets)
+
+
+class _KeepsStaleRr(ReadCentricChecker):
+    """Planted defect: a new edge src -> dst leaves rr[src] as it was (no
+    `rr[src] = min(rr[src], rr[dst])` in `update_reachability`)."""
+
+    def update_reachability(self, src, dst, reach=None):
+        before, pending = self.rr[src], src in self.unchecked
+        reach = super().update_reachability(src, dst, reach)
+        self.rr[src] = before
+        if not pending and before == self.rr_checked[src]:
+            self.unchecked.discard(src)
+        return reach
+
+
+@pytest.mark.parametrize("defect", [_SkipsPwAtTheRead, _KeepsStaleRr])
+def test_cross_checks_catch_planted_defects(defect):
+    """Each defect trips an assert of `CrossChecks` on the small-trace corpora."""
+    checked = type(f"Checked{defect.__name__}", (CrossChecks, defect), {})
+    traces = itertools.chain(_exhaustive_unique_traces(5), _seeded_traces())
+    with pytest.raises(AssertionError):
+        for t in traces:
+            for focus in t.processes:
+                try:
+                    checked(t, focus).run()
+                except DuplicateValueError:
+                    continue
+
+
+def test_cross_checks_pass_at_the_benchmark_shape():
+    """Checked runs on every focus of a 16-process, 1,600-op trace and of the
+    re-read family at k = 60 give the plain checker's verdicts and edges."""
+    gen = gen_pram_trace(1, processes=16, variables=2, ops=1600, read_fraction=0.35)
+    for t in (gen, reread_trace(60)):
+        for focus in t.processes:
+            plain, checked = verify_read_centric(t, focus), verify_read_centric_checked(t, focus)
+            assert (checked.consistent, checked.reason) == (plain.consistent, plain.reason)
+            assert (checked.cycle, checked.witness) == (plain.cycle, plain.witness)
+            assert sorted(checked.graph.edges()) == sorted(plain.graph.edges()), focus
 
 
 def test_witnesses_are_sound_on_seeded_traces():

@@ -7,6 +7,8 @@ dozen operations.  `reference_parse_trace` is the plain line-by-line trace
 parser that `parse_trace`'s fast path must agree with, and
 `reference_dag_schedule` builds witnesses block by block, with one
 topological sort per block, as `build_dag_schedule`'s one-pass sort must.
+`CrossChecks` checks read-centric's incremental bookkeeping against its live
+graph as a run goes.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from decimal import Decimal
 from typing import Iterable
 
 from pramcheck import Trace, parse_trace, visible
-from pramcheck.legality import Schedule
+from pramcheck.legality import Schedule, Verdict
 from pramcheck.model import INT64_MAX, INT64_MIN, TraceParseError, VisibleProjection
 from pramcheck.opgraph import OperationGraph
+from pramcheck.read_centric import ReadCentricChecker
 
 _REF_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _REF_INT = re.compile(r"-?[0-9]+")
@@ -181,3 +184,117 @@ def random_trace_rows(rng, *, processes, variables, ops, value_pool):
         kind = "R" if rng.random() < 0.5 else "W"
         rows.append((rng.choice(procs), kind, rng.choice(names), rng.choice(value_pool)))
     return rows
+
+
+class CrossChecks:
+    """Mixin for `ReadCentricChecker` subclasses: cross-checks the incremental
+    dictionaries against the live graph at every use, and both shortcuts
+    against the scan and walk they skip.  Every check is an assert.
+
+    - `cycle_detection`: pw[src] on src's variable equals a walk over src's
+      predecessors that skips the edge under test.
+    - `apply_rule_c`, and every write of D(r)'s downset when the re-walk is
+      skipped: rr equals a walk over successors, and was checked at that value.
+    - `init_reachability`: r's slice is r's downset minus what was settled.
+    - `identify_rule_c`: a write never dictates a read it already precedes.
+    - the proactive pass finds the source that an index-order scan of every
+      settled write on r's variable finds, and misses none.
+
+    List it first among the bases: its checks then wrap a counting
+    subclass's overrides, which count the checks' own calls too.
+    """
+
+    def init_reachability(self, r):
+        settled = set(self.settled)
+        delta = super().init_reachability(r)
+        assert delta == self.graph.downset(r.index, settled), "slice is not two prefixes"
+        self.delta = delta
+        self.scan_source = self._scan_source(self.lw[r.variable], self.mapping[r.index])
+        return delta
+
+    def cycle_detection(self, src, dst):
+        self._check_pw(src, pending=(src, dst))
+        return super().cycle_detection(src, dst)
+
+    def first_cycle_source(self, ws, d):
+        hit = super().first_cycle_source(ws, d)
+        if hit is not None:
+            assert hit[0] == self.scan_source, "per-process check moved the source"
+            self.scan_source = None
+        return hit
+
+    def identify_rule_c(self, src, r_old):
+        tgt = super().identify_rule_c(src, r_old)
+        assert tgt != src, "write found dictating a read it already precedes"
+        return tgt
+
+    def apply_rule_c(self, src):
+        self._check_rr(src)
+        return super().apply_rule_c(src)
+
+    def topo_schedule(self, r):
+        self.walked = True
+        return super().topo_schedule(r)
+
+    def settle(self, r) -> Verdict | None:
+        self.walked = False
+        verdict = super().settle(r)
+        assert self.scan_source is None, "per-process check missed the scan's source"
+        d = self.mapping[r.index]
+        if verdict is None and not self.walked and d not in self.delta:
+            for u in self.graph.downset(d) & self.rr.keys():  # the skipped walk had nothing to do
+                assert self.rr_checked[u] == self.rr[u], "skipped a pending rule check"
+                self._check_rr(u)
+        return verdict
+
+    def _scan_source(self, by_process: dict[str, list[int]], d: int) -> int | None:
+        # The index-order scan the per-process check replaces (edges into d change no hit).
+        for w in sorted(w for ws in by_process.values() for w in ws):
+            if w != d and not self.graph.has_edge(w, d) and self.cycle_detection(w, d) is not None:
+                return w
+        return None
+
+    def _check_rr(self, src: int) -> None:
+        seen = {src}
+        stack = [src]
+        while stack:
+            for s in self.graph.succs[stack.pop()]:
+                if s not in seen:
+                    seen.add(s)
+                    stack.append(s)
+        best = min((self.read_ord[s] for s in seen if self.graph.ops[s].is_read), default=None)
+        assert self.rr.get(src) == best, (
+            f"stale reachable-read for {self.graph.ops[src].pretty()}: "
+            f"have {self.rr.get(src)}, graph says {best}"
+        )
+
+    def _check_pw(self, src: int, pending: tuple[int, int]) -> None:
+        # `pending` is an edge just added but not yet absorbed into pw; the
+        # reference walk must ignore it (it may close the very cycle under test).
+        var = self.graph.ops[src].variable
+        seen = set()
+        stack = [src]
+        best: int | None = None
+        while stack:
+            u = stack.pop()
+            for p in self.graph.preds[u]:
+                if (p, u) == pending or p in seen:
+                    continue
+                seen.add(p)
+                stack.append(p)
+                if p in self.order_key and self.graph.ops[p].variable == var:
+                    best = max(best, self.order_key[p]) if best is not None else self.order_key[p]
+        key = self.pw[src].get(var)
+        assert key == best, (
+            f"stale preceding-write key for {self.graph.ops[src].pretty()}[{var}]: "
+            f"have {key}, graph says {best}"
+        )
+
+
+class CheckedReadCentricChecker(CrossChecks, ReadCentricChecker):
+    """The read-centric checker with every cross-check on."""
+
+
+def verify_read_centric_checked(trace: Trace, focus: str) -> Verdict:
+    """`verify_read_centric` under `CrossChecks`: the same verdict, or an AssertionError."""
+    return CheckedReadCentricChecker(trace, focus).run()
