@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from pramcheck import (
@@ -98,3 +100,58 @@ def test_inapplicable_mutations_raise():
             mutate_trace(0, write_only, kind)
     with pytest.raises(MutationError):
         mutate_trace(0, gen_pram_trace(1), "bogus")
+
+
+# Seeds near 2**32 as well as small ones: the benchmark draws its generator
+# seeds from randrange(2**32).
+_SEEDS = (0, 1, 2, 77, 2**31 + 5, 2**32 - 2, 2**32 - 1)
+
+# (seeds, shape): every shape the benchmark workloads and the tests generate,
+# plus names past the fixed ones (p10-p12, v4 and v5) and both extreme read
+# fractions.
+_SHAPES = [
+    (_SEEDS, dict(processes=16, variables=2, ops=ops, read_fraction=0.35))
+    for ops in (400, 800, 1600)
+] + [
+    (_SEEDS, dict(processes=4, variables=2, ops=ops, policy="duplicate")) for ops in (75, 100)
+] + [
+    (_SEEDS, dict(processes=4, variables=3, ops=100)),
+    ((1,), dict(ops=3000, policy="duplicate")),
+    (_SEEDS, {}),
+    ((1, 2), dict(processes=16, variables=2, ops=3200, read_fraction=0.35)),
+    ((1, 3), dict(processes=6, ops=240)),
+    ((173,), dict(processes=2, variables=1, ops=20)),
+    (_SEEDS, dict(processes=4, variables=3, ops=36)),
+    (_SEEDS, dict(processes=12, variables=5, ops=300, read_fraction=0.0)),
+    (_SEEDS, dict(processes=12, variables=5, ops=300, read_fraction=1.0)),
+    (_SEEDS, dict(processes=12, variables=5, ops=300, policy="duplicate")),
+    (_SEEDS, dict(processes=1, variables=1, ops=0)),
+] + [
+    (_SEEDS, dict(processes=3, variables=2, ops=ops, policy=policy))
+    for ops in range(10, 41, 5)
+    for policy in ("unique", "duplicate")
+]
+
+
+def _generator_digest() -> str:
+    """sha256 over each shape's generated traces and their three mutations."""
+    h = hashlib.sha256()
+    for seeds, shape in _SHAPES:
+        for seed in seeds:
+            t = gen_pram_trace(seed, **shape)
+            h.update(f"{seed} {sorted(shape.items())}\n".encode())
+            h.update(serialize_trace(t).encode())
+            for kind in MUTATIONS:
+                try:
+                    text = serialize_trace(mutate_trace(seed, t, kind))
+                except MutationError as exc:
+                    text = f"inapplicable: {exc}\n"
+                h.update(f"{kind}\n{text}".encode())
+    return h.hexdigest()
+
+
+def test_generated_traces_match_their_frozen_digest():
+    """The generator's output is frozen: the benchmark's inputs, the golden
+    CLI cases and every seeded test corpus come from it, so a change to its
+    internals must leave every trace byte-identical."""
+    assert _generator_digest() == "f5b01dc5a8212907827d310194ff36c00933861752baab5bb4099d8a8dd5fda8"
