@@ -71,8 +71,7 @@ class OperationGraph:
     """A tagged precedence graph with on-demand transitive closure."""
 
     def __init__(self, ops: Iterable[Operation]):
-        self.ops: dict[int, Operation] = {o.index: o for o in ops}
-        self.nodes: list[int] = sorted(self.ops)
+        self.nodes: list[int] = sorted(o.index for o in ops)
         self.succs: dict[int, dict[int, str]] = {}  # node -> successor -> tag
         self.preds: dict[int, set[int]] = {}
         self._rows: list[int] | None = None  # strict reachability, bit j of _rows[i]

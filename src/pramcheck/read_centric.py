@@ -47,11 +47,11 @@ ALGORITHM = "read-centric"
 class ReadCentricChecker:
     """One verification run; exposes its dictionaries and counters for tests.
 
-    `settled`, the union of the processed reads' downsets, is down-closed:
-    each process's settled operations are a program-order prefix,
-    `prefix[process]` long.  Operations not yet settled have no stored
-    edges, so r's new slice is the focus's unsettled prefix up to r plus
-    D(r)'s process's up to D(r).
+    The settled operations, the union of the processed reads' downsets and
+    the keys of `pw`, are down-closed: each process's settled operations are
+    a program-order prefix, `prefix[process]` long.  Operations not yet
+    settled have no stored edges, so r's new slice is the focus's unsettled
+    prefix up to r plus D(r)'s process's up to D(r).
 
     The proactive overwrite-rule pass at a focus read r (dictating write d)
     orders every settled write on r's variable before d.  Those of each process
@@ -92,12 +92,12 @@ class ReadCentricChecker:
         except UnmatchedReadError as exc:  # a read without a candidate: run() rejects
             self.mapping, self.unmatched = {}, str(exc)
         self.focus = focus
+        self.ops = trace.ops  # ops[i].index == i
         self.proj = visible(trace, focus)
         self.graph = OperationGraph(self.proj.ops)
         self.reads: tuple[Operation, ...] = self.proj.focus_reads()
         self.read_ord: dict[int, int] = {r.index: i for i, r in enumerate(self.reads)}
 
-        self.settled: set[int] = set()
         self.prefix: dict[str, int] = {}  # process -> length of its settled prefix
         self.rr: dict[int, int] = {}  # write index -> ordinal of earliest reachable focus read
         self.rr_checked: dict[int, int] = {}  # rr value at the write's last rule check
@@ -139,7 +139,7 @@ class ReadCentricChecker:
         known = self.pw[o].copy()
         key = self.order_key.get(o)
         if key is not None:  # o dictates a read
-            var = self.graph.ops[o].variable
+            var = self.ops[o].variable
             if known.get(var, -1) < key:
                 known[var] = key
         return known
@@ -163,7 +163,7 @@ class ReadCentricChecker:
         later, dst already precedes src.  Returns that preceding write on
         detection (the cycle runs through it), else None.
         """
-        var = self.graph.ops[src].variable
+        var = self.ops[src].variable
         key = self.pw[src].get(var)
         if key is not None and self.order_key[dst] <= key:
             return self.key_write[key]
@@ -202,7 +202,7 @@ class ReadCentricChecker:
         storing each operation's `PO` edge from its predecessor; then r's
         `WR` edge.  When D(r) is the focus's own, the focus prefix covers it.
         """
-        d = self.graph.ops[self.mapping[r.index]]
+        d = self.ops[self.mapping[r.index]]
         k = self.read_ord[r.index]
         rr, rr_checked, pw, pw_after = self.rr, self.rr_checked, self.pw, self.pw_after
         succs, preds = self.graph.succs, self.graph.preds
@@ -231,7 +231,6 @@ class ReadCentricChecker:
                 self.pw_update(prev, {r.index})
             self.prefix[p] = lo + len(chain)
         self.graph.add_edge(d.index, r.index, WR)
-        self.settled |= delta
         return delta
 
     def first_cycle_source(self, ws: list[int], d: int) -> tuple[int, int] | None:
@@ -251,7 +250,7 @@ class ReadCentricChecker:
         The window is [rr[src], r_old) in focus program order, r_old being the
         rr value when src was last checked.
         """
-        var = self.graph.ops[src].variable
+        var = self.ops[src].variable
         for r_tmp in self.reads[self.rr[src] : r_old]:
             if r_tmp.variable == var:
                 return self.mapping[r_tmp.index]
@@ -299,9 +298,9 @@ class ReadCentricChecker:
         queue = deque([d])
         while queue:
             u = queue.popleft()
-            if self.graph.ops[u].is_write and u not in done:
+            if self.ops[u].is_write and u not in done:
                 for s in suc[u]:
-                    other = self.read_ord[s] if self.graph.ops[s].is_read else self.rr[s]
+                    other = self.read_ord[s] if self.ops[s].is_read else self.rr[s]
                     self.rr[u] = min(self.rr[u], other)
                 tgt = self.apply_rule_c(u)
                 if isinstance(tgt, Verdict):
@@ -328,7 +327,7 @@ class ReadCentricChecker:
         """
         delta = self.init_reachability(r)
         d = self.mapping[r.index]
-        dproc = self.graph.ops[d].process
+        dproc = self.ops[d].process
         reach = None  # d's settled forward set, once an edge into d needs it
         for p, ws in self.lw[r.variable].items():  # section order
             if not ws:
@@ -357,7 +356,7 @@ class ReadCentricChecker:
 
         for r in self.reads:  # the focus's section is one run of indices: see Trace
             d = self.mapping[r.index]
-            if self.graph.ops[d].process == self.focus and d > r.index:
+            if self.ops[d].process == self.focus and d > r.index:
                 nodes = (*range(r.index, d + 1), r.index)
                 tags = (PO,) * (d - r.index) + (WR,)
                 reason = "read precedes its dictating write"

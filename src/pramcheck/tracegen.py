@@ -1,29 +1,25 @@
 """Seeded workload generator and trace mutations.
 
-``gen_pram_trace`` simulates replicas connected by per-writer FIFO channels:
-a write goes to the local replica immediately and is queued to every other
-replica; before a process issues an operation, a random prefix of its queues
-is delivered.  Reads return the local replica's current value, so the issue
-order itself is PRAM-consistent from every focus by construction.
+``gen_pram_trace`` simulates replicas that exchange writes through one
+append-only log per writer: a write goes to the local replica immediately and
+onto its writer's log; each replica counts how many writes it has taken from
+every other writer's log, so writer q's log and reader p's count are the FIFO
+channel from q to p.  Before a process issues an operation, it takes a random
+number of writes, each the next one of a random writer's log.  Reads return
+the local replica's current value, so the issue order itself is
+PRAM-consistent from every focus by construction.
 
 ``mutate_trace`` plants violations (or near-misses) for negative testing.
 """
 
 from __future__ import annotations
 
+import bisect
 import random
-from collections import deque
 
 from .model import READ, WRITE, MutationError, Trace
 
 MUTATIONS = ("swap-write-values", "reorder-reads", "retarget-read")
-
-
-def _variable_names(count: int) -> list[str]:
-    base = ["x", "y", "z"]
-    if count <= len(base):
-        return base[:count]
-    return base + [f"v{i}" for i in range(4, count + 1)]
 
 
 def gen_pram_trace(
@@ -39,45 +35,51 @@ def gen_pram_trace(
 
     policy="unique" gives every write a fresh per-variable value (single- or
     multi-variable unique traces); policy="duplicate" draws values from a tiny
-    pool so repeats are overwhelmingly likely.
+    pool so repeats are overwhelmingly likely.  Processes are p1, p2, ...;
+    variables are x, y, z, then v4, v5, ...
     """
     if processes < 1 or variables < 1 or ops < 0:
         raise ValueError("processes, variables must be >= 1 and ops >= 0")
     if policy not in ("unique", "duplicate"):
         raise ValueError(f"unknown policy {policy!r}")
     rng = random.Random(seed)
-    procs = [f"p{i}" for i in range(1, processes + 1)]
-    names = _variable_names(variables)
-    counters = dict.fromkeys(names, 0)
-    replica: dict[str, dict[str, int]] = {p: {} for p in procs}
-    inbox: dict[str, dict[str, deque[tuple[str, int]]]] = {
-        p: {q: deque() for q in procs if q != p} for p in procs
-    }
+    logs: dict[int, list[tuple[str, int]]] = {}  # writer -> its writes, in order
+    writers: list[int] = []  # the keys of `logs`, ascending: the order of `ready`
+    # process -> (name, writer -> writes taken from its log, local replica)
+    state: dict[int, tuple[str, dict[int, int], dict[str, int]]] = {}
+    counters: dict[str, int] = {}
     rows: list[tuple[str, str, str, int]] = []
     while len(rows) < ops:
-        p = rng.choice(procs)
-        # deliver a random prefix of the incoming channels, FIFO per writer
-        while True:
-            ready = [q for q, chan in inbox[p].items() if chan]
-            if not ready or rng.random() < 0.4:
-                break
-            var, val = inbox[p][rng.choice(ready)].popleft()
-            replica[p][var] = val
-        if replica[p] and rng.random() < read_fraction:
-            var = rng.choice(sorted(replica[p]))
-            rows.append((p, READ, var, replica[p][var]))
+        p = rng.randrange(processes)
+        if p not in state:
+            state[p] = (f"p{p + 1}", {}, {})
+        proc, got, local = state[p]
+        # take a random prefix of the other writers' logs, in each one's order
+        ready = [q for q in writers if q != p and got.get(q, 0) < len(logs[q])]
+        while ready and rng.random() >= 0.4:
+            k = rng.randrange(len(ready))
+            q = ready[k]
+            n = got[q] = got.get(q, 0) + 1
+            var, val = logs[q][n - 1]
+            local[var] = val
+            if n == len(logs[q]):
+                del ready[k]
+        if local and rng.random() < read_fraction:
+            var = rng.choice(sorted(local))
+            rows.append((proc, READ, var, local[var]))
         else:
-            var = rng.choice(names)
+            i = rng.randrange(variables)
+            var = "xyz"[i] if i < 3 else f"v{i + 1}"
             if policy == "unique":
-                counters[var] += 1
-                val = counters[var]
+                val = counters[var] = counters.get(var, 0) + 1
             else:
                 val = rng.randint(1, 3)
-            replica[p][var] = val
-            for q in procs:
-                if q != p:
-                    inbox[q][p].append((var, val))
-            rows.append((p, WRITE, var, val))
+            local[var] = val
+            if p not in logs:
+                logs[p] = []
+                bisect.insort(writers, p)
+            logs[p].append((var, val))
+            rows.append((proc, WRITE, var, val))
     return Trace.build(rows)
 
 

@@ -160,7 +160,7 @@ def sweep():
             g = rw.graph
             proj = visible(trace, focus)
             for r_idx, w_idx in build_read_mapping(trace, focus).items():
-                var = g.ops[r_idx].variable
+                var = trace.ops[r_idx].variable
                 for o in proj.ops:
                     if (
                         o.is_write

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import os
+import resource
 import stat
 import subprocess
 import sys
@@ -44,13 +45,13 @@ def test_verify_violation_exit_one_and_prints_cycle(tmp_path, capsys):
     assert "overall: inconsistent" in out
 
 
-def _run_module(module, *args):
+def _run_module(module, *args, **kwargs):
     src = str(Path(pramcheck.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
         [sys.executable, "-m", module, *args],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=env, timeout=60, **kwargs,
     )
 
 
@@ -473,6 +474,22 @@ def test_gen_output_to_dev_stdout_reaches_a_pipe():
     proc = _run_module("pramcheck", "gen", "--seed", "3", "-o", "/dev/stdout")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == _run_module("pramcheck", "gen", "--seed", "3").stdout != ""
+
+
+def _address_space_1_gib():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_gen_with_huge_process_and_variable_counts_fits_in_1_gib():
+    # A generator that sized a table by --processes squared or by --vars
+    # would end in MemoryError here, not in five lines of trace.
+    proc = _run_module(
+        "pramcheck", "gen", "--seed", "1", "--ops", "5",
+        "--processes", "1000000", "--vars", "1000000000",
+        preexec_fn=_address_space_1_gib,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 5
 
 
 def test_check_schedule_names_the_line_of_an_index_too_long_for_int(tmp_path, capsys):

@@ -243,9 +243,10 @@ def test_rule_a_b_seeding():
 
 
 def test_cycle_pretty_names_operations():
-    g = OperationGraph(_write_ops(2))
+    ops = _write_ops(2)
+    g = OperationGraph(ops)
     g.add_edge(0, 1, PO)
     g.add_edge(1, 0, WPW)
     c = g.find_cycle()
-    text = c.pretty(g.ops)
+    text = c.pretty(ops)
     assert "Wx0@q0#0" in text and "-PO->" in text

@@ -184,7 +184,7 @@ def test_saturation_property_on_accepting_graphs():
             proj = visible(t, focus)
             dictate = build_read_mapping(t, focus)
             for r_idx, w_idx in dictate.items():
-                var = g.ops[r_idx].variable
+                var = t.ops[r_idx].variable
                 for o in proj.ops:
                     if o.is_write and o.variable == var and o.index != w_idx:
                         if g.reaches(o.index, r_idx):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -43,6 +44,16 @@ def test_requested_operation_count():
 def test_policies_control_value_reuse():
     assert classify(gen_pram_trace(11, ops=30)) in (Variant.SU, Variant.MU)
     assert classify(gen_pram_trace(11, policy="duplicate", ops=30)) in (Variant.SD, Variant.MD)
+
+
+def test_memory_does_not_grow_with_process_pairs_or_variables():
+    tracemalloc.start()
+    try:
+        gen_pram_trace(1, processes=400, variables=1_000_000, ops=400)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 def test_unknown_policy_rejected():

@@ -205,7 +205,7 @@ class CrossChecks:
     """
 
     def init_reachability(self, r):
-        settled = set(self.settled)
+        settled = set(self.pw)
         delta = super().init_reachability(r)
         assert delta == self.graph.downset(r.index, settled), "slice is not two prefixes"
         self.delta = delta
@@ -262,16 +262,16 @@ class CrossChecks:
                 if s not in seen:
                     seen.add(s)
                     stack.append(s)
-        best = min((self.read_ord[s] for s in seen if self.graph.ops[s].is_read), default=None)
+        best = min((self.read_ord[s] for s in seen if self.ops[s].is_read), default=None)
         assert self.rr.get(src) == best, (
-            f"stale reachable-read for {self.graph.ops[src].pretty()}: "
+            f"stale reachable-read for {self.ops[src].pretty()}: "
             f"have {self.rr.get(src)}, graph says {best}"
         )
 
     def _check_pw(self, src: int, pending: tuple[int, int]) -> None:
         # `pending` is an edge just added but not yet absorbed into pw; the
         # reference walk must ignore it (it may close the very cycle under test).
-        var = self.graph.ops[src].variable
+        var = self.ops[src].variable
         seen = set()
         stack = [src]
         best: int | None = None
@@ -282,11 +282,11 @@ class CrossChecks:
                     continue
                 seen.add(p)
                 stack.append(p)
-                if p in self.order_key and self.graph.ops[p].variable == var:
+                if p in self.order_key and self.ops[p].variable == var:
                     best = max(best, self.order_key[p]) if best is not None else self.order_key[p]
         key = self.pw[src].get(var)
         assert key == best, (
-            f"stale preceding-write key for {self.graph.ops[src].pretty()}[{var}]: "
+            f"stale preceding-write key for {self.ops[src].pretty()}[{var}]: "
             f"have {key}, graph says {best}"
         )
 
