@@ -12,7 +12,8 @@ from pramcheck import (
     parse_trace,
 )
 from pramcheck.oracle import OracleTimeout, oracle_verify
-from pramcheck.reduction import ThreePartitionInstance, solve_3partition
+from pramcheck.model import Trace
+from pramcheck.reduction import FOCUS, ThreePartitionInstance, reduce_3partition, solve_3partition
 from pramcheck.rw_closure import Verdict
 from testutil import T, brute_force_consistent
 
@@ -105,30 +106,89 @@ def test_deep_trace_times_out_at_the_budget():
         assert out.states == 5001
 
 
-def _search_digest() -> str:
-    """sha256 over each focus's result class, states or verdict, and witness.
-
-    The traces: 4-process duplicate-value traces of 75 and 100 operations,
-    seeds 0-9, each also with one mutation applied where it applies.
-    """
-    h = hashlib.sha256()
+def _duplicate_traces():
+    """(ops, seed, trace): 4-process duplicate-value traces of 75 and 100
+    operations, seeds 0-9, each also with one mutation applied where it applies."""
     for ops in (75, 100):
         for seed in range(10):
             t = gen_pram_trace(seed, processes=4, variables=2, ops=ops, policy="duplicate")
-            traces = [t]
+            yield ops, seed, t
             try:
-                traces.append(mutate_trace(seed, t, MUTATIONS[seed % len(MUTATIONS)]))
+                yield ops, seed, mutate_trace(seed, t, MUTATIONS[seed % len(MUTATIONS)])
             except MutationError:
                 pass
-            for trace in traces:
-                for focus in trace.processes:
-                    out = oracle_verify(trace, focus, max_states=5000)
-                    if isinstance(out, OracleTimeout):
-                        row = f"OracleTimeout {out.states}"
-                    else:
-                        seq = out.witness.seq if out.witness is not None else None
-                        row = f"Verdict {out.consistent} {out.reason} {seq}"
-                    h.update(f"{ops} {seed} {focus} {row}\n".encode())
+
+
+def _result_row(out) -> str:
+    """A search result's class, then its states or its verdict and witness."""
+    if isinstance(out, OracleTimeout):
+        return f"OracleTimeout {out.states}"
+    seq = out.witness.seq if out.witness is not None else None
+    return f"Verdict {out.consistent} {out.reason} {seq}"
+
+
+def _search_digest() -> str:
+    """sha256 over each focus's result on the duplicate traces, budget 5000."""
+    h = hashlib.sha256()
+    for ops, seed, trace in _duplicate_traces():
+        for focus in trace.processes:
+            row = _result_row(oracle_verify(trace, focus, max_states=5000))
+            h.update(f"{ops} {seed} {focus} {row}\n".encode())
+    return h.hexdigest()
+
+
+def _flag_traces():
+    """(seed, trace): 3-variable traces of 100 operations with `z` values folded
+    mod 2 and odd processes' `z` reads dropped, so some reads are ambiguous;
+    seeds 0-11, each also with one mutation applied where it applies."""
+    for seed in range(12):
+        rows = []
+        for proc, kind, var, val in gen_pram_trace(seed, processes=4, variables=3, ops=100).rows():
+            if var == "z":
+                if kind == "R" and int(proc[1:]) % 2 == 1:
+                    continue
+                val %= 2
+            rows.append((proc, kind, var, val))
+        t = Trace.build(rows)
+        yield seed, t
+        try:
+            yield seed, mutate_trace(seed, t, MUTATIONS[seed % len(MUTATIONS)])
+        except MutationError:
+            pass
+
+
+# feasible and infeasible 3-Partition instances
+_PARTITION_INSTANCES = (
+    ThreePartitionInstance(m=1, B=7, sizes=(3, 2, 2)),
+    ThreePartitionInstance(m=1, B=9, sizes=(3, 3, 3)),
+    ThreePartitionInstance(m=2, B=7, sizes=(3, 3, 2, 2, 2, 2)),
+    ThreePartitionInstance(m=2, B=10, sizes=(4, 4, 3, 3, 3, 3)),
+    ThreePartitionInstance(m=2, B=13, sizes=(5, 5, 4, 4, 4, 4)),
+    ThreePartitionInstance(m=2, B=13, sizes=(6, 4, 4, 4, 4, 4)),
+    ThreePartitionInstance(m=2, B=14, sizes=(6, 6, 4, 4, 4, 4)),
+    ThreePartitionInstance(m=2, B=17, sizes=(8, 6, 5, 5, 5, 5)),
+    ThreePartitionInstance(m=3, B=10, sizes=(4, 4, 4, 3, 3, 3, 3, 3, 3)),
+    ThreePartitionInstance(m=3, B=13, sizes=(6, 5, 4, 4, 4, 4, 4, 4, 4)),
+)
+
+
+def _wide_search_digest() -> str:
+    """sha256 over the results on flag traces (every focus, budget 5000), on
+    the focus of 3-Partition reductions (budget 5000), and on the duplicate
+    traces at budgets 1, 3 and 50, which pins early timeouts' `states`."""
+    h = hashlib.sha256()
+    for seed, trace in _flag_traces():
+        for focus in trace.processes:
+            row = _result_row(oracle_verify(trace, focus, max_states=5000))
+            h.update(f"flag {seed} {focus} {row}\n".encode())
+    for inst in _PARTITION_INSTANCES:
+        row = _result_row(oracle_verify(reduce_3partition(inst), FOCUS, max_states=5000))
+        h.update(f"3part {inst} {row}\n".encode())
+    for budget in (1, 3, 50):
+        for ops, seed, trace in _duplicate_traces():
+            for focus in trace.processes:
+                row = _result_row(oracle_verify(trace, focus, max_states=budget))
+                h.update(f"{budget} {ops} {seed} {focus} {row}\n".encode())
     return h.hexdigest()
 
 
@@ -136,6 +196,11 @@ def test_search_results_are_frozen():
     """Branch order, memo and state counting decide every timeout's `states`
     and every witness; changing any of them moves this digest."""
     assert _search_digest() == "aba4980807934f8977a0c328c8911e1e086d00ec19fb2bfff1cb6909ab365859"
+
+
+def test_wide_search_results_are_frozen():
+    """Flag traces, 3-Partition reductions and early timeouts: as above."""
+    assert _wide_search_digest() == "9b5bb37b001cec3dcfe3400c13b4027b374a9733ca499e8b3c05777de338c9f3"
 
 
 def test_verdict_metadata():
