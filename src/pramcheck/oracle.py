@@ -6,12 +6,23 @@ the latest scheduled write on its variable holds the read's value.  It is the
 only verifier here that handles duplicate write values, at exponential cost;
 a state budget keeps it honest, and running out of budget is reported as a
 distinct Timeout, never as a verdict.
+
+Its set-up is linear in the focus: past one pass over the trace to project
+it, it reads each visible operation a constant number of times before the
+first search state, and builds the rest of its pruning bound only as far as
+the search gets.  Then `max_states` and `max_seconds` bound the search.
+`max_states` counts the distinct search states that the oracle enters and
+has not already proven hopeless; forced reads and memo hits do not count.
+The search keeps its open states on an explicit stack, so it has no depth
+limit.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import getitem
 
 from .legality import Schedule, Verdict
 from .model import READ, Trace, visible
@@ -53,73 +64,108 @@ def oracle_verify(
     (lanes with identical remaining work are interchangeable).
 
     The search is one loop over an explicit stack of frames, one per open
-    state, so no recursion limit bounds its depth.  A frame holds its state's
-    forced reads, memo key, untried branches and the write to undo before
-    the next branch; a memoised state gets a frame with no branches, so every
-    frame undoes its forced reads in the same place when it closes.
+    state, so no recursion limit bounds its depth.  A frame holds the number
+    of its state's forced reads, its memo key, its untried branches and the
+    write to undo before the next branch.
     """
     proj = visible(trace, focus)
     lanes = list(proj.by_process.values())
-    lane_ids = list(proj.by_process.keys())
-    focus_lane = lane_ids.index(focus) if focus in proj.by_process else None
+    focus_ops = proj.by_process.get(focus, ())
     variables = sorted({o.variable for o in proj.ops})
     slot = {v: i for i, v in enumerate(variables)}
     total = len(proj.ops)
 
-    # suffix_sig[li][f]: identity of lane li's remaining (kind, variable,
-    # value) sequence from position f on; equal signatures mean equal futures.
+    # Pair ids: (variable, value) -> small int, written pairs first, so that
+    # `supply[pid]` counts the unscheduled writes of each pair.
+    pair_id = {pair: i for i, pair in enumerate(trace.writers)}
+    supply = [len(ws) for ws in trace.writers.values()]
+    for o in focus_ops:
+        if (o.variable, o.value) not in pair_id:
+            pair_id[(o.variable, o.value)] = len(supply)
+            supply.append(0)
+
+    # suffix_sig[li][f]: identity of lane li's remaining (kind, pair)
+    # sequence from position f on; equal signatures mean equal futures.
     intern: dict[tuple, int] = {(): 0}
     suffix_sig: list[list[int]] = []
     for lane in lanes:
         sigs = [0] * (len(lane) + 1)
         for f in range(len(lane) - 1, -1, -1):
             op = lane[f]
-            key = (op.kind, op.variable, op.value, sigs[f + 1])
+            key = (op.kind, pair_id[(op.variable, op.value)], sigs[f + 1])
             sigs[f] = intern.setdefault(key, len(intern))
         suffix_sig.append(sigs)
 
-    # One tuple per lane position, so the search reads no Operation
-    # attribute: (variable slot, value, index, (variable, value)).
-    # reading[li][f] is the slot of the read at position f, -1 for a write,
-    # and -2 one past the lane's end.
+    # One (variable slot, value, index, pair id, suffix signature) cell per
+    # write, so the search reads no Operation attribute; a focus read and a
+    # lane's end hold None.  Only the focus lane has reads: `visible` keeps
+    # only the writes of every other process, so those lanes are write queues.
     cells = [
-        [(slot[o.variable], o.value, o.index, (o.variable, o.value)) for o in lane]
-        for lane in lanes
+        [
+            (slot[o.variable], o.value, o.index, pair_id[(o.variable, o.value)], sig)
+            if o.kind != READ
+            else None
+            for o, sig in zip(lane, sigs)
+        ]
+        + [None]
+        for lane, sigs in zip(lanes, suffix_sig)
     ]
-    reading = [[slot[o.variable] if o.kind == READ else -1 for o in lane] + [-2] for lane in lanes]
+    fl = list(proj.by_process).index(focus) if focus_ops else -1
+    # the focus lane's reads: slot (-1 at a write, -2 one past the end),
+    # value and index at each position
+    rslot = [slot[o.variable] if o.kind == READ else -1 for o in focus_ops] + [-2]
+    rval = [o.value for o in focus_ops]
+    ridx = [o.index for o in focus_ops]
+    rpid = [pair_id[(o.variable, o.value)] for o in focus_ops]
     lane_nums = range(len(lanes))
 
     # Remaining-supply bound: every maximal same-value run among the focus's
     # remaining reads of a variable needs its own write of that value (only
     # the first run can ride on the current store), so a value whose
     # unscheduled writes fall short of its remaining runs is a dead end.
-    supply = {pair: len(ws) for pair, ws in trace.writers.items()}
-    focus_ops = lanes[focus_lane] if focus_lane is not None else ()
+    # One backward scan records each slot's focus positions and, for each
+    # pair the focus reads, the positions where its runs end; `bound` builds
+    # the row of one (focus position, slot) from them the first time a check
+    # needs it, so the set-up stays linear in the focus.
     _wall = object()  # a pending focus write separates runs
-    runs_at: list[dict[tuple[str, int], int]] = [{} for _ in range(len(focus_ops) + 1)]
-    first_at: list[dict[int, object]] = [{} for _ in range(len(focus_ops) + 1)]
-    runs: dict[tuple[str, int], int] = {}
-    first: dict[int, object] = {}
+    positions: list[list[int]] = [[] for _ in variables]
+    runs_of: list[dict[int, tuple[int, list[int]]]] = [{} for _ in variables]
+    after: dict[int, object] = {}  # slot -> the next focus read's value there, or _wall
     for f in range(len(focus_ops) - 1, -1, -1):
         op = focus_ops[f]
         s = slot[op.variable]
+        positions[s].append(f)
         if op.kind == READ:
-            if first.get(s) != op.value:
-                pair = (op.variable, op.value)
-                runs[pair] = runs.get(pair, 0) + 1
-            first[s] = op.value
+            if after.get(s) != op.value:
+                runs_of[s].setdefault(rpid[f], (op.value, []))[1].append(f)
+            after[s] = op.value
         else:
-            first[s] = _wall
-        runs_at[f] = dict(runs)
-        first_at[f] = dict(first)
-    # focus_reads_of[slot]: the distinct (value, (variable, value)) the focus reads there
-    focus_reads_of: list[tuple[tuple[int, tuple[str, int]], ...]] = [() for _ in variables]
-    for o in focus_ops:
-        if o.kind == READ:
-            s = slot[o.variable]
-            read = (o.value, (o.variable, o.value))
-            if read not in focus_reads_of[s]:
-                focus_reads_of[s] += (read,)
+            after[s] = _wall
+    for pos in positions:
+        pos.reverse()
+    for runs in runs_of:
+        for _, ends in runs.values():
+            ends.reverse()
+    nslots = len(variables)
+    rows: dict[int, tuple] = {}  # f * nslots + s -> bound(f, s)
+
+    def bound(f: int, s: int) -> tuple:
+        """The focus's reads of slot s from position f on, as (head, want):
+        head is the value of the first of them, _wall if a focus write comes
+        first, or None; want holds (value, pair id, remaining runs) for each
+        pair with runs left."""
+        pos = positions[s]
+        i = bisect_left(pos, f)
+        head = None
+        if i < len(pos):
+            head = rval[pos[i]] if rslot[pos[i]] >= 0 else _wall
+        want = []
+        for pid, (val, ends) in runs_of[s].items():
+            n = len(ends) - bisect_left(ends, f)
+            if n:
+                want.append((val, pid, n))
+        row = rows[f * nslots + s] = (head, tuple(want))
+        return row
 
     frontier = [0] * len(lanes)
     lastvals: list[int | None] = [None] * len(variables)
@@ -128,52 +174,41 @@ def oracle_verify(
     states = 0
     deadline = time.monotonic() + max_seconds if max_seconds is not None else None
 
-    def starved(s: int) -> bool:
-        if focus_lane is None:
-            return False
-        need = runs_at[frontier[focus_lane]]
-        head = first_at[frontier[focus_lane]].get(s)
-        store = lastvals[s]
-        for val, pair in focus_reads_of[s]:
-            want = need.get(pair, 0)
-            if want and head == val == store:
-                want -= 1
-            if supply.get(pair, 0) < want:
-                return True
-        return False
-
-    # A frame is (lanes of the reads forced on entering the state, memo key,
-    # iterator over the sorted branch candidates, lane signatures already
-    # branched on, write to undo).  The current state's frame is held in the
-    # locals below, and its ancestors' frames on `stack`.
+    # A frame is (number of reads forced on entering the state, memo key,
+    # iterator over the branch candidates, write to undo).  The current
+    # state's frame is held in the locals below, and its ancestors' frames on
+    # `stack`.
     stack: list[tuple] = []
     enter = True  # the last write led to a new state: open a frame for it
     while True:
         if enter:
             # Schedule every enabled read right away: reads do not change the
             # store, so any solution can be rearranged to take them first.
-            forced: list[int] = []
-            while True:
-                for li in lane_nums:
-                    f = frontier[li]
-                    s = reading[li][f]
-                    if s >= 0 and lastvals[s] == cells[li][f][1]:
-                        break
-                else:
-                    break
-                sched.append(cells[li][f][2])
-                frontier[li] = f + 1
-                forced.append(li)
+            forced = 0
+            if fl >= 0:
+                f = start = frontier[fl]
+                s = rslot[f]
+                while s >= 0 and lastvals[s] == rval[f]:
+                    sched.append(ridx[f])
+                    f += 1
+                    s = rslot[f]
+                forced = f - start
+                frontier[fl] = f
             if len(sched) == total:
                 return Verdict(
                     consistent=True, focus=focus, algorithm=ALGORITHM, witness=Schedule(sched)
                 )
-            key = (
-                tuple(sorted(suffix_sig[li][f] for li, f in enumerate(frontier))),
-                tuple(lastvals),
-            )
-            candidates: list[tuple[int, int]] = []
-            if key not in failed:  # a memoised state opens a frame with no candidates
+            # the memo key: the lanes' signatures as a multiset, then the store
+            key = sorted(map(getitem, suffix_sig, frontier))
+            key += lastvals
+            key = tuple(key)
+            if key in failed:  # a memoised state fails at once: back to its parent
+                if forced:
+                    frontier[fl] -= forced
+                    del sched[-forced:]
+                forced, key, branches, undo = stack.pop()
+                enter = False
+            else:
                 states += 1
                 if states > max_states or (
                     deadline is not None and states % 2048 == 0 and time.monotonic() > deadline
@@ -181,44 +216,48 @@ def oracle_verify(
                     return OracleTimeout(
                         focus=focus, states=states, max_states=max_states, max_seconds=max_seconds
                     )
-                need: tuple[str, int] | None = None
-                if focus_lane is not None:
-                    f = frontier[focus_lane]
-                    if reading[focus_lane][f] >= 0:
-                        need = cells[focus_lane][f][3]
-                for li in lane_nums:
-                    f = frontier[li]
-                    if reading[li][f] == -1:
-                        candidates.append((0 if need == cells[li][f][3] else 1, li))
-                candidates.sort()
-            branches, tried_sigs, undo = iter(candidates), set(), None
+                # The writes that would enable the focus's next read go first;
+                # of lanes with equal remaining work, only the first branches.
+                need = rpid[frontier[fl]] if fl >= 0 and rslot[frontier[fl]] >= 0 else -1
+                candidates: list[int] = []
+                later: list[int] = []
+                seen: list[int] = []
+                for li, c in zip(lane_nums, map(getitem, cells, frontier)):
+                    if c is not None and c[4] not in seen:
+                        seen.append(c[4])
+                        (candidates if c[3] == need else later).append(li)
+                candidates += later
+                branches, undo = iter(candidates), None
         if undo is not None:
-            li, s, prev, pair = undo
-            supply[pair] += 1
+            li, s, prev, pid = undo
+            supply[pid] += 1
             sched.pop()
             frontier[li] -= 1
             lastvals[s] = prev
-        for _, li in branches:
+        for li in branches:
             f = frontier[li]
-            sig = suffix_sig[li][f]
-            if sig in tried_sigs:  # an identical lane already branched here
-                continue
-            tried_sigs.add(sig)
-            s, val, index, pair = cells[li][f]
-            undo = (li, s, lastvals[s], pair)
+            s, val, index, pid, _ = cells[li][f]
+            undo = (li, s, lastvals[s], pid)
             lastvals[s] = val
             frontier[li] = f + 1
             sched.append(index)
-            supply[pair] -= 1
-            enter = not starved(s)  # a starved state is undone on the next turn
+            supply[pid] -= 1
+            enter = True
+            if fl >= 0:  # a starved state is undone on the next turn
+                f = frontier[fl]
+                head, want = rows.get(f * nslots + s) or bound(f, s)
+                for v, p, n in want:  # `val` is now the store of slot s
+                    if supply[p] + (head == v == val) < n:
+                        enter = False
+                        break
             if enter:
-                stack.append((forced, key, branches, tried_sigs, undo))
+                stack.append((forced, key, branches, undo))
             break
         else:  # every branch failed: the state is hopeless
             failed.add(key)
-            for li in reversed(forced):
-                frontier[li] -= 1
-                sched.pop()
+            if forced:
+                frontier[fl] -= forced
+                del sched[-forced:]
             if not stack:
                 return Verdict(
                     consistent=False,
@@ -226,5 +265,5 @@ def oracle_verify(
                     algorithm=ALGORITHM,
                     reason="search exhausted: no legal schedule exists",
                 )
-            forced, key, branches, tried_sigs, undo = stack.pop()
+            forced, key, branches, undo = stack.pop()
             enter = False

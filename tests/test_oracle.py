@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import time
+import tracemalloc
 
 from pramcheck import (
     MUTATIONS,
@@ -201,6 +202,36 @@ def test_search_results_are_frozen():
 def test_wide_search_results_are_frozen():
     """Flag traces, 3-Partition reductions and early timeouts: as above."""
     assert _wide_search_digest() == "9b5bb37b001cec3dcfe3400c13b4027b374a9733ca499e8b3c05777de338c9f3"
+
+
+def _setup_peak_bytes(k: int) -> int:
+    """tracemalloc peak of a one-state search of one process's k `W x i`/`R x i` pairs."""
+    t = parse_trace("".join(f"p1 W x {i}\np1 R x {i}\n" for i in range(k)))
+    tracemalloc.start()
+    try:
+        out = oracle_verify(t, "p1", max_states=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(out, OracleTimeout) and out.states == 2
+    return peak
+
+
+def test_setup_memory_is_linear_in_the_focus():
+    """The search's set-up is bounded by neither budget, so it must stay linear."""
+    small, large = _setup_peak_bytes(2000), _setup_peak_bytes(4000)
+    assert large < 16 * 2**20
+    assert large / small < 3
+
+
+def test_deadline_ends_the_search():
+    t = gen_pram_trace(1, ops=3000, policy="duplicate")
+    focus = next(iter(t.processes))
+    t0 = time.monotonic()
+    out = oracle_verify(t, focus, max_states=10**9, max_seconds=0.2)
+    assert time.monotonic() - t0 < 5
+    assert isinstance(out, OracleTimeout)
+    assert out.max_seconds == 0.2 and out.states < 10**9
 
 
 def test_verdict_metadata():
