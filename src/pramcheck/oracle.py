@@ -111,8 +111,8 @@ def oracle_verify(
         for lane, sigs in zip(lanes, suffix_sig)
     ]
     fl = list(proj.by_process).index(focus) if focus_ops else -1
-    # the focus lane's reads: slot (-1 at a write, -2 one past the end),
-    # value and index at each position
+    # the focus lane at each position: the read's slot (-1 at a write, -2 one
+    # past the end), and the operation's value, index and pair id
     rslot = [slot[o.variable] if o.kind == READ else -1 for o in focus_ops] + [-2]
     rval = [o.value for o in focus_ops]
     ridx = [o.index for o in focus_ops]
