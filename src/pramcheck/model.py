@@ -13,7 +13,7 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, NoReturn
 
 READ = "R"
 WRITE = "W"
@@ -23,21 +23,22 @@ INT64_MAX = 2**63 - 1
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT = re.compile(r"-?[0-9]+\Z")
-# parse_trace's fast path takes a text of well-formed rows only: ASCII-spaced
-# fields, lines joined by '\n', an optional final '\n', at most 19 digits a
-# value (so int() never meets its digit limit).  This finds, in '\n' + text,
-# the first line start followed by neither such a row nor the end.  A search
-# keeps no state per line, so a text of any length is checked in constant memory.
+_EOL = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"  # the line ends str.splitlines honours
+# The whitespace str.split takes, less the line ends, spelled out: a class of
+# literals is one table lookup a character, where [^\S...] tries each item.
+_WS = r"[\t\x1f \xa0\u1680\u2000-\u200a\u202f\u205f\u3000]"
+# In '\n' + text: the first line start followed by neither a row, a blank or
+# comment line, nor the end, and that line as group 1.  A value has at most 19
+# significant digits, so only zero padding can meet int()'s digit limit.  A
+# search keeps no state per line, so a text of any length is checked in
+# constant memory.
 _OFF_ROW = re.compile(
-    r"\n(?![ \t]*[A-Za-z_][A-Za-z0-9_]*[ \t]+[RW][ \t]+[A-Za-z_][A-Za-z0-9_]*"
-    r"[ \t]+-?[0-9]{1,19}[ \t]*(?:\n|\Z)|\Z)"
+    rf"\n(?!{_WS}*(?:[A-Za-z_][A-Za-z0-9_]*{_WS}+[RW]{_WS}+[A-Za-z_][A-Za-z0-9_]*{_WS}+"
+    rf"-?0*[0-9]{{1,19}}{_WS}*|(?:#[^{_EOL}]*)?)(?:\n|\Z))(.*)"
 )
-# In '\n' + text: a whole-line comment or blank line with its leading '\n', and
-# the '\r' of a '\r\n', which the line loop skips alike.  A comment stops at any
-# separator str.splitlines honours, so it hides no row the line loop would read.
-_SKIPPED = re.compile(
-    r"\n[ \t]*(?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)?\r?(?=\n|\Z)|\r(?=\n)"
-)
+_LINE_END = re.compile(r"\r\n?|[\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")  # all but '\n'
+_ROW_START = re.compile(rf"\n{_WS}*[A-Za-z_]")
+_COMMENT = re.compile("#.*")
 
 
 class TraceParseError(ValueError):
@@ -251,16 +252,9 @@ def build_read_mapping(trace: Trace, focus: str) -> dict[int, int]:
     return dictate
 
 
-def _checked_row(raw: str, lineno: int) -> tuple[str, str, str, int] | None:
-    """Field-by-field checks for one line of a text the fast path refused.
-
-    Returns None for a blank or comment line and the row for a well-formed
-    line; raises TraceParseError on anything else.
-    """
-    line = raw.strip()
-    if not line or line.startswith("#"):
-        return None
-    fields = line.split()
+def _checked_row(raw: str, lineno: int) -> NoReturn:
+    """Word the fault of the line the whole-text search refused, by field-by-field checks."""
+    fields = raw.split()
     if len(fields) != 4:
         raise TraceParseError(f"expected 4 fields, got {len(fields)}", lineno)
     proc, kind, var, val_text = fields
@@ -272,40 +266,10 @@ def _checked_row(raw: str, lineno: int) -> tuple[str, str, str, int] | None:
         raise TraceParseError(f"bad variable id {var!r}", lineno)
     if not _INT.match(val_text):
         raise TraceParseError(f"non-integer value {val_text!r}", lineno)
-    # int() refuses more than 4,300 digits, leading zeros included; past 19
-    # significant digits the value is out of range anyway.
+    # The search takes every such row with at most 19 significant digits.
     sign = "-" if val_text[0] == "-" else ""
-    digits = val_text.lstrip("-").lstrip("0") or "0"
-    if len(digits) > 19:
-        raise TraceParseError(f"value {sign}{digits} outside signed 64-bit range", lineno)
-    return proc, kind, var, int(sign + digits)
-
-
-def _parse_rows(lines: str) -> Trace | None:
-    """The fast path: '\n' + a text of well-formed rows only, built column by column.
-
-    Returns None for any other text, and when a value leaves the int64
-    range or a section reopens, so that the line-by-line checks name the line.
-    """
-    if _OFF_ROW.search(lines):
-        return None
-    fields = lines.split()
-    procs = fields[0::4]
-    values = list(map(int, fields[3::4]))
-    if values and not (INT64_MIN <= min(values) and max(values) <= INT64_MAX):
-        return None
-    rows = zip(range(len(procs)), fields[1::4], procs, fields[2::4], values)
-    # Operation._make without its field-count check
-    ops = tuple(map(tuple.__new__, itertools.repeat(Operation), rows))
-    sections: dict[str, tuple[Operation, ...]] = {}
-    start = 0
-    for proc, run in itertools.groupby(procs):
-        if proc in sections:
-            return None
-        end = start + len(list(run))
-        sections[proc] = ops[start:end]
-        start = end
-    return Trace(processes=sections, ops=ops)
+    digits = val_text.lstrip("-0")
+    raise TraceParseError(f"value {sign}{digits} outside signed 64-bit range", lineno)
 
 
 def parse_trace(text: str | bytes) -> Trace:
@@ -314,33 +278,48 @@ def parse_trace(text: str | bytes) -> Trace:
     Grammar per line: `<process> <R|W> <variable> <int64>`, where an int64 is
     ASCII `-?[0-9]+` within the signed 64-bit range; '#'-comments and blank
     lines are ignored.  A process's lines must form one contiguous section;
-    program order is the order of lines within the section.
+    program order is the order of lines within the section.  Lines are those
+    of str.splitlines, and an error names the first faulty one.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    trace = _parse_rows("\n" + text)
-    if trace is None:  # comments, blank lines, '\r\n' line ends, or a fault
-        trace = _parse_rows(_SKIPPED.sub("", "\n" + text))
-    if trace is not None:
-        return trace
-    rows: list[tuple[str, str, str, int]] = []
-    current: str | None = None
-    closed: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        row = _checked_row(raw, lineno)
-        if row is None:
-            continue
-        proc, _, _, val = row
-        if not INT64_MIN <= val <= INT64_MAX:
-            raise TraceParseError(f"value {val} outside signed 64-bit range", lineno)
-        if proc != current:
-            if proc in closed:
-                raise TraceParseError(f"duplicate process section {proc!r}", lineno)
-            if current is not None:
-                closed.add(current)
-            current = proc
-        rows.append(row)
-    return Trace.build(rows)
+    lines = "\n" + text
+    stop = _OFF_ROW.search(lines)
+    if stop is not None:  # perhaps only a line end other than '\n' stopped it
+        lines, ends = _LINE_END.subn("\n", lines)
+        if ends:  # the text before the stop had none, so it is unchanged
+            stop = _OFF_ROW.search(lines, stop.start())
+    head = lines if stop is None else lines[: stop.start()]  # valid lines, each ended by '\n'
+    fields = (_COMMENT.sub("", head) if "#" in head else head).split()
+    procs = fields[0::4]
+    try:
+        values = list(map(int, fields[3::4]))
+    except ValueError:  # int() counts leading zeros toward its 4,300-digit limit
+        values = [int(v.lstrip("-0") or "0") * (-1 if v[0] == "-" else 1) for v in fields[3::4]]
+    bad = len(values)
+    if values and not (INT64_MIN <= min(values) and max(values) <= INT64_MAX):
+        bad = next(i for i, v in enumerate(values) if not INT64_MIN <= v <= INT64_MAX)
+    rows = zip(range(len(procs)), fields[1::4], procs, fields[2::4], values)
+    # Operation._make without its field-count check
+    ops = tuple(map(tuple.__new__, itertools.repeat(Operation), rows))
+    sections: dict[str, tuple[Operation, ...]] = {}
+    start = 0  # ends as the first row that reopens a section, or past the last row
+    for proc, run in itertools.groupby(procs):
+        if proc in sections:
+            break
+        end = start + len(list(run))
+        sections[proc] = ops[start:end]
+        start = end
+    row = min(bad, start)  # on one row, the range fault comes first
+    if row < len(procs):
+        at = next(itertools.islice(_ROW_START.finditer(head), row, None)).start()
+        line = head.count("\n", 0, at) + 1
+        if row == bad:
+            raise TraceParseError(f"value {values[row]} outside signed 64-bit range", line)
+        raise TraceParseError(f"duplicate process section {procs[row]!r}", line)
+    if stop is not None:
+        _checked_row(stop[1], lines.count("\n", 0, stop.start()) + 1)
+    return Trace(processes=sections, ops=ops)
 
 
 def serialize_trace(trace: Trace) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import random
 
-from .model import READ, WRITE, MutationError, Trace
+from .model import INT64_MAX, INT64_MIN, READ, WRITE, MutationError, Trace
 
 MUTATIONS = ("swap-write-values", "reorder-reads", "retarget-read")
 
@@ -107,24 +107,23 @@ def mutate_trace(seed: int, trace: Trace, kind: str) -> Trace:
         rows[i] = (pi, ki, vi, b)
         rows[j] = (pj, kj, vj, a)
     elif kind == "reorder-reads":
-        by_proc: dict[str, list[int]] = {}
-        for i, (p, k, _var, _v) in enumerate(rows):
-            if k == READ:
-                by_proc.setdefault(p, []).append(i)
-        pools = [idxs for idxs in by_proc.values() if len(idxs) >= 2]
+        pools = [[o.index for o in seq if o.kind == READ] for seq in trace.processes.values()]
+        pools = [idxs for idxs in pools if len(idxs) >= 2]
         if not pools:
             raise MutationError("no process has two reads to reorder")
         i, j = sorted(rng.sample(rng.choice(sorted(pools)), 2))
         rows[i], rows[j] = rows[j], rows[i]
     elif kind == "retarget-read":
-        reads = [i for i, (_, k, _var, _v) in enumerate(rows) if k == READ]
+        reads = [o.index for o in trace.ops if o.kind == READ]
         if not reads:
             raise MutationError("trace has no reads")
         i = rng.choice(reads)
         p, k, var, val = rows[i]
-        written = sorted({v for (_, kk, vv, v) in rows if kk == WRITE and vv == var})
+        written = sorted(v for (wvar, v) in trace.writers if wvar == var)
         others = [v for v in written if v != val]
-        unused = (max(written, default=0)) + 1 + rng.randrange(3)
+        unused = max(written, default=0) + 1 + rng.randrange(3)
+        if unused > INT64_MAX:  # stay an int64: the least value no write assigns
+            unused = next(v for v in range(INT64_MIN, INT64_MAX) if v not in written)
         if others and rng.random() < 0.75:
             new = rng.choice(others)
         else:

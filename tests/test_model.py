@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -196,10 +197,10 @@ def test_parse_matches_reference_parser_on_line_soup(lines, newline):
     assert _outcome(parse_trace, text) == _outcome(reference_parse_trace, text)
 
 
-# Whole texts of ASCII-spaced rows: the texts parse_trace builds column by
-# column.  One value may lie just outside int64 (19 digits at most, so the
-# whole-text search passes it), and one extra row of a random process may land
-# at a random line, reopening that process's section.
+# Whole texts of ASCII-spaced rows, every line of which the search passes, so
+# parse_trace's columns must find the faults: one value may lie just outside
+# int64 (19 digits at most, so the search passes it), and one extra row of a
+# random process may land at a random line, reopening that process's section.
 _IN_RANGE = st.one_of(
     st.integers(-20, 20),
     st.integers(INT64_MIN, INT64_MAX),
@@ -229,7 +230,7 @@ def _whole_texts(draw):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_whole_texts())
 def test_parse_matches_reference_parser_on_whole_row_texts(text):
-    assert not _OFF_ROW.search("\n" + text)  # the text takes the whole-text path
+    assert not _OFF_ROW.search("\n" + text)  # the search passes every line
     assert _outcome(parse_trace, text) == _outcome(reference_parse_trace, text)
 
 
@@ -242,20 +243,30 @@ def _large_text(lines):
     )
 
 
-def test_parse_large_text_like_the_reference_and_names_a_faulty_last_line():
+def test_parse_large_text_like_the_reference_and_names_a_faulty_last_line(monkeypatch):
     text = _large_text(200_000)
     assert parse_trace(text) == reference_parse_trace(text)
+    calls = []
+    checked_row = model._checked_row
+
+    def counted(raw, lineno):
+        calls.append(lineno)
+        return checked_row(raw, lineno)
+
+    monkeypatch.setattr(model, "_checked_row", counted)
     for last, message in [
         ("p15 W x 9223372036854775808", "value 9223372036854775808 outside signed 64-bit range"),
         ("p0 W x 1", "duplicate process section 'p0'"),
         ("p15 W x one", "non-integer value 'one'"),
     ]:
         faulty = text[: text.rindex("\n", 0, -1) + 1] + last + "\n"
+        calls.clear()
         with pytest.raises(TraceParseError, match=re.escape(f"line 200000: {message}")):
             parse_trace(faulty)
+        assert len(calls) <= 1  # only the faulty line is checked field by field
 
 
-# Texts of the whole-text kind with skipped lines dropped in: comments, blank
+# Whole-row texts with skipped lines dropped in: comments, blank
 # lines, and line ends that mix '\n', '\r\n' and the other separators that
 # str.splitlines honours, inside comments too.
 _SEPARATORS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -287,15 +298,32 @@ def test_parse_matches_reference_parser_with_comments_blank_lines_and_line_ends(
     assert _outcome(parse_trace, text) == _outcome(reference_parse_trace, text)
 
 
+def test_parser_classes_follow_str_split_and_splitlines():
+    chars = [chr(c) for c in range(sys.maxunicode + 1)]
+    ends = {c for c in chars if len(f"a{c}b".splitlines()) == 2}
+    assert set(filter(re.compile(f"[{model._EOL}]").fullmatch, chars)) == ends
+    within = {c for c in chars if c.isspace()} - ends
+    assert set(filter(re.compile(model._WS).fullmatch, chars)) == within
+
+
 def test_comments_blank_lines_and_crlf_take_the_whole_text_path(monkeypatch):
-    text = "# head\r\n\n" + _large_text(1600).replace("\n", "\r\n", 700) + " \t\n\n# tail"
-    want = reference_parse_trace(text)
+    large = _large_text(1600)
+    texts = [
+        "# head\r\n\n" + large.replace("\n", "\r\n", 700) + " \t\n\n# tail",
+        # no-break and ideographic spaces between fields
+        large.replace(" ", "\xa0", 900).replace(" ", "\u3000", 900),
+        # the other line ends that str.splitlines honours
+        large.replace("\n", "\x0b", 500).replace("\n", "\u2028", 500).replace("\n", "\r", 500),
+        "q W x " + "0" * 5000 + "7\nq R x -" + "0" * 5000 + "7\n" + large,
+    ]
+    wants = [reference_parse_trace(text) for text in texts]
 
-    def no_line_loop(raw, lineno):
-        raise AssertionError(f"line {lineno} went through the line loop")
+    def no_field_checks(raw, lineno):
+        raise AssertionError(f"line {lineno} of a valid text was checked field by field")
 
-    monkeypatch.setattr(model, "_checked_row", no_line_loop)
-    assert parse_trace(text) == want
+    monkeypatch.setattr(model, "_checked_row", no_field_checks)
+    for text, want in zip(texts, wants):
+        assert parse_trace(text) == want
 
 
 def test_classify_variants():

@@ -113,6 +113,15 @@ def test_inapplicable_mutations_raise():
         mutate_trace(0, gen_pram_trace(1), "bogus")
 
 
+
+def test_retarget_read_keeps_values_inside_int64():
+    t = T("p1 W x 9223372036854775807\np2 R x 9223372036854775807")
+    for seed in range(6):
+        m = mutate_trace(seed, t, "retarget-read")
+        assert parse_trace(serialize_trace(m)) == m
+        assert m.ops[1].value != 9223372036854775807, seed
+
+
 # Seeds near 2**32 as well as small ones: the benchmark draws its generator
 # seeds from randrange(2**32).
 _SEEDS = (0, 1, 2, 77, 2**31 + 5, 2**32 - 2, 2**32 - 1)

@@ -4,7 +4,7 @@
 operations with none of the package's accelerations (no forced reads, no
 memoization, no pruning) - a deliberately naive reference for traces up to a
 dozen operations.  `reference_parse_trace` is the plain line-by-line trace
-parser that `parse_trace`'s fast path must agree with, and
+parser that `parse_trace`'s whole-text search and columns must agree with, and
 `reference_dag_schedule` builds witnesses block by block, with one
 topological sort per block, as `build_dag_schedule`'s one-pass sort must.
 `CrossChecks` checks read-centric's incremental bookkeeping against its live
