@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -5,7 +6,9 @@ import re
 import pytest
 
 from pramcheck import (
+    MUTATIONS,
     DuplicateValueError,
+    MutationError,
     check_pram_witness,
     gen_pram_trace,
     mutate_trace,
@@ -16,6 +19,7 @@ from pramcheck.model import build_read_mapping, visible
 from pramcheck.rw_closure import ALGORITHM, build_dag_schedule
 from pramcheck.oracle import oracle_verify
 from pramcheck.opgraph import OperationGraph, add_rule_a_b
+from pramcheck.read_centric import verify_read_centric
 from testutil import T, brute_force_consistent
 
 # Small traces with verdicts frozen from the independent brute-force search.
@@ -202,3 +206,38 @@ def test_build_dag_schedule_covers_all_visible_ops():
     sched = build_dag_schedule(g, proj)
     assert sorted(sched.seq) == sorted(o.index for o in proj.ops)
     assert check_pram_witness(t, "p2", sched).ok
+
+
+def _rw_closure_digest() -> str:
+    """sha256 over each focus's verdict, reason, cycle, witness and edge list.
+
+    The traces: 16-process `gen_pram_trace` traces of 1,600 operations (the
+    benchmark's `gen-large` shape), seeds 1-2, each also with every mutation
+    that applies to it.  Each focus's verdict must equal read-centric's.
+    """
+    h = hashlib.sha256()
+    for seed in range(1, 3):
+        t = gen_pram_trace(seed, processes=16, variables=2, ops=1600, read_fraction=0.35)
+        traces = [("none", t)]
+        for kind in MUTATIONS:
+            try:
+                traces.append((kind, mutate_trace(seed, t, kind)))
+            except MutationError:
+                pass
+        for kind, trace in traces:
+            for focus in trace.processes:
+                v = verify_rw_closure(trace, focus)
+                assert v.consistent is verify_read_centric(trace, focus).consistent, (seed, kind, focus)
+                cycle = (v.cycle.nodes, v.cycle.tags) if v.cycle is not None else None
+                seq = v.witness.seq if v.witness is not None else None
+                edges = sorted(v.graph.edges())
+                row = f"{seed} {kind} {focus} {v.consistent} {v.reason} {cycle} {seq} {edges}"
+                h.update(f"{row}\n".encode())
+    return h.hexdigest()
+
+
+def test_outputs_on_16_process_traces_are_frozen_and_agree_with_read_centric():
+    """Verdicts, cycles, witnesses and the saturated edge list with its tags
+    on 128 foci at the `gen-large` shape: any change to the graph rw-closure
+    builds moves this digest."""
+    assert _rw_closure_digest() == "6ba7b713656e2586ccb6dea8a45544ca1b456bfb4dd37e9ab3b0db216c78cf59"
