@@ -7,7 +7,7 @@ schedules and precedence-graph dumps), `check-schedule` (validate a witness),
 
 Exit codes: 0 consistent / success, 1 violation found, 2 search budget
 exhausted, 64 usage errors, malformed or unreadable input, and unwritable
-output paths, 70 internal errors (a bug in pramcheck).
+output paths or stdout, 70 internal errors (a bug in pramcheck).
 """
 
 from __future__ import annotations
@@ -61,6 +61,11 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: D102 - argparse hook
         raise UsageError(f"{self.prog}: {message}")
+
+    def print_help(self, file=None):  # noqa: D102 - argparse ignores a failed write
+        if file is not None:
+            return super().print_help(file)
+        _stdout(self.format_help())
 
 
 @functools.cache
@@ -220,11 +225,27 @@ def _suffixed(path: Path, focus: str, multi: bool) -> Path:
     return path.with_name(f"{path.name}.{focus}") if multi else path
 
 
+def _stdout(text: str) -> None:
+    """Write and flush `text` to stdout; failing to is an unwritable output."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # Point the descriptor at the null device, so that the flush at
+        # interpreter exit drops what the buffer holds instead of failing again.
+        with contextlib.suppress(OSError, ValueError):  # a stream without a descriptor
+            fd = sys.stdout.fileno()
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        raise UsageError(f"cannot write stdout: {exc.strerror or exc}") from exc
+
+
 def _emit(text: str, out: Path | None, others: tuple[tuple[Path, str], ...] = ()) -> None:
     """Write `text` to `out`, or to stdout when it is None, and `others`: all or none."""
     _write_all([*others] if out is None else [(out, text), *others])
     if out is None:
-        sys.stdout.write(text)
+        _stdout(text)
 
 
 def _decide(trace: Trace, focus: str, algorithm: str, budget: int):
@@ -309,15 +330,17 @@ def _cmd_verify(args) -> int:
             "n": trace.n,
             "per_process": per_process,
         }
-        print(json.dumps(report, indent=2))
+        lines = [json.dumps(report, indent=2)]
     else:
-        print(f"trace: {trace.n} operations, {len(trace.processes)} processes, variant {variant.value}")
+        procs = len(trace.processes)
+        lines = [f"trace: {trace.n} operations, {procs} processes, variant {variant.value}"]
         for entry in per_process:
-            print(f"focus {entry['focus']}: {entry['verdict']} ({entry['algorithm']})")
+            lines.append(f"focus {entry['focus']}: {entry['verdict']} ({entry['algorithm']})")
             for key, value in list(entry.items())[3:]:
-                print(f"  {key.removesuffix('_file')}: {value}")
+                lines.append(f"  {key.removesuffix('_file')}: {value}")
         overall = {True: "consistent", False: "inconsistent", None: "unknown (timeout)"}[consistent]
-        print(f"overall: {overall}")
+        lines.append(f"overall: {overall}")
+    _stdout("\n".join(lines) + "\n")
     return {True: EXIT_OK, False: EXIT_VIOLATION, None: EXIT_TIMEOUT}[consistent]
 
 
@@ -330,11 +353,8 @@ def _cmd_check_schedule(args) -> int:
     except ValueError as exc:
         raise UsageError(f"{args.schedule}: {exc}") from exc
     check = check_pram_witness(trace, args.focus, sched)
-    if check:
-        print("LEGAL")
-        return EXIT_OK
-    print(f"ILLEGAL: {check.reason}")
-    return EXIT_VIOLATION
+    _stdout("LEGAL\n" if check else f"ILLEGAL: {check.reason}\n")
+    return EXIT_OK if check else EXIT_VIOLATION
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:

@@ -7,10 +7,8 @@ build their graph here; `downset` and `build_dag_schedule` walk the edges alone.
 A node gets its tables on its first stored edge; a node without them is
 edge-less.  Read-centric stores only the edges of the operations its reads
 settle; `add_rule_a_b` seeds every `PO` and `WR` edge, for rw-closure or on
-the first read of a read-centric verdict's graph.
-Only rw-closure's rule loop needs `close()`, which keeps transitive closure as
-bitset rows (Python ints), one strict-reachability bit per node pair; `reaches`
-is reflexive on top of that.
+the first read of a read-centric verdict's graph.  The graph keeps no
+closure: `reaches` walks `downset`, so it answers on any graph at any time.
 """
 
 from __future__ import annotations
@@ -68,23 +66,17 @@ class Cycle:
 
 
 class OperationGraph:
-    """A tagged precedence graph with on-demand transitive closure."""
+    """A tagged precedence graph over sparse successor and predecessor tables."""
 
     def __init__(self, ops: Iterable[Operation]):
         self.nodes: list[int] = sorted(o.index for o in ops)
         self.succs: dict[int, dict[int, str]] = {}  # node -> successor -> tag
         self.preds: dict[int, set[int]] = {}
-        self._rows: list[int] | None = None  # strict reachability, bit j of _rows[i]
-        self.pos: dict[int, int] = {}  # node -> its bit position; filled by close()
 
     # -- construction -------------------------------------------------------
 
     def add_edge(self, src: int, dst: int, tag: str) -> bool:
-        """Add src -> dst; returns False (and keeps the old tag) if already present.
-
-        Reachability queries keep answering from the last close() snapshot;
-        callers batching edge additions re-close when the batch is done.
-        """
+        """Add src -> dst; returns False (and keeps the old tag) if already present."""
         succs, preds = self.succs, self.preds
         for v in (src, dst):
             if v not in succs:
@@ -103,50 +95,20 @@ class OperationGraph:
             for dst in sorted(self.succs[src]):
                 yield src, dst, self.succs[src][dst]
 
-    # -- transitive closure -------------------------------------------------
+    # -- reachability, orderings and cycles ------------------------------------
 
     def close(self) -> None:
-        """Recompute strict transitive closure from the current edge set."""
-        n = len(self.nodes)
-        self.pos = {v: i for i, v in enumerate(self.nodes)}
-        rows = [0] * n
-        for src, out in self.succs.items():
-            i = self.pos[src]
-            for dst in out:
-                rows[i] |= 1 << self.pos[dst]
-        for k in range(n):
-            if not rows[k]:
-                continue
-            bit = 1 << k
-            for i in range(n):
-                if rows[i] & bit:
-                    rows[i] |= rows[k]
-        self._rows = rows
-
-    def _require_closed(self) -> list[int]:
-        if self._rows is None:
-            raise RuntimeError("call close() before reachability queries")
-        return self._rows
-
-    def strictly_reaches(self, src: int, dst: int) -> bool:
-        rows = self._require_closed()
-        return bool(rows[self.pos[src]] >> self.pos[dst] & 1)
+        """A no-op, kept only because the benchmark's tracer (`bench/tracing.py`) wraps it."""
 
     def reaches(self, src: int, dst: int) -> bool:
         """Reflexive reachability: every operation reaches itself."""
-        return src == dst or self.strictly_reaches(src, dst)
-
-    def cyclic(self) -> bool:
-        rows = self._require_closed()
-        return any(rows[i] >> i & 1 for i in range(len(self.nodes)))
-
-    # -- orderings and cycles ------------------------------------------------
+        return src in self.downset(dst)
 
     def downset(self, node: int, exclude: AbstractSet[int] = frozenset()) -> set[int]:
         """`node` plus every operation reaching it by a path outside `exclude`.
 
-        Needs no close().  When `exclude` is down-closed (a union of downsets)
-        and lacks `node`, this is the downset of `node` minus `exclude`.
+        When `exclude` is down-closed (a union of downsets) and lacks `node`,
+        this is the downset of `node` minus `exclude`.
         """
         out = {node}
         stack = [node] if node in self.preds else []  # a node's predecessors have tables
@@ -186,42 +148,48 @@ class OperationGraph:
         return out
 
     def find_cycle(self) -> Cycle | None:
-        """Some directed cycle over the sparse edges, or None if acyclic."""
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {v: WHITE for v in self.nodes}
+        """Some directed cycle over the sparse edges, or None if acyclic.
+
+        A Kahn pass that drains every node proves the graph acyclic; only a
+        graph it leaves undrained gets the depth-first search, whose roots and
+        successors go in index order, so the cycle it returns is fixed.
+        """
+        indeg = {v: len(p) for v, p in self.preds.items()}
+        drained = [v for v, d in indeg.items() if not d]
+        for v in drained:  # grows while it is walked
+            for s in self.succs[v]:
+                indeg[s] -= 1
+                if not indeg[s]:
+                    drained.append(s)
+        if len(drained) == len(indeg):
+            return None
+        on_path: dict[int, bool] = {}  # visited node -> on the current path
         for root in sorted(self.succs):  # a node without tables is on no cycle
-            if color[root] != WHITE:
+            if root in on_path:
                 continue
+            on_path[root] = True
             stack: list[tuple[int, Iterator[int]]] = [(root, iter(sorted(self.succs[root])))]
-            color[root] = GRAY
-            trail = [root]
             while stack:
                 node, it = stack[-1]
-                advanced = False
                 for nxt in it:
-                    if color[nxt] == GRAY:
-                        i = trail.index(nxt)
-                        loop = trail[i:] + [nxt]
+                    if on_path.get(nxt):
+                        trail = [v for v, _ in stack]
+                        loop = trail[trail.index(nxt):] + [nxt]
                         tags = tuple(self.succs[a][b] for a, b in zip(loop, loop[1:]))
                         return Cycle(nodes=tuple(loop), tags=tags)
-                    if color[nxt] == WHITE:
-                        color[nxt] = GRAY
+                    if nxt not in on_path:
+                        on_path[nxt] = True
                         stack.append((nxt, iter(sorted(self.succs[nxt]))))
-                        trail.append(nxt)
-                        advanced = True
                         break
-                if not advanced:
-                    color[node] = BLACK
+                else:
+                    on_path[node] = False
                     stack.pop()
-                    trail.pop()
         return None
 
     def shortest_cycle_through(self, src: int, dst: int) -> Cycle | None:
         """Shortest cycle using the existing edge src -> dst, via BFS dst => src."""
         if not self.has_edge(src, dst):
             return None
-        if src == dst:
-            return Cycle(nodes=(src, src), tags=(self.succs[src][dst],))
         parent: dict[int, int] = {dst: dst}
         frontier = [dst]
         while frontier and src not in parent:
@@ -237,8 +205,7 @@ class OperationGraph:
         back = [src]
         while back[-1] != dst:
             back.append(parent[back[-1]])
-        path = list(reversed(back))  # dst ... src
-        loop = [src] + path
+        loop = [src, *reversed(back)]  # src, then the path dst ... src
         tags = tuple(self.succs[a][b] for a, b in zip(loop, loop[1:]))
         return Cycle(nodes=tuple(loop), tags=tags)
 

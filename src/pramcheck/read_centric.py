@@ -1,7 +1,7 @@
-"""Incremental verifier: process focus reads one at a time, no closure matrix.
+"""Incremental verifier: process focus reads one at a time.
 
-Same decision problem and `OperationGraph` as `rw_closure`, built incrementally
-and never closed.  For each focus read r, only the newly reachable slice of the
+Same decision problem and `OperationGraph` as `rw_closure`, built
+incrementally.  For each focus read r, only the newly reachable slice of the
 graph (r's downset minus the previous read's) is examined.  Operations not yet
 settled have no stored edges: a read's slice gets its `PO` and `WR` edges as
 it settles, and every `WpW` edge joins two settled writes.  So that slice is
@@ -371,7 +371,7 @@ class ReadCentricChecker:
         return self._verdict(True, witness=witness)
 
     def final_graph(self) -> OperationGraph:
-        """The live graph: the settled operations' edges, never closed (`reaches()` raises)."""
+        """The live graph: the settled operations' edges."""
         return self.graph
 
 
@@ -379,8 +379,7 @@ def verify_read_centric(trace: Trace, focus: str) -> Verdict:
     """Decide consistency from `focus`'s viewpoint, one read at a time.
 
     Raises DuplicateValueError when a focus read has several candidate
-    writes (see `build_read_mapping`).  The verdict's `graph`, completed
-    with every `PO` and `WR` edge on its first read, is sparse and never
-    closed, so its reachability queries (`reaches()`) raise.
+    writes (see `build_read_mapping`).  The verdict's `graph` is sparse; it
+    is completed with every `PO` and `WR` edge on its first read.
     """
     return ReadCentricChecker(trace, focus).run()

@@ -1,4 +1,4 @@
-"""Whole-graph verifier: alternate transitive closure with overwrite-precedence edges.
+"""Whole-graph verifier: add overwrite-precedence edges until none is forced.
 
 The decision rule for a focus process: build the precedence graph over its
 visible operations (program order + dictating writes), then repeatedly add the
@@ -21,13 +21,11 @@ ALGORITHM = "rw-closure"
 
 
 def verify_rw_closure(trace: Trace, focus: str) -> Verdict:
-    """Decide consistency from `focus`'s viewpoint by closure iteration.
+    """Decide consistency from `focus`'s viewpoint by rounds of the overwrite rule.
 
-    Raises DuplicateValueError when a focus read has several candidate
-    writes (see `build_read_mapping`).
-    The verdict carries the final graph, closure included - useful for dumps
-    and for property checks on the saturated edge set (edge-less when a read
-    has no dictating write).
+    Raises DuplicateValueError when a focus read has several candidate writes
+    (see `build_read_mapping`).  The verdict carries the saturated graph, for
+    dumps and property checks (edge-less when a read has no dictating write).
     """
     proj = visible(trace, focus)
     graph = OperationGraph(proj.ops)
@@ -44,37 +42,23 @@ def verify_rw_closure(trace: Trace, focus: str) -> Verdict:
     focus_reads = proj.focus_reads()
 
     last_added: tuple[int, int] | None = None
-    while True:
-        graph.close()
-        added_any = False
-        for r in focus_reads:
+    while True:  # each round answers from the graph as it stood at its start
+        forced, above_r = [], set()
+        for r in focus_reads:  # program order: r's downset holds every earlier read's
             w = mapping[r.index]
-            for other in writes_on.get(r.variable, ()):
-                if other == w:
-                    continue
-                if graph.strictly_reaches(other, r.index) and not graph.reaches(other, w):
-                    if graph.add_edge(other, w, WPW):
-                        added_any = True
-                        last_added = (other, w)
-        if not added_any:
+            above_r |= graph.downset(r.index, above_r)
+            above_w = graph.downset(w)
+            forced += ((o, w) for o in writes_on[r.variable] if o in above_r and o not in above_w)
+        added = [e for e in forced if graph.add_edge(*e, WPW)]
+        if not added:
             break
+        last_added = added[-1]
 
-    if graph.cyclic():
-        cycle = None
+    cycle = graph.find_cycle()
+    if cycle is not None:
         if last_added is not None:
-            cycle = graph.shortest_cycle_through(*last_added)
-        if cycle is None:
-            cycle = graph.find_cycle()
-        return Verdict(
-            consistent=False,
-            focus=focus,
-            algorithm=ALGORITHM,
-            cycle=cycle,
-            reason="precedence cycle",
-            graph=graph,
-        )
+            cycle = graph.shortest_cycle_through(*last_added) or cycle
+        return Verdict(False, focus, ALGORITHM, cycle=cycle, reason="precedence cycle", graph=graph)
 
     witness = partial(build_dag_schedule, graph, proj)
-    return Verdict(
-        consistent=True, focus=focus, algorithm=ALGORITHM, witness=witness, graph=graph
-    )
+    return Verdict(True, focus, ALGORITHM, witness=witness, graph=graph)

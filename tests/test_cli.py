@@ -1,6 +1,8 @@
 import contextlib
+import errno
 import gc
 import hashlib
+import io
 import json
 import os
 import resource
@@ -45,13 +47,13 @@ def test_verify_violation_exit_one_and_prints_cycle(tmp_path, capsys):
     assert "overall: inconsistent" in out
 
 
-def _run_module(module, *args, **kwargs):
+def _run_module(module, *args, env=(), stdout=subprocess.PIPE, **kwargs):
     src = str(Path(pramcheck.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = dict(os.environ, PYTHONPATH=path, **dict(env))
     return subprocess.run(
         [sys.executable, "-m", module, *args],
-        capture_output=True, text=True, env=env, timeout=60, **kwargs,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60, **kwargs,
     )
 
 
@@ -468,6 +470,49 @@ def test_output_beside_no_temporary_file_is_written_in_place(tmp_path, capsys, m
                "--witness-out", str(tmp_path / "new")])
     assert rc == 64
     assert capsys.readouterr().err == f"error: cannot write {tmp_path / 'new'}: Permission denied\n"
+
+
+class _FullStream(io.StringIO):
+    """A stream that fails every write, as a full device does."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+FULL_STDOUT = f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{ok}"],
+        ["verify", "--json", "{ok}"],
+        ["check-schedule", "{ok}", "{sched}", "--focus", "p2"],
+        ["reduce", "--m", "1", "--B", "6", "--sizes", "2,2,2"],
+        ["gen", "--seed", "1"],
+        ["--help"],
+        ["verify", "--help"],
+    ],
+    ids=["verify", "verify-json", "check-schedule", "reduce", "gen", "help", "verify-help"],
+)
+def test_full_stdout_exits_64_with_one_error_line(tmp_path, capsys, monkeypatch, argv):
+    paths = {"ok": _trace(tmp_path, OK), "sched": _trace(tmp_path, "0\n1\n2\n3\n", name="s")}
+    monkeypatch.setattr(sys, "stdout", _FullStream())
+    rc = main([arg.format(**paths) for arg in argv])
+    assert (rc, capsys.readouterr().err) == (64, FULL_STDOUT)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_stdout_on_dev_full_exits_64_past_interpreter_exit(tmp_path, unbuffered):
+    """A buffered stdout still holds the text that failed, and flushing it
+    again at interpreter exit would turn the exit code into 120."""
+    with open("/dev/full", "w") as full:
+        proc = _run_module(
+            "pramcheck", "verify", str(_trace(tmp_path, OK)),
+            stdout=full, env={"PYTHONUNBUFFERED": unbuffered},
+        )
+    assert (proc.returncode, proc.stderr) == (64, FULL_STDOUT)
 
 
 def test_gen_output_to_dev_stdout_reaches_a_pipe():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from pramcheck.model import Operation, Trace, build_read_mapping, visible
-from pramcheck.opgraph import PO, WPW, WR, OperationGraph, add_rule_a_b, build_dag_schedule
+from pramcheck.opgraph import PO, WPW, WR, Cycle, OperationGraph, add_rule_a_b, build_dag_schedule
 from testutil import T, random_trace_rows, reference_dag_schedule
 
 
@@ -47,31 +47,30 @@ def test_edges_and_duplicates():
 
 
 def test_closure_matches_dfs_oracle():
-    """Strict reachability after close() equals plain DFS reachability."""
+    """`reaches` equals plain DFS reachability, made reflexive."""
     rng = random.Random(7)
     for trial in range(60):
         n = rng.randrange(2, 15)
         g, edges = _random_graph(rng, n, density=rng.choice([0.05, 0.15, 0.4]))
-        g.close()
         for src in range(n):
-            expect = _dfs_reachable(edges, n, src)
-            got = {v for v in range(n) if g.strictly_reaches(src, v)}
+            expect = _dfs_reachable(edges, n, src) | {src}
+            got = {v for v in range(n) if g.reaches(src, v)}
             assert got == expect, (trial, src)
 
 
 def test_reaches_is_reflexive_closure():
-    g = OperationGraph(_write_ops(2))
+    g = OperationGraph(_write_ops(3))
     g.add_edge(0, 1, PO)
-    g.close()
-    assert g.reaches(0, 0) and not g.strictly_reaches(0, 0)
-    assert g.reaches(0, 1) and g.strictly_reaches(0, 1)
+    for src in range(3):
+        expect = _dfs_reachable({(0, 1)}, 3, src) | {src}
+        assert {v for v in range(3) if g.reaches(src, v)} == expect
+    assert g.reaches(0, 0) and g.reaches(0, 1) and not g.reaches(1, 0)
 
 
 def test_downset_includes_self_and_ancestors():
     g = OperationGraph(_write_ops(4))
     g.add_edge(0, 1, PO)
     g.add_edge(1, 2, WPW)
-    g.close()
     assert g.downset(2) == {0, 1, 2}
     assert g.downset(3) == {3}
 
@@ -87,8 +86,6 @@ def test_sparse_downset_matches_dfs_ancestors_without_close():
         g, edges = _random_graph(rng, n, density=rng.choice([0.05, 0.15, 0.4]))
         for v in range(n):
             assert g.downset(v) == _dfs_ancestors(edges, n, v) | {v}, (trial, v)
-        with pytest.raises(RuntimeError):  # still never closed
-            g.reaches(0, 1)
 
 
 def test_downset_exclude_subtracts_a_union_of_downsets():
@@ -110,8 +107,6 @@ def test_cyclic_and_find_cycle():
     g.add_edge(1, 2, WPW)
     g.add_edge(2, 0, WPW)
     g.add_edge(2, 3, WR)
-    g.close()
-    assert g.cyclic()
     c = g.find_cycle()
     assert c is not None
     assert c.nodes[0] == c.nodes[-1]
@@ -124,8 +119,6 @@ def test_acyclic_has_no_cycle():
     g = OperationGraph(_write_ops(3))
     g.add_edge(0, 1, PO)
     g.add_edge(1, 2, PO)
-    g.close()
-    assert not g.cyclic()
     assert g.find_cycle() is None
 
 
@@ -140,6 +133,9 @@ def test_shortest_cycle_through_edge():
     g.add_edge(4, 0, WPW)
     c = g.shortest_cycle_through(0, 1)
     assert c.nodes == (0, 1, 4, 0)
+    g.add_edge(2, 2, WPW)
+    assert g.shortest_cycle_through(2, 2) == Cycle(nodes=(2, 2), tags=(WPW,))
+    assert g.shortest_cycle_through(1, 0) is None  # no such edge
 
 
 def test_topo_sort_breaks_ties_by_index():
@@ -207,21 +203,14 @@ def test_topo_sort_raises_on_cycle():
         g.topo_sort()
 
 
-def test_reachability_queries_require_close():
-    g = OperationGraph(_write_ops(2))
-    g.add_edge(0, 1, PO)
-    with pytest.raises(RuntimeError):
-        g.reaches(0, 1)
-
-
 def test_incremental_close_absorbs_new_edges():
+    """`reaches` follows each edge as soon as it is added."""
     g = OperationGraph(_write_ops(3))
+    assert not g.reaches(0, 1)  # edge-less nodes have no tables yet
     g.add_edge(0, 1, PO)
-    g.close()
-    assert not g.reaches(0, 2)
+    assert g.reaches(0, 1) and not g.reaches(0, 2)
     g.add_edge(1, 2, WPW)
-    g.close()
-    assert g.reaches(0, 2)
+    assert g.reaches(0, 2) and not g.reaches(2, 0)
 
 
 def test_rule_a_b_seeding():

@@ -202,7 +202,6 @@ def test_build_dag_schedule_covers_all_visible_ops():
     proj = visible(t, "p2")
     g = OperationGraph(proj.ops)
     add_rule_a_b(g, proj, build_read_mapping(t, "p2"))
-    g.close()
     sched = build_dag_schedule(g, proj)
     assert sorted(sched.seq) == sorted(o.index for o in proj.ops)
     assert check_pram_witness(t, "p2", sched).ok
