@@ -203,6 +203,16 @@ def test_topo_sort_raises_on_cycle():
         g.topo_sort()
 
 
+def test_reachability_queries_require_close():
+    """Queries no longer require `close()`: it is a no-op that changes no answer."""
+    g = OperationGraph(_write_ops(2))
+    g.add_edge(0, 1, PO)
+    before = [[g.reaches(s, d) for d in range(2)] for s in range(2)]
+    assert before == [[True, True], [False, True]]
+    g.close()
+    assert [[g.reaches(s, d) for d in range(2)] for s in range(2)] == before
+
+
 def test_incremental_close_absorbs_new_edges():
     """`reaches` follows each edge as soon as it is added."""
     g = OperationGraph(_write_ops(3))
