@@ -7,7 +7,8 @@ schedules and precedence-graph dumps), `check-schedule` (validate a witness),
 
 Exit codes: 0 consistent / success, 1 violation found, 2 search budget
 exhausted, 64 usage errors, malformed or unreadable input, and unwritable
-output paths or stdout, 70 internal errors (a bug in pramcheck).
+output paths or stdout, 70 internal errors (a bug in pramcheck).  Writing
+stderr is best effort: a failure there changes no exit code.
 """
 
 from __future__ import annotations
@@ -225,20 +226,33 @@ def _suffixed(path: Path, focus: str, multi: bool) -> Path:
     return path.with_name(f"{path.name}.{focus}") if multi else path
 
 
+def _drop(stream) -> None:
+    """Point `stream`'s descriptor at the null device, so that the flush at
+    interpreter exit drops what its buffer holds instead of failing again."""
+    with contextlib.suppress(OSError, ValueError):  # a stream without a descriptor
+        fd = stream.fileno()
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, fd)
+        os.close(null)
+
+
 def _stdout(text: str) -> None:
     """Write and flush `text` to stdout; failing to is an unwritable output."""
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
-        # Point the descriptor at the null device, so that the flush at
-        # interpreter exit drops what the buffer holds instead of failing again.
-        with contextlib.suppress(OSError, ValueError):  # a stream without a descriptor
-            fd = sys.stdout.fileno()
-            null = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(null, fd)
-            os.close(null)
+        _drop(sys.stdout)
         raise UsageError(f"cannot write stdout: {exc.strerror or exc}") from exc
+
+
+def _stderr(text: str) -> None:
+    """Write and flush `text` to stderr, best effort: failing to changes no exit code."""
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except OSError:
+        _drop(sys.stderr)
 
 
 def _emit(text: str, out: Path | None, others: tuple[tuple[Path, str], ...] = ()) -> None:
@@ -313,10 +327,7 @@ def _cmd_verify(args) -> int:
                 outputs.append((path, "".join(f"{u} {v} {tag}\n" for u, v, tag in graph.edges())))
                 entry["graph_file"] = str(path)
             else:
-                print(
-                    f"note: --dump-graph skipped for focus {focus} (oracle keeps no graph)",
-                    file=sys.stderr,
-                )
+                _stderr(f"note: --dump-graph skipped for focus {focus} (oracle keeps no graph)\n")
         per_process.append(entry)
     _write_all(outputs)
 
@@ -374,13 +385,13 @@ def _cmd_reduce(args) -> int:
     if args.with_witness is not None:  # solve before writing anything
         partition = solve_3partition(inst)
         if partition is None:
-            print("instance is infeasible; no witness schedule exists", file=sys.stderr)
+            _stderr("instance is infeasible; no witness schedule exists\n")
         else:
             sched = build_partition_witness(trace, inst, partition)
             witness = ((args.with_witness, serialize_schedule(sched)),)
     _emit(serialize_trace(trace), args.output, witness)
     if witness:
-        print(f"witness written to {args.with_witness} (focus {FOCUS})", file=sys.stderr)
+        _stderr(f"witness written to {args.with_witness} (focus {FOCUS})\n")
     return EXIT_OK
 
 
@@ -411,11 +422,10 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         return args.run(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _stderr(f"error: {exc}\n")
         return EXIT_USAGE
     except Exception as exc:  # a bug, not a verdict: never exit 1 ("violation found")
-        traceback.print_exc()
-        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _stderr(f"{traceback.format_exc()}error: internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_SOFTWARE
     finally:
         if paused:

@@ -15,10 +15,16 @@ the search gets.  Then `max_states` and `max_seconds` bound the search.
 has not already proven hopeless; forced reads and memo hits do not count.
 The search keeps its open states on an explicit stack, so it has no depth
 limit.
+
+To cut the heavy tail of duplicate-value searches, the search restarts on a
+Luby schedule of dead ends, keeping its memo (Gomes, Selman & Kautz, AAAI
+1998); `max_states` counts the states of every slice, re-entered ones too.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -35,15 +41,32 @@ ALGORITHM = "oracle"
 
 DEFAULT_MAX_STATES = 10_000_000
 
+# Dead ends per unit of the restart schedule.  Of 16, 32 and 64, 32 left the
+# fewest budget-5,000 timeouts on four benchmark `dup-mix` seeds (1 of 9,084
+# requests, against 2 and 3), and 64 took the most time.
+_UNIT = 32
+
 
 @dataclass(frozen=True)
 class OracleTimeout:
-    """Search budget exhausted before a verdict; deliberately not a Verdict."""
+    """Search budget exhausted before a verdict; deliberately not a Verdict.
+
+    `states` counts the states entered over all slices, and `restarts` the
+    slices begun after the first."""
 
     focus: str
     states: int
     max_states: int
     max_seconds: float | None = None
+    restarts: int = 0
+
+
+def _luby(j: int) -> int:
+    """Term j (from 0) of Luby's sequence 1, 1, 2, 1, 1, 2, 4, 1, 1, 2, ..."""
+    i = j + 1
+    while i & (i + 1):  # i is not 2**k - 1, so it repeats term i - 2**(k-1) + 1
+        i -= (1 << (i.bit_length() - 1)) - 1
+    return (i + 1) >> 1
 
 
 def oracle_verify(
@@ -67,6 +90,15 @@ def oracle_verify(
     state, so no recursion limit bounds its depth.  A frame holds the number
     of its state's forced reads, its memo key, its untried branches and the
     write to undo before the next branch.
+
+    The loop runs in slices.  Slice j may meet 32 * luby(j) dead ends (states
+    found hopeless, and starvation prunes); the next one ends it, and slice
+    j + 1 starts from the root with the lanes shuffled, deterministically, by
+    `random.Random(f"{focus}:{j + 1}")`.  Slice 0 keeps the lanes' order, so a
+    search with at most 32 dead ends never restarts.  The memo, whose key does
+    not depend on the lane order, is kept, and the slices grow without bound,
+    so the search stays complete.  `max_states` bounds the states entered
+    over all slices, and `max_seconds` is checked every 2,048 of them.
     """
     proj = visible(trace, focus)
     lanes = list(proj.by_process.values())
@@ -76,13 +108,14 @@ def oracle_verify(
     total = len(proj.ops)
 
     # Pair ids: (variable, value) -> small int, written pairs first, so that
-    # `supply[pid]` counts the unscheduled writes of each pair.
+    # `all_writes[pid]` counts the writes of each pair, and a slice's
+    # `supply[pid]` its unscheduled ones.
     pair_id = {pair: i for i, pair in enumerate(trace.writers)}
-    supply = [len(ws) for ws in trace.writers.values()]
+    all_writes = [len(ws) for ws in trace.writers.values()]
     for o in focus_ops:
         if (o.variable, o.value) not in pair_id:
-            pair_id[(o.variable, o.value)] = len(supply)
-            supply.append(0)
+            pair_id[(o.variable, o.value)] = len(all_writes)
+            all_writes.append(0)
 
     # suffix_sig[li][f]: identity of lane li's remaining (kind, pair)
     # sequence from position f on; equal signatures mean equal futures.
@@ -167,103 +200,117 @@ def oracle_verify(
         row = rows[f * nslots + s] = (head, tuple(want))
         return row
 
-    frontier = [0] * len(lanes)
-    lastvals: list[int | None] = [None] * len(variables)
-    sched: list[int] = []
     failed: set[tuple] = set()
     states = 0
     deadline = time.monotonic() + max_seconds if max_seconds is not None else None
+    lane_cells, lane_sigs, focus_lane = cells, suffix_sig, fl
 
-    # A frame is (number of reads forced on entering the state, memo key,
-    # iterator over the branch candidates, write to undo).  The current
-    # state's frame is held in the locals below, and its ancestors' frames on
-    # `stack`.
-    stack: list[tuple] = []
-    enter = True  # the last write led to a new state: open a frame for it
-    while True:
-        if enter:
-            # Schedule every enabled read right away: reads do not change the
-            # store, so any solution can be rearranged to take them first.
-            forced = 0
-            if fl >= 0:
-                f = start = frontier[fl]
-                s = rslot[f]
-                while s >= 0 and lastvals[s] == rval[f]:
-                    sched.append(ridx[f])
-                    f += 1
+    # One slice per turn; `failed` and `rows` do not depend on the lane order.
+    for restarts in itertools.count():
+        if restarts:
+            order = list(lane_nums)
+            random.Random(f"{focus}:{restarts}").shuffle(order)
+            cells = [lane_cells[li] for li in order]
+            suffix_sig = [lane_sigs[li] for li in order]
+            fl = order.index(focus_lane) if focus_lane >= 0 else -1
+        frontier = [0] * len(lanes)
+        lastvals: list[int | None] = [None] * len(variables)
+        sched: list[int] = []
+        supply = all_writes[:]
+        allowed = _UNIT * _luby(restarts)
+        dead_ends = 0
+
+        # A frame is (number of reads forced on entering the state, memo key,
+        # iterator over the branch candidates, write to undo).  The current
+        # state's frame is held in the locals below, and its ancestors' frames
+        # on `stack`.
+        stack: list[tuple] = []
+        enter = True  # the last write led to a new state: open a frame for it
+        while dead_ends <= allowed:
+            if enter:
+                # Schedule every enabled read right away: reads do not change
+                # the store, so any solution can be rearranged to take them first.
+                forced = 0
+                if fl >= 0:
+                    f = start = frontier[fl]
                     s = rslot[f]
-                forced = f - start
-                frontier[fl] = f
-            if len(sched) == total:
-                return Verdict(
-                    consistent=True, focus=focus, algorithm=ALGORITHM, witness=Schedule(sched)
-                )
-            # the memo key: the lanes' signatures as a multiset, then the store
-            key = sorted(map(getitem, suffix_sig, frontier))
-            key += lastvals
-            key = tuple(key)
-            if key in failed:  # a memoised state fails at once: back to its parent
+                    while s >= 0 and lastvals[s] == rval[f]:
+                        sched.append(ridx[f])
+                        f += 1
+                        s = rslot[f]
+                    forced = f - start
+                    frontier[fl] = f
+                if len(sched) == total:
+                    return Verdict(
+                        consistent=True, focus=focus, algorithm=ALGORITHM, witness=Schedule(sched)
+                    )
+                # the memo key: the lanes' signatures as a multiset, then the store
+                key = sorted(map(getitem, suffix_sig, frontier))
+                key += lastvals
+                key = tuple(key)
+                if key in failed:  # a memoised state fails at once: back to its parent
+                    if forced:
+                        frontier[fl] -= forced
+                        del sched[-forced:]
+                    forced, key, branches, undo = stack.pop()
+                    enter = False
+                else:
+                    states += 1
+                    if states > max_states or (
+                        deadline is not None and states % 2048 == 0 and time.monotonic() > deadline
+                    ):
+                        return OracleTimeout(focus, states, max_states, max_seconds, restarts)
+                    # The writes that would enable the focus's next read go
+                    # first; of lanes with equal remaining work, only the first
+                    # branches.
+                    need = rpid[frontier[fl]] if fl >= 0 and rslot[frontier[fl]] >= 0 else -1
+                    candidates: list[int] = []
+                    later: list[int] = []
+                    seen: list[int] = []
+                    for li, c in zip(lane_nums, map(getitem, cells, frontier)):
+                        if c is not None and c[4] not in seen:
+                            seen.append(c[4])
+                            (candidates if c[3] == need else later).append(li)
+                    candidates += later
+                    branches, undo = iter(candidates), None
+            if undo is not None:
+                li, s, prev, pid = undo
+                supply[pid] += 1
+                sched.pop()
+                frontier[li] -= 1
+                lastvals[s] = prev
+            for li in branches:
+                f = frontier[li]
+                s, val, index, pid, _ = cells[li][f]
+                undo = (li, s, lastvals[s], pid)
+                lastvals[s] = val
+                frontier[li] = f + 1
+                sched.append(index)
+                supply[pid] -= 1
+                enter = True
+                if fl >= 0:  # a starved state is undone on the next turn
+                    f = frontier[fl]
+                    head, want = rows.get(f * nslots + s) or bound(f, s)
+                    for v, p, n in want:  # `val` is now the store of slot s
+                        if supply[p] + (head == v == val) < n:
+                            enter = False
+                            dead_ends += 1
+                            break
+                if enter:
+                    stack.append((forced, key, branches, undo))
+                break
+            else:  # every branch failed: the state is hopeless
+                failed.add(key)
+                dead_ends += 1
                 if forced:
                     frontier[fl] -= forced
                     del sched[-forced:]
+                if not stack:
+                    return Verdict(
+                        consistent=False,
+                        focus=focus,
+                        algorithm=ALGORITHM,
+                        reason="search exhausted: no legal schedule exists",
+                    )
                 forced, key, branches, undo = stack.pop()
                 enter = False
-            else:
-                states += 1
-                if states > max_states or (
-                    deadline is not None and states % 2048 == 0 and time.monotonic() > deadline
-                ):
-                    return OracleTimeout(
-                        focus=focus, states=states, max_states=max_states, max_seconds=max_seconds
-                    )
-                # The writes that would enable the focus's next read go first;
-                # of lanes with equal remaining work, only the first branches.
-                need = rpid[frontier[fl]] if fl >= 0 and rslot[frontier[fl]] >= 0 else -1
-                candidates: list[int] = []
-                later: list[int] = []
-                seen: list[int] = []
-                for li, c in zip(lane_nums, map(getitem, cells, frontier)):
-                    if c is not None and c[4] not in seen:
-                        seen.append(c[4])
-                        (candidates if c[3] == need else later).append(li)
-                candidates += later
-                branches, undo = iter(candidates), None
-        if undo is not None:
-            li, s, prev, pid = undo
-            supply[pid] += 1
-            sched.pop()
-            frontier[li] -= 1
-            lastvals[s] = prev
-        for li in branches:
-            f = frontier[li]
-            s, val, index, pid, _ = cells[li][f]
-            undo = (li, s, lastvals[s], pid)
-            lastvals[s] = val
-            frontier[li] = f + 1
-            sched.append(index)
-            supply[pid] -= 1
-            enter = True
-            if fl >= 0:  # a starved state is undone on the next turn
-                f = frontier[fl]
-                head, want = rows.get(f * nslots + s) or bound(f, s)
-                for v, p, n in want:  # `val` is now the store of slot s
-                    if supply[p] + (head == v == val) < n:
-                        enter = False
-                        break
-            if enter:
-                stack.append((forced, key, branches, undo))
-            break
-        else:  # every branch failed: the state is hopeless
-            failed.add(key)
-            if forced:
-                frontier[fl] -= forced
-                del sched[-forced:]
-            if not stack:
-                return Verdict(
-                    consistent=False,
-                    focus=focus,
-                    algorithm=ALGORITHM,
-                    reason="search exhausted: no legal schedule exists",
-                )
-            forced, key, branches, undo = stack.pop()
-            enter = False

@@ -47,13 +47,15 @@ def test_verify_violation_exit_one_and_prints_cycle(tmp_path, capsys):
     assert "overall: inconsistent" in out
 
 
-def _run_module(module, *args, env=(), stdout=subprocess.PIPE, **kwargs):
+def _run_module(
+    module, *args, env=(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs
+):
     src = str(Path(pramcheck.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, **dict(env))
     return subprocess.run(
         [sys.executable, "-m", module, *args],
-        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60, **kwargs,
+        stdout=stdout, stderr=stderr, text=True, env=env, timeout=60, **kwargs,
     )
 
 
@@ -513,6 +515,36 @@ def test_stdout_on_dev_full_exits_64_past_interpreter_exit(tmp_path, unbuffered)
             stdout=full, env={"PYTHONUNBUFFERED": unbuffered},
         )
     assert (proc.returncode, proc.stderr) == (64, FULL_STDOUT)
+
+
+# A consistent trace whose p3 goes to the oracle, which writes a note on stderr
+# under --dump-graph; and a missing trace, which writes an error line there.
+STDERR_CASES = [
+    (["verify", "{dup}", "--dump-graph", "{graph}"], 0),
+    (["verify", "{missing}"], 64),
+]
+
+
+def _stderr_argv(tmp_path, argv):
+    dup = _trace(tmp_path, "p1 W x 1\np2 W x 1\np3 R x 1\n")
+    paths = {"dup": dup, "graph": tmp_path / "g", "missing": tmp_path / "missing.trace"}
+    return [arg.format(**paths) for arg in argv]
+
+
+@pytest.mark.parametrize("argv, code", STDERR_CASES, ids=["verify-note", "verify-missing"])
+def test_full_stderr_changes_no_exit_code(tmp_path, capsys, monkeypatch, argv, code):
+    argv = _stderr_argv(tmp_path, argv)
+    monkeypatch.setattr(sys, "stderr", _FullStream())
+    assert main(argv) == code
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv, code", STDERR_CASES, ids=["verify-note", "verify-missing"])
+def test_stderr_on_dev_full_changes_no_exit_code(tmp_path, argv, code):
+    argv = _stderr_argv(tmp_path, argv)
+    with open("/dev/full", "w") as full:
+        proc = _run_module("pramcheck", *argv, stderr=full)
+    assert proc.returncode == code
 
 
 def test_gen_output_to_dev_stdout_reaches_a_pipe():

@@ -12,6 +12,7 @@ from pramcheck import (
     mutate_trace,
     parse_trace,
 )
+from pramcheck import oracle
 from pramcheck.oracle import OracleTimeout, oracle_verify
 from pramcheck.model import Trace
 from pramcheck.reduction import FOCUS, ThreePartitionInstance, reduce_3partition, solve_3partition
@@ -44,8 +45,8 @@ def test_matches_brute_force_on_exhaustive_duplicate_traces():
     assert checked == 10016  # enumerator is deterministic
 
 
-def test_memo_does_not_change_verdicts():
-    """The memoised search agrees with the memo-free brute force."""
+def _seeded_duplicate_traces():
+    """120 seeded two-process traces of 4-10 operations on one variable, values 1-3."""
     rng = random.Random(31)
     for _ in range(120):
         n = rng.randrange(4, 11)
@@ -55,9 +56,32 @@ def test_memo_does_not_change_verdicts():
             proc = "p1" if i < split else "p2"
             kind = "R" if rng.random() < 0.45 else "W"
             rows.append(f"{proc} {kind} x {rng.randrange(1, 4)}")
-        t = parse_trace("\n".join(rows))
+        yield parse_trace("\n".join(rows))
+
+
+def test_memo_does_not_change_verdicts():
+    """The memoised search agrees with the memo-free brute force."""
+    for t in _seeded_duplicate_traces():
         for focus in t.processes:
             assert oracle_verify(t, focus).consistent is brute_force_consistent(t, focus)
+
+
+def test_restarts_keep_verdicts_and_witnesses(monkeypatch):
+    """With a restart after every dead end, the small traces restart too: the
+    kept memo must leave every verdict as brute force finds it, and every
+    witness must check."""
+    monkeypatch.setattr(oracle, "_UNIT", 1)
+    slices = []
+    monkeypatch.setattr(oracle, "_luby", lambda j, luby=oracle._luby: slices.append(j) or luby(j))
+    traces = itertools.chain(_exhaustive_duplicate_traces(5), _seeded_duplicate_traces())
+    for t in traces:
+        for focus in t.processes:
+            got = oracle_verify(t, focus)
+            assert isinstance(got, Verdict)
+            assert got.consistent is brute_force_consistent(t, focus)
+            if got.consistent:
+                assert check_pram_witness(t, focus, got.witness).ok
+    assert sum(j > 0 for j in slices) > 500  # restarts did run
 
 
 def test_accepting_runs_carry_checked_witness():
@@ -104,7 +128,18 @@ def test_deep_trace_times_out_at_the_budget():
     for focus in t.processes:
         out = oracle_verify(t, focus, max_states=5000)
         assert isinstance(out, OracleTimeout), focus
-        assert out.states == 5001
+        assert out.states == 5001  # states entered again after a restart count too
+        assert out.restarts > 0
+
+
+def test_a_search_without_dead_ends_never_restarts():
+    """One process's k `W x i`/`R x i` pairs: k states and no dead end.  A
+    schedule counted in states would restart and re-walk the same path, and
+    run out of a budget of k."""
+    k = 300
+    t = parse_trace("".join(f"p1 W x {i}\np1 R x {i}\n" for i in range(k)))
+    out = oracle_verify(t, "p1", max_states=k)
+    assert isinstance(out, Verdict) and out.consistent
 
 
 def _duplicate_traces():
@@ -196,12 +231,12 @@ def _wide_search_digest() -> str:
 def test_search_results_are_frozen():
     """Branch order, memo and state counting decide every timeout's `states`
     and every witness; changing any of them moves this digest."""
-    assert _search_digest() == "aba4980807934f8977a0c328c8911e1e086d00ec19fb2bfff1cb6909ab365859"
+    assert _search_digest() == "0f797168f259aceb408a5b504ba0aff46fb93ca0aab6af957f9c22f9d66d07a8"
 
 
 def test_wide_search_results_are_frozen():
     """Flag traces, 3-Partition reductions and early timeouts: as above."""
-    assert _wide_search_digest() == "9b5bb37b001cec3dcfe3400c13b4027b374a9733ca499e8b3c05777de338c9f3"
+    assert _wide_search_digest() == "4f9954ff6acf2fe9469e65057fbce594a10603d39bfdd24630f725d3b944d0c2"
 
 
 def _setup_peak_bytes(k: int) -> int:
@@ -226,7 +261,7 @@ def test_setup_memory_is_linear_in_the_focus():
 
 def test_deadline_ends_the_search():
     t = gen_pram_trace(1, ops=3000, policy="duplicate")
-    focus = next(iter(t.processes))
+    focus = "p3"  # undecided after 800,000 states; restarts decide p1 and p2 quickly
     t0 = time.monotonic()
     out = oracle_verify(t, focus, max_states=10**9, max_seconds=0.2)
     assert time.monotonic() - t0 < 5
