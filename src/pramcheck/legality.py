@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .model import WRITE, Operation, Trace, UnknownProcessError, visible
 
@@ -22,20 +22,8 @@ if TYPE_CHECKING:
 _INDEX = re.compile(r"[0-9]+\Z")
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """A total order over operations, stored as a tuple of operation indices."""
-
-    seq: tuple[int, ...]
-
-    def __init__(self, seq: Iterable[int]):
-        object.__setattr__(self, "seq", tuple(seq))
-
-    def __len__(self) -> int:
-        return len(self.seq)
-
-    def __iter__(self):
-        return iter(self.seq)
+class Schedule(tuple):
+    """A total order over operations: a tuple of operation indices."""
 
 
 class _BuiltOnFirstRead:
@@ -109,7 +97,7 @@ def serialize_schedule(sched: Schedule) -> str:
 
 def _check_permutation(sched: Schedule, ops: Mapping[int, Operation]) -> None:
     """Raise naming the first repeated or foreign index, else the first missing operation."""
-    if len(sched) == len(ops) and set(sched.seq) == ops.keys():
+    if len(sched) == len(ops) and set(sched) == ops.keys():
         return
     seen: set[int] = set()
     for i in sched:
@@ -172,7 +160,7 @@ def check_pram_witness(trace: Trace, focus: str, sched: Schedule) -> WitnessChec
         return WitnessCheck(False, f"not a permutation of visible operations: {exc}")
     if bad_read is not None:
         return WitnessCheck(False, f"illegal read {ops[bad_read].pretty()}")
-    pos = {op: i for i, op in enumerate(sched.seq)}
+    pos = {op: i for i, op in enumerate(sched)}
     for seq in proj.by_process.values():
         for a, b in zip(seq, seq[1:]):
             if pos[a.index] >= pos[b.index]:

@@ -140,11 +140,7 @@ class Trace:
 
     def rows(self) -> list[tuple[str, str, str, int]]:
         """The trace as build()-style rows, grouped by process section."""
-        return [
-            (o.process, o.kind, o.variable, o.value)
-            for p in self.processes
-            for o in self.processes[p]
-        ]
+        return [(o.process, o.kind, o.variable, o.value) for o in self.ops]
 
     @functools.cached_property
     def writers(self) -> dict[tuple[str, int], list[int]]:
@@ -324,9 +320,4 @@ def parse_trace(text: str | bytes) -> Trace:
 
 def serialize_trace(trace: Trace) -> str:
     """Canonical text for a trace: one section per process, no comments."""
-    lines = [
-        f"{o.process} {o.kind} {o.variable} {o.value}"
-        for p in trace.processes
-        for o in trace.processes[p]
-    ]
-    return "".join(line + "\n" for line in lines)
+    return "".join(f"{o.process} {o.kind} {o.variable} {o.value}\n" for o in trace.ops)

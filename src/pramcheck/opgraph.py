@@ -8,7 +8,7 @@ A node gets its tables on its first stored edge; a node without them is
 edge-less.  Read-centric stores only the edges of the operations its reads
 settle; `add_rule_a_b` seeds every `PO` and `WR` edge, for rw-closure or on
 the first read of a read-centric verdict's graph.  The graph keeps no
-closure: `reaches` walks `downset`, so it answers on any graph at any time.
+closure: `downset` walks the edges, so it answers on any graph at any time.
 """
 
 from __future__ import annotations
@@ -100,10 +100,6 @@ class OperationGraph:
     def close(self) -> None:
         """A no-op, kept only because the benchmark's tracer (`bench/tracing.py`) wraps it."""
 
-    def reaches(self, src: int, dst: int) -> bool:
-        """Reflexive reachability: every operation reaches itself."""
-        return src in self.downset(dst)
-
     def downset(self, node: int, exclude: AbstractSet[int] = frozenset()) -> set[int]:
         """`node` plus every operation reaching it by a path outside `exclude`.
 
@@ -120,19 +116,15 @@ class OperationGraph:
                     stack.append(p)
         return out
 
-    def topo_sort(
-        self, block: Mapping[int, int] | None = None, nodes: Iterable[int] | None = None
-    ) -> list[int]:
-        """Topological order of `nodes` (default: all), in one Kahn pass.
+    def topo_sort(self, block: Mapping[int, int]) -> list[int]:
+        """Topological order of `block`'s keys, in one Kahn pass.
 
-        Each step takes the ready node v of least (block[v], v); nodes
-        missing from `block` are in block 0.  `nodes` must be down-closed:
-        each node's predecessors are among them.  Callers sort acyclic
-        graphs only; a cycle raises RuntimeError.
+        Each step takes the ready node v of least (block[v], v).  The keys
+        must be down-closed: each node's predecessors are among them.
+        Callers sort acyclic graphs only; a cycle raises RuntimeError.
         """
-        rank = (block or {}).get
-        indeg = {v: len(self.preds.get(v, ())) for v in (self.nodes if nodes is None else nodes)}
-        ready = [(rank(v, 0), v) for v, d in indeg.items() if d == 0]
+        indeg = {v: len(self.preds.get(v, ())) for v in block}
+        ready = [(block[v], v) for v, d in indeg.items() if d == 0]
         heapq.heapify(ready)
         out: list[int] = []
         while ready:
@@ -142,7 +134,7 @@ class OperationGraph:
                 if s in indeg:
                     indeg[s] -= 1
                     if indeg[s] == 0:
-                        heapq.heappush(ready, (rank(s, 0), s))
+                        heapq.heappush(ready, (block[s], s))
         if len(out) != len(indeg):
             raise RuntimeError("topo_sort met a cycle")
         return out
@@ -214,19 +206,14 @@ def build_dag_schedule(graph: OperationGraph, proj: VisibleProjection) -> Schedu
     """Turn an acyclic precedence graph into a legal schedule.
 
     Block per focus read, in program order: the read's downset minus the
-    earlier blocks; operations preceding no read form a final block.  Each
-    block is a downset difference, so a node's predecessors lie in its own
-    block or an earlier one, and one `topo_sort` keyed by (block, index) over
-    the read blocks schedules them in turn, each in its lexicographically
-    smallest topological order.  The final block follows in index order when
-    its edges all run up in index, as in the verifiers' graphs (it carries
-    only `PO` edges); otherwise the sort takes it too, last.
+    earlier blocks.  Each block is a downset difference, so a node's
+    predecessors lie in its own block or an earlier one, and one `topo_sort`
+    keyed by (block, index) schedules the blocks in turn, each in its
+    lexicographically smallest topological order.  The operations preceding
+    no read follow in index order: in the verifiers' graphs their only
+    out-edges are `PO` edges, which run up in index.
     """
-    reads = proj.focus_reads()
     block: dict[int, int] = {}
-    for b, r in enumerate(reads):
+    for b, r in enumerate(proj.focus_reads()):
         block.update(dict.fromkeys(graph.downset(r.index, block.keys()), b))
-    rest = [v for v in graph.nodes if v not in block]  # edges from rest stay in rest
-    if any(s < v for v in rest for s in graph.succs.get(v, ())):
-        return Schedule(graph.topo_sort({**dict.fromkeys(rest, len(reads)), **block}))
-    return Schedule(graph.topo_sort(block, block.keys()) + rest)
+    return Schedule(graph.topo_sort(block) + [v for v in graph.nodes if v not in block])

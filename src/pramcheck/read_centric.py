@@ -31,7 +31,7 @@ one overwrite-rule check.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import deque
 from functools import partial
 from operator import attrgetter
@@ -59,13 +59,13 @@ class ReadCentricChecker:
     it: once src -> d closes a cycle (pw[src] at or after d's key), it does for
     every later write of `ws`, whose predecessors include src's (pw is exact).
     d is judged alike: as its process's last settled write it may be the only
-    sign that an earlier write there hits.  A hit at ws[-1] is bisected to the
-    first one, stepping over d and writes already ordered before d; processes
-    go in section order, which is index order, so the rejected source and the
-    edges added before it are those of an index-order scan.  Without a hit, src -> d
-    is added only from each other process's last settled write ("last"):
-    program order leads the rest to last, or in d's process to d, and skipping
-    their edges loses nothing:
+    sign that an earlier write there hits.  Only a hit at ws[-1] scans `ws` in
+    index order for the first one, stepping over d and writes already ordered
+    before d; processes go in section order, which is index order, so the
+    rejected source and the edges added before it are those of an index-order
+    scan.  Without a hit, src -> d is added only from each other process's
+    last settled write ("last"): program order leads the rest to last, or in
+    d's process to d, and skipping their edges loses nothing:
 
     1. Reachability: src -PO-> ... -> last -WpW-> d, or src -PO-> ... -> d.
     2. `rr`: rr[src] is at or before rr[last], so the edge into d lowers
@@ -113,7 +113,7 @@ class ReadCentricChecker:
 
     # -- shared plumbing -----------------------------------------------------
 
-    def _reject_cycle(self, src: int, dst: int, entry: int | None = None) -> Verdict:
+    def _reject_cycle(self, src: int, dst: int, entry: int) -> Verdict:
         """The edge src -> dst closed a cycle; extract it for the verdict.
 
         Detection can fire before the closing precedence is materialized: when
@@ -121,7 +121,7 @@ class ReadCentricChecker:
         a read not yet processed, the forced edge dst -> entry is implied but
         absent.  Adding it here makes the counterexample concrete.
         """
-        if entry is not None and entry != dst:
+        if entry != dst:
             self.graph.add_edge(dst, entry, WPW)
         cycle = self.graph.shortest_cycle_through(src, dst)
         if cycle is None:
@@ -237,11 +237,10 @@ class ReadCentricChecker:
         """(src, entry) for the first write of `ws` whose edge into d closes a cycle, or None."""
         if self.cycle_detection(ws[-1], d) is None:
             return None
-        def hits(w: int) -> bool:  # False, then True along ws
-            return self.cycle_detection(w, d) is not None
-        for src in ws[bisect_left(ws, True, hi=len(ws) - 1, key=hits) :]:
-            if src != d and not self.graph.has_edge(src, d):
-                return src, self.cycle_detection(src, d)
+        for src in ws:
+            entry = self.cycle_detection(src, d)
+            if entry is not None and src != d and not self.graph.has_edge(src, d):
+                return src, entry
         return None
 
     def identify_rule_c(self, src: int, r_old: int) -> int | None:

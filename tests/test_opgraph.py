@@ -4,7 +4,7 @@ import pytest
 
 from pramcheck.model import Operation, Trace, build_read_mapping, visible
 from pramcheck.opgraph import PO, WPW, WR, Cycle, OperationGraph, add_rule_a_b, build_dag_schedule
-from testutil import T, random_trace_rows, reference_dag_schedule
+from testutil import T, random_trace_rows, reference_dag_schedule, unread_out_edges_off_po
 
 
 def _write_ops(n):
@@ -47,14 +47,14 @@ def test_edges_and_duplicates():
 
 
 def test_closure_matches_dfs_oracle():
-    """`reaches` equals plain DFS reachability, made reflexive."""
+    """Membership in `downset` equals plain DFS reachability, made reflexive."""
     rng = random.Random(7)
     for trial in range(60):
         n = rng.randrange(2, 15)
         g, edges = _random_graph(rng, n, density=rng.choice([0.05, 0.15, 0.4]))
         for src in range(n):
             expect = _dfs_reachable(edges, n, src) | {src}
-            got = {v for v in range(n) if g.reaches(src, v)}
+            got = {v for v in range(n) if src in g.downset(v)}
             assert got == expect, (trial, src)
 
 
@@ -63,8 +63,8 @@ def test_reaches_is_reflexive_closure():
     g.add_edge(0, 1, PO)
     for src in range(3):
         expect = _dfs_reachable({(0, 1)}, 3, src) | {src}
-        assert {v for v in range(3) if g.reaches(src, v)} == expect
-    assert g.reaches(0, 0) and g.reaches(0, 1) and not g.reaches(1, 0)
+        assert {v for v in range(3) if src in g.downset(v)} == expect
+    assert 0 in g.downset(0) and 0 in g.downset(1) and 1 not in g.downset(0)
 
 
 def test_downset_includes_self_and_ancestors():
@@ -142,17 +142,18 @@ def test_topo_sort_breaks_ties_by_index():
     g = OperationGraph(_write_ops(5))
     g.add_edge(3, 1, PO)
     g.add_edge(3, 0, PO)
-    assert g.topo_sort() == [2, 3, 0, 1, 4]
+    assert g.topo_sort(dict.fromkeys(range(5), 0)) == [2, 3, 0, 1, 4]
 
 
 def test_topo_sort_orders_ready_nodes_by_block_then_index():
     g = OperationGraph(_write_ops(5))
     g.add_edge(0, 1, PO)
     g.add_edge(3, 2, PO)
-    # 3 and 2 form block 0; nodes missing from the mapping are in block 0 too
+    # 3 and 2 form block 0
     assert g.topo_sort({0: 1, 1: 1, 2: 0, 3: 0, 4: 2}) == [3, 2, 0, 1, 4]
-    assert g.topo_sort({0: 1, 1: 1, 4: 2}) == [3, 2, 0, 1, 4]
-    assert g.topo_sort({4: 0, 3: 1, 2: 1}) == [0, 1, 4, 3, 2]
+    assert g.topo_sort({0: 0, 1: 0, 4: 0, 3: 1, 2: 1}) == [0, 1, 4, 3, 2]
+    # only the keys are sorted: {2, 3} is down-closed
+    assert g.topo_sort({3: 0, 2: 0}) == [3, 2]
 
 
 def test_dag_schedule_equals_the_per_block_reference_on_random_dags():
@@ -162,10 +163,12 @@ def test_dag_schedule_equals_the_per_block_reference_on_random_dags():
         rows = random_trace_rows(rng, processes=processes, variables=2, ops=ops, value_pool=range(4))
         trace = Trace.build(rows)
         proj = visible(trace, rng.choice(rows)[0])
+        reads = [r.index for r in proj.focus_reads()]
         g = OperationGraph(proj.ops)
         add_rule_a_b(g, proj, {})
         # extra edges follow a random interleaving of the processes, so index
-        # order is no topological order
+        # order is no topological order; as in the verifiers' graphs, each
+        # ends at an operation that already reaches a read
         lanes = [[o.index for o in seq] for seq in proj.by_process.values()]
         order = []
         while lanes:
@@ -174,25 +177,10 @@ def test_dag_schedule_equals_the_per_block_reference_on_random_dags():
             lanes = [lane for lane in lanes if lane]
         for i, u in enumerate(order):
             for v in order[i + 1 :]:
-                if rng.random() < 0.15:
+                if rng.random() < 0.15 and any(v in g.downset(r) for r in reads):
                     g.add_edge(u, v, WPW)
-        assert build_dag_schedule(g, proj).seq == reference_dag_schedule(g, proj).seq
-
-
-def test_dag_schedule_sorts_unread_operations_with_a_downward_edge():
-    t = T("""
-        p1 W x 1
-        p1 R x 1
-        p2 W y 1
-        p2 W y 2
-        p3 W y 3
-    """)
-    proj = visible(t, "p1")
-    g = OperationGraph(proj.ops)
-    add_rule_a_b(g, proj, build_read_mapping(t, "p1"))
-    g.add_edge(4, 2, WPW)  # among the operations no read reaches, against index order
-    g.add_edge(0, 3, WPW)  # from the read's block into them
-    assert build_dag_schedule(g, proj).seq == reference_dag_schedule(g, proj).seq == (0, 1, 4, 2, 3)
+        assert unread_out_edges_off_po(g, proj) == []
+        assert build_dag_schedule(g, proj) == reference_dag_schedule(g, proj)
 
 
 def test_topo_sort_raises_on_cycle():
@@ -200,27 +188,27 @@ def test_topo_sort_raises_on_cycle():
     g.add_edge(0, 1, PO)
     g.add_edge(1, 0, WPW)
     with pytest.raises(RuntimeError):
-        g.topo_sort()
+        g.topo_sort(dict.fromkeys(range(3), 0))
 
 
 def test_reachability_queries_require_close():
     """Queries no longer require `close()`: it is a no-op that changes no answer."""
     g = OperationGraph(_write_ops(2))
     g.add_edge(0, 1, PO)
-    before = [[g.reaches(s, d) for d in range(2)] for s in range(2)]
+    before = [[s in g.downset(d) for d in range(2)] for s in range(2)]
     assert before == [[True, True], [False, True]]
     g.close()
-    assert [[g.reaches(s, d) for d in range(2)] for s in range(2)] == before
+    assert [[s in g.downset(d) for d in range(2)] for s in range(2)] == before
 
 
 def test_incremental_close_absorbs_new_edges():
-    """`reaches` follows each edge as soon as it is added."""
+    """`downset` follows each edge as soon as it is added."""
     g = OperationGraph(_write_ops(3))
-    assert not g.reaches(0, 1)  # edge-less nodes have no tables yet
+    assert 0 not in g.downset(1)  # edge-less nodes have no tables yet
     g.add_edge(0, 1, PO)
-    assert g.reaches(0, 1) and not g.reaches(0, 2)
+    assert 0 in g.downset(1) and 0 not in g.downset(2)
     g.add_edge(1, 2, WPW)
-    assert g.reaches(0, 2) and not g.reaches(2, 0)
+    assert 0 in g.downset(2) and 2 not in g.downset(0)
 
 
 def test_rule_a_b_seeding():

@@ -159,7 +159,7 @@ def _result_row(out) -> str:
     """A search result's class, then its states or its verdict and witness."""
     if isinstance(out, OracleTimeout):
         return f"OracleTimeout {out.states}"
-    seq = out.witness.seq if out.witness is not None else None
+    seq = tuple(out.witness) if out.witness is not None else None
     return f"Verdict {out.consistent} {out.reason} {seq}"
 
 

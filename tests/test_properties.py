@@ -99,4 +99,4 @@ def test_witnesses_equal_the_per_block_reference_schedule(trace):
         for v in verdicts:
             if v.consistent:
                 want = reference_dag_schedule(v.graph, visible(trace, focus))
-                assert v.witness.seq == want.seq, v.algorithm
+                assert v.witness == want, v.algorithm

@@ -26,6 +26,7 @@ from testutil import (
     T,
     brute_force_consistent,
     reread_trace,
+    unread_out_edges_off_po,
     verify_read_centric_checked,
 )
 from test_rw_closure import DUPLICATE_ELSEWHERE, FROZEN, _exhaustive_unique_traces
@@ -306,6 +307,40 @@ def _seeded_traces():
         yield t
 
 
+def test_operations_no_read_reaches_have_only_upward_po_out_edges():
+    """`build_dag_schedule` appends the operations no focus read reaches in
+    index order: on each consistent focus of both verifiers, their out-edges
+    are `PO` edges up in index.  Read-centric's graph is checked sparse, then
+    again once the verdict's `graph` has completed it."""
+    traces = list(_seeded_traces())
+    for seed in (1, 2):
+        t = gen_pram_trace(seed, processes=16, variables=2, ops=1600, read_fraction=0.35)
+        traces.append(t)
+        for kind in MUTATIONS:
+            try:
+                traces.append(mutate_trace(seed, t, kind))
+            except MutationError:
+                pass
+    checked = {"rw-closure": 0, ALGORITHM: 0}
+    for t in traces:
+        for focus in t.processes:
+            try:
+                rw = verify_rw_closure(t, focus)
+            except DuplicateValueError:
+                continue
+            proj = visible(t, focus)
+            if rw.consistent:
+                assert unread_out_edges_off_po(rw.graph, proj) == [], (t.rows(), focus)
+                checked[rw.algorithm] += 1
+            checker = ReadCentricChecker(t, focus)
+            rc = checker.run()
+            if rc.consistent:
+                assert unread_out_edges_off_po(checker.graph, proj) == [], (t.rows(), focus)
+                assert unread_out_edges_off_po(rc.graph, proj) == [], (t.rows(), focus)
+                checked[rc.algorithm] += 1
+    assert checked["rw-closure"] == checked[ALGORITHM] > 300, checked
+
+
 def test_agrees_with_rw_closure_on_seeded_traces():
     disagreements = 0
     for t in _seeded_traces():
@@ -448,7 +483,7 @@ def _read_centric_digest() -> str:
             for focus in trace.processes:
                 v = verify_read_centric(trace, focus)
                 cycle = (v.cycle.nodes, v.cycle.tags) if v.cycle is not None else None
-                seq = v.witness.seq if v.witness is not None else None
+                seq = tuple(v.witness) if v.witness is not None else None
                 edges = sorted(v.graph.edges())
                 row = f"{seed} {kind} {focus} {v.consistent} {v.reason} {cycle} {seq} {edges}"
                 h.update(f"{row}\n".encode())

@@ -191,8 +191,8 @@ def test_saturation_property_on_accepting_graphs():
                 var = t.ops[r_idx].variable
                 for o in proj.ops:
                     if o.is_write and o.variable == var and o.index != w_idx:
-                        if g.reaches(o.index, r_idx):
-                            assert g.reaches(o.index, w_idx)
+                        if o.index in g.downset(r_idx):
+                            assert o.index in g.downset(w_idx)
                             seen += 1
     assert seen > 100
 
@@ -203,7 +203,7 @@ def test_build_dag_schedule_covers_all_visible_ops():
     g = OperationGraph(proj.ops)
     add_rule_a_b(g, proj, build_read_mapping(t, "p2"))
     sched = build_dag_schedule(g, proj)
-    assert sorted(sched.seq) == sorted(o.index for o in proj.ops)
+    assert sorted(sched) == sorted(o.index for o in proj.ops)
     assert check_pram_witness(t, "p2", sched).ok
 
 
@@ -212,7 +212,8 @@ def _rw_closure_digest() -> str:
 
     The traces: 16-process `gen_pram_trace` traces of 1,600 operations (the
     benchmark's `gen-large` shape), seeds 1-2, each also with every mutation
-    that applies to it.  Each focus's verdict must equal read-centric's.
+    that applies to it.  Each focus's verdict and witness must equal
+    read-centric's.
     """
     h = hashlib.sha256()
     for seed in range(1, 3):
@@ -226,9 +227,11 @@ def _rw_closure_digest() -> str:
         for kind, trace in traces:
             for focus in trace.processes:
                 v = verify_rw_closure(trace, focus)
-                assert v.consistent is verify_read_centric(trace, focus).consistent, (seed, kind, focus)
+                rc = verify_read_centric(trace, focus)
+                assert v.consistent is rc.consistent, (seed, kind, focus)
+                assert v.witness == rc.witness, (seed, kind, focus)
                 cycle = (v.cycle.nodes, v.cycle.tags) if v.cycle is not None else None
-                seq = v.witness.seq if v.witness is not None else None
+                seq = tuple(v.witness) if v.witness is not None else None
                 edges = sorted(v.graph.edges())
                 row = f"{seed} {kind} {focus} {v.consistent} {v.reason} {cycle} {seq} {edges}"
                 h.update(f"{row}\n".encode())
@@ -238,5 +241,5 @@ def _rw_closure_digest() -> str:
 def test_outputs_on_16_process_traces_are_frozen_and_agree_with_read_centric():
     """Verdicts, cycles, witnesses and the saturated edge list with its tags
     on 128 foci at the `gen-large` shape: any change to the graph rw-closure
-    builds moves this digest."""
+    builds moves this digest.  Each witness is read-centric's too."""
     assert _rw_closure_digest() == "6ba7b713656e2586ccb6dea8a45544ca1b456bfb4dd37e9ab3b0db216c78cf59"

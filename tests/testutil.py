@@ -21,7 +21,7 @@ from typing import Iterable
 from pramcheck import Trace, parse_trace, visible
 from pramcheck.legality import Schedule, Verdict
 from pramcheck.model import INT64_MAX, INT64_MIN, TraceParseError, VisibleProjection
-from pramcheck.opgraph import OperationGraph
+from pramcheck.opgraph import PO, OperationGraph
 from pramcheck.read_centric import ReadCentricChecker
 
 _REF_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -113,6 +113,24 @@ def reference_dag_schedule(graph: OperationGraph, proj: VisibleProjection) -> Sc
     rest = set(graph.nodes) - done
     out.extend(_subset_topo_sort(graph, rest))
     return Schedule(out)
+
+
+def unread_out_edges_off_po(
+    graph: OperationGraph, proj: VisibleProjection
+) -> list[tuple[int, int, str]]:
+    """The out-edges of operations no focus read reaches, other than `PO` edges up in index.
+
+    `build_dag_schedule` appends those operations in index order, which is
+    a topological order of them only when this list is empty.
+    """
+    reached = set().union(*(graph.downset(r.index) for r in proj.focus_reads()))
+    return [
+        (v, s, tag)
+        for v in graph.nodes
+        if v not in reached
+        for s, tag in graph.succs.get(v, {}).items()
+        if tag != PO or s < v
+    ]
 
 
 def brute_force_consistent(trace: Trace, focus: str) -> bool:
