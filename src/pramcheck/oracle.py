@@ -9,8 +9,9 @@ distinct Timeout, never as a verdict.
 
 Its set-up is linear in the focus: past one pass over the trace to project
 it, it reads each visible operation a constant number of times before the
-first search state, and builds the rest of its pruning bound only as far as
-the search gets.  Then `max_states` and `max_seconds` bound the search.
+first search state.  Apart from the memo, which the budget bounds, a search's
+memory is linear in the focus too.  `max_states` and `max_seconds` bound the
+search.
 `max_states` counts the distinct search states that the oracle enters and
 has not already proven hopeless; forced reads and memo hits do not count.
 The search keeps its open states on an explicit stack, so it has no depth
@@ -150,69 +151,40 @@ def oracle_verify(
     rval = [o.value for o in focus_ops]
     ridx = [o.index for o in focus_ops]
     rpid = [pair_id[(o.variable, o.value)] for o in focus_ops]
-    lane_nums = range(len(lanes))
 
     # Remaining-supply bound: every maximal same-value run among the focus's
     # remaining reads of a variable needs its own write of that value (only
     # the first run can ride on the current store), so a value whose
     # unscheduled writes fall short of its remaining runs is a dead end.
     # One backward scan records each slot's focus positions and, for each
-    # pair the focus reads, the positions where its runs end; `bound` builds
-    # the row of one (focus position, slot) from them the first time a check
-    # needs it, so the set-up stays linear in the focus.
-    _wall = object()  # a pending focus write separates runs
+    # pair the focus reads there, the positions where its runs end; a check
+    # counts a pair's remaining runs with one bisect, so it keeps nothing.
     positions: list[list[int]] = [[] for _ in variables]
-    runs_of: list[dict[int, tuple[int, list[int]]]] = [{} for _ in variables]
-    after: dict[int, object] = {}  # slot -> the next focus read's value there, or _wall
+    runs_of: list[dict[int, list[int]]] = [{} for _ in variables]
+    after: dict[int, int | None] = {}  # slot -> the next focus read's value there, None at a write
     for f in range(len(focus_ops) - 1, -1, -1):
         op = focus_ops[f]
         s = slot[op.variable]
         positions[s].append(f)
         if op.kind == READ:
             if after.get(s) != op.value:
-                runs_of[s].setdefault(rpid[f], (op.value, []))[1].append(f)
+                runs_of[s].setdefault(rpid[f], []).append(f)
             after[s] = op.value
         else:
-            after[s] = _wall
+            after[s] = None
     for pos in positions:
         pos.reverse()
-    for runs in runs_of:
-        for _, ends in runs.values():
-            ends.reverse()
-    nslots = len(variables)
-    rows: dict[int, tuple] = {}  # f * nslots + s -> bound(f, s)
-
-    def bound(f: int, s: int) -> tuple:
-        """The focus's reads of slot s from position f on, as (head, want):
-        head is the value of the first of them, _wall if a focus write comes
-        first, or None; want holds (value, pair id, remaining runs) for each
-        pair with runs left."""
-        pos = positions[s]
-        i = bisect_left(pos, f)
-        head = None
-        if i < len(pos):
-            head = rval[pos[i]] if rslot[pos[i]] >= 0 else _wall
-        want = []
-        for pid, (val, ends) in runs_of[s].items():
-            n = len(ends) - bisect_left(ends, f)
-            if n:
-                want.append((val, pid, n))
-        row = rows[f * nslots + s] = (head, tuple(want))
-        return row
+    runs = [[(pid, ends[::-1]) for pid, ends in by_pid.items()] for by_pid in runs_of]
 
     failed: set[tuple] = set()
     states = 0
     deadline = time.monotonic() + max_seconds if max_seconds is not None else None
-    lane_cells, lane_sigs, focus_lane = cells, suffix_sig, fl
 
-    # One slice per turn; `failed` and `rows` do not depend on the lane order.
+    # One slice per turn; `failed` does not depend on the lane order.
     for restarts in itertools.count():
+        order = list(range(len(lanes)))  # the order in which the lanes branch
         if restarts:
-            order = list(lane_nums)
             random.Random(f"{focus}:{restarts}").shuffle(order)
-            cells = [lane_cells[li] for li in order]
-            suffix_sig = [lane_sigs[li] for li in order]
-            fl = order.index(focus_lane) if focus_lane >= 0 else -1
         frontier = [0] * len(lanes)
         lastvals: list[int | None] = [None] * len(variables)
         sched: list[int] = []
@@ -267,7 +239,8 @@ def oracle_verify(
                     candidates: list[int] = []
                     later: list[int] = []
                     seen: list[int] = []
-                    for li, c in zip(lane_nums, map(getitem, cells, frontier)):
+                    for li in order:
+                        c = cells[li][frontier[li]]
                         if c is not None and c[4] not in seen:
                             seen.append(c[4])
                             (candidates if c[3] == need else later).append(li)
@@ -290,9 +263,14 @@ def oracle_verify(
                 enter = True
                 if fl >= 0:  # a starved state is undone on the next turn
                     f = frontier[fl]
-                    head, want = rows.get(f * nslots + s) or bound(f, s)
-                    for v, p, n in want:  # `val` is now the store of slot s
-                        if supply[p] + (head == v == val) < n:
+                    # a run of `val` rides on the store if the focus's next
+                    # operation on slot s, at g, reads it
+                    pos = positions[s]
+                    i = bisect_left(pos, f)
+                    g = pos[i] if i < len(pos) else len(rval)  # past the end, rslot is -2
+                    ride = pid if rslot[g] >= 0 and rval[g] == val else -1
+                    for p, ends in runs[s]:
+                        if supply[p] + (p == ride) < len(ends) - bisect_left(ends, f):
                             enter = False
                             dead_ends += 1
                             break

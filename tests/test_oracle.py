@@ -142,6 +142,30 @@ def test_a_search_without_dead_ends_never_restarts():
     assert isinstance(out, Verdict) and out.consistent
 
 
+def test_only_a_focus_read_lets_a_run_ride_on_the_store():
+    """Once p1 writes 3 at the start, the focus's next operation on x is its
+    own `W x 3`, not a read, so neither of its two `R x 3` runs rides on the
+    store, and the one write of 3 left is too few: the supply bound prunes the
+    state.  Letting a run ride there enters it, and the search takes a sixth
+    state."""
+    t = T("""
+        p1 W x 2
+        p1 W x 3
+        p1 W x 2
+        p1 R x 1
+        p2 W x 3
+        p2 R x 3
+        p2 W x 2
+        p2 R x 3
+        p3 R x 3
+    """)
+    v = oracle_verify(t, "p2", max_states=5)
+    assert isinstance(v, Verdict) and v.consistent
+    assert tuple(v.witness) == (0, 4, 5, 6, 1, 7, 2)
+    out = oracle_verify(t, "p2", max_states=4)
+    assert isinstance(out, OracleTimeout) and out.states == 5
+
+
 def _duplicate_traces():
     """(ops, seed, trace): 4-process duplicate-value traces of 75 and 100
     operations, seeds 0-9, each also with one mutation applied where it applies."""
@@ -239,22 +263,31 @@ def test_wide_search_results_are_frozen():
     assert _wide_search_digest() == "4f9954ff6acf2fe9469e65057fbce594a10603d39bfdd24630f725d3b944d0c2"
 
 
-def _setup_peak_bytes(k: int) -> int:
-    """tracemalloc peak of a one-state search of one process's k `W x i`/`R x i` pairs."""
+def _setup_peak_bytes(k: int, max_states: int = 1) -> int:
+    """tracemalloc peak of a search of one process's k `W x i`/`R x i` pairs:
+    one state by default, or with `max_states` of at least k, a full search."""
     t = parse_trace("".join(f"p1 W x {i}\np1 R x {i}\n" for i in range(k)))
     tracemalloc.start()
     try:
-        out = oracle_verify(t, "p1", max_states=1)
+        out = oracle_verify(t, "p1", max_states=max_states)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert isinstance(out, OracleTimeout) and out.states == 2
+    if max_states == 1:
+        assert isinstance(out, OracleTimeout) and out.states == 2
+    else:
+        assert isinstance(out, Verdict) and out.consistent
     return peak
 
 
 def test_setup_memory_is_linear_in_the_focus():
-    """The search's set-up is bounded by neither budget, so it must stay linear."""
+    """The search's set-up is bounded by neither budget, so it must stay
+    linear; and apart from the memo, which stays empty here, nothing a full
+    search keeps may outgrow the focus."""
     small, large = _setup_peak_bytes(2000), _setup_peak_bytes(4000)
+    assert large < 16 * 2**20
+    assert large / small < 3
+    small, large = (_setup_peak_bytes(k, oracle.DEFAULT_MAX_STATES) for k in (1000, 2000))
     assert large < 16 * 2**20
     assert large / small < 3
 
