@@ -91,6 +91,11 @@ def test_parse_rejects_split_process_section():
         """)
 
 
+def test_build_rejects_an_unknown_operation_kind():
+    with pytest.raises(ValueError, match="bad operation kind 'X'"):
+        Trace.build([("p1", "W", "x", 1), ("p1", "X", "x", 2)])
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(TraceParseError) as exc:
         parse_trace("p1 W x 1\np1 W x nope\n")

@@ -329,3 +329,54 @@ def test_solve_3partition_has_no_recursion_limit():
     assert time.perf_counter() - t0 < 1.0
     assert len(part) == 1500
     assert sorted(i for triple in part for i in triple) == list(range(4500))
+
+
+def _partition_exists(sizes: tuple[int, ...], B: int) -> bool:
+    """Brute force: the first size joins some pair of the others, then the rest must split."""
+    if not sizes:
+        return True
+    first, rest = sizes[0], sizes[1:]
+    for j, k in itertools.combinations(range(len(rest)), 2):
+        if first + rest[j] + rest[k] == B:
+            left = tuple(s for i, s in enumerate(rest) if i not in (j, k))
+            if _partition_exists(left, B):
+                return True
+    return False
+
+
+def _check_partition(inst: ThreePartitionInstance, part) -> None:
+    assert sorted(i for triple in part for i in triple) == list(range(len(inst.sizes)))
+    assert all(sum(inst.sizes[i] for i in triple) == inst.B for triple in part)
+
+
+def test_solve_3partition_backtracks():
+    # 7 + 4 + 4 leaves 6 no pair summing to 9; the search undoes 7's triple,
+    # skips 7's other (4, 4) pairs as value-equal, and runs out
+    infeasible = ThreePartitionInstance(m=3, B=15, sizes=(4, 4, 4, 4, 4, 6, 6, 6, 7))
+    assert solve_3partition(infeasible) is None
+    # 11 + 9 + 7 leaves 10 no pair summing to 17; after the backtrack,
+    # 11 + 8 + 8 leads to 10 + 10 + 7 and 10 + 9 + 8
+    inst = ThreePartitionInstance(m=3, B=27, sizes=(7, 8, 8, 8, 9, 10, 10, 10, 11))
+    _check_partition(inst, solve_3partition(inst))
+    # five sizes summing to mB: not 3m of them
+    assert solve_3partition(ThreePartitionInstance(m=2, B=13, sizes=(4, 5, 5, 6, 6))) is None
+
+
+def test_solve_3partition_matches_brute_force_on_small_canonical_instances():
+    """Every canonical instance with m in {2, 3} and B <= 30: each size
+    strictly between B/4 and B/2, the sizes summing to mB."""
+    checked = {True: 0, False: 0}
+    for m in (2, 3):
+        for B in range(5, 31):
+            band = [s for s in range(1, B) if B < 4 * s and 2 * s < B]
+            for sizes in itertools.combinations_with_replacement(band, 3 * m):
+                if sum(sizes) != m * B:
+                    continue
+                inst = ThreePartitionInstance(m=m, B=B, sizes=sizes)
+                part = solve_3partition(inst)
+                want = _partition_exists(sizes, B)
+                assert (part is not None) is want, inst
+                if want:
+                    _check_partition(inst, part)
+                checked[want] += 1
+    assert min(checked.values()) > 50, checked
