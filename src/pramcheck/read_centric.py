@@ -26,7 +26,8 @@ none of them changes what d reaches: one forward walk from d serves them all.
 The dictating write's downset is re-walked in reverse topological order
 (`topo_schedule`) only while some write's `rr` has dropped since its last
 rule check; every write there refreshes `rr` from its successors and gets
-one overwrite-rule check.
+one overwrite-rule check.  The walk keeps no copy of the graph: a rule-C
+edge reaches it through the graph's own tables, where `add_edge` stores it.
 """
 
 from __future__ import annotations
@@ -205,7 +206,7 @@ class ReadCentricChecker:
         d = self.ops[self.mapping[r.index]]
         k = self.read_ord[r.index]
         rr, rr_checked, pw, pw_after = self.rr, self.rr_checked, self.pw, self.pw_after
-        succs, preds = self.graph.succs, self.graph.preds
+        add_edge = self.graph.add_edge
         delta: set[int] = set()
         for end in (r,) if d.process == self.focus else (r, d):
             p = end.process
@@ -214,13 +215,12 @@ class ReadCentricChecker:
             prev = seq[lo - 1].index if lo else None
             chain = seq[lo : bisect_right(seq, end.index, lo, key=attrgetter("index"))]
             for o in chain:
-                i = o.index  # i is new to pw and to the graph's tables
-                succs[i] = {}
+                i = o.index  # i is new to pw and to the graph
                 if prev is None:
-                    pw[i], preds[i] = {}, set()
+                    pw[i] = {}
                 else:
-                    pw[i], preds[i] = pw_after(prev), {prev}
-                    succs[prev][i] = PO
+                    pw[i] = pw_after(prev)
+                    add_edge(prev, i, PO)
                 prev = i
                 delta.add(i)
                 if o.kind == WRITE:
@@ -285,32 +285,31 @@ class ReadCentricChecker:
         """Reverse-topological refresh of D(r)'s downset; None means no cycle.
 
         Writes pull rr from their direct successors (processed first) and get
-        one rule check each; an edge into a not-yet-done member makes the
-        source wait for it and be re-checked.
+        one rule check each.  A rule-C edge reaches the walk through the
+        graph; one into a not-yet-done member makes the source wait for it
+        and be re-checked.
         """
         d = self.mapping[r.index]
         dset = self.graph.downset(d)
-        suc = {u: [s for s in self.graph.succs[u] if s in dset] for u in dset}
-        count = {u: len(suc[u]) for u in dset}
-        pre = {u: [p for p in self.graph.preds[u] if p in dset] for u in dset}
+        succs, preds = self.graph.succs, self.graph.preds  # preds[u] lies in dset
+        count = {u: len(succs[u].keys() & dset) for u in dset}
         done: set[int] = set()
         queue = deque([d])
         while queue:
             u = queue.popleft()
             if self.ops[u].is_write and u not in done:
-                for s in suc[u]:
-                    other = self.read_ord[s] if self.ops[s].is_read else self.rr[s]
-                    self.rr[u] = min(self.rr[u], other)
+                for s in succs[u]:
+                    if s in dset:
+                        other = self.read_ord[s] if self.ops[s].is_read else self.rr[s]
+                        self.rr[u] = min(self.rr[u], other)
                 tgt = self.apply_rule_c(u)
                 if isinstance(tgt, Verdict):
                     return tgt
                 if tgt in dset and tgt not in done:  # tgt may be None: no rule fired
-                    pre[tgt].append(u)
-                    suc[u].append(tgt)
                     count[u] += 1
             if count[u] == 0:
                 done.add(u)
-                for p in pre[u]:
+                for p in preds[u]:
                     count[p] -= 1
                     if count[p] == 0:
                         queue.append(p)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import random
@@ -267,6 +268,10 @@ def _setup_peak_bytes(k: int, max_states: int = 1) -> int:
     """tracemalloc peak of a search of one process's k `W x i`/`R x i` pairs:
     one state by default, or with `max_states` of at least k, a full search."""
     t = parse_trace("".join(f"p1 W x {i}\np1 R x {i}\n" for i in range(k)))
+    # A full collection empties the interpreter's free lists.  tracemalloc
+    # does not see an object reused from them, so without it the peak would
+    # depend on what earlier code left there.
+    gc.collect()
     tracemalloc.start()
     try:
         out = oracle_verify(t, "p1", max_states=max_states)
@@ -308,14 +313,16 @@ def test_verdict_metadata():
     assert v.focus == "p2"
 
 
+def _check_partition(inst: ThreePartitionInstance, part) -> None:
+    assert sorted(i for triple in part for i in triple) == list(range(len(inst.sizes)))
+    assert all(sum(inst.sizes[i] for i in triple) == inst.B for triple in part)
+
+
 def test_solve_3partition_feasible():
     inst = ThreePartitionInstance(m=2, B=7, sizes=(3, 3, 2, 2, 2, 2))
     part = solve_3partition(inst)
     assert part is not None
-    flat = sorted(i for triple in part for i in triple)
-    assert flat == list(range(6))
-    for triple in part:
-        assert sum(inst.sizes[i] for i in triple) == inst.B
+    _check_partition(inst, part)
 
 
 def test_solve_3partition_infeasible():
@@ -342,11 +349,6 @@ def _partition_exists(sizes: tuple[int, ...], B: int) -> bool:
             if _partition_exists(left, B):
                 return True
     return False
-
-
-def _check_partition(inst: ThreePartitionInstance, part) -> None:
-    assert sorted(i for triple in part for i in triple) == list(range(len(inst.sizes)))
-    assert all(sum(inst.sizes[i] for i in triple) == inst.B for triple in part)
 
 
 def test_solve_3partition_backtracks():
