@@ -9,6 +9,8 @@ edge-less.  Read-centric stores only the edges of the operations its reads
 settle; `add_rule_a_b` seeds every `PO` and `WR` edge, for rw-closure or on
 the first read of a read-centric verdict's graph.  The graph keeps no
 closure: `downset` walks the edges, so it answers on any graph at any time.
+Every cycle a verifier reports is built here, by `misordered_read_cycle` or
+by `shortest_cycle_through`, which `find_cycle` calls once on a cyclic graph.
 """
 
 from __future__ import annotations
@@ -63,6 +65,22 @@ class Cycle:
         for node, tag in zip(self.nodes[1:], self.tags):
             parts.append(f"-{tag}-> {ops[node].pretty()}")
         return " ".join(parts)
+
+
+def misordered_read_cycle(
+    reads: Iterable[Operation], mapping: Mapping[int, int], ops: Sequence[Operation]
+) -> Cycle | None:
+    """The cycle of the first read that precedes its dictating write, or None.
+
+    Such a read r and d = mapping[r] are one process's, whose section is one
+    run of indices (see `Trace`): r -PO-> ... -PO-> d -WR-> r.
+    """
+    for r in reads:
+        d = mapping[r.index]
+        if d > r.index and ops[d].process == r.process:
+            tags = (PO,) * (d - r.index) + (WR,)
+            return Cycle(nodes=(*range(r.index, d + 1), r.index), tags=tags)
+    return None
 
 
 class OperationGraph:
@@ -140,11 +158,12 @@ class OperationGraph:
         return out
 
     def find_cycle(self) -> Cycle | None:
-        """Some directed cycle over the sparse edges, or None if acyclic.
+        """A shortest cycle through one edge that lies on a cycle, or None if acyclic.
 
-        A Kahn pass that drains every node proves the graph acyclic; only a
-        graph it leaves undrained gets the depth-first search, whose roots and
-        successors go in index order, so the cycle it returns is fixed.
+        A Kahn pass that drains every node proves the graph acyclic.  Else a
+        walk back from the least leftover node, each step to its least leftover
+        predecessor (every leftover node has one), repeats a node; the edge
+        that closes the walk lies on a cycle.
         """
         indeg = {v: len(p) for v, p in self.preds.items()}
         drained = [v for v, d in indeg.items() if not d]
@@ -155,28 +174,12 @@ class OperationGraph:
                     drained.append(s)
         if len(drained) == len(indeg):
             return None
-        on_path: dict[int, bool] = {}  # visited node -> on the current path
-        for root in sorted(self.succs):  # a node without tables is on no cycle
-            if root in on_path:
-                continue
-            on_path[root] = True
-            stack: list[tuple[int, Iterator[int]]] = [(root, iter(sorted(self.succs[root])))]
-            while stack:
-                node, it = stack[-1]
-                for nxt in it:
-                    if on_path.get(nxt):
-                        trail = [v for v, _ in stack]
-                        loop = trail[trail.index(nxt):] + [nxt]
-                        tags = tuple(self.succs[a][b] for a, b in zip(loop, loop[1:]))
-                        return Cycle(nodes=tuple(loop), tags=tags)
-                    if nxt not in on_path:
-                        on_path[nxt] = True
-                        stack.append((nxt, iter(sorted(self.succs[nxt]))))
-                        break
-                else:
-                    on_path[node] = False
-                    stack.pop()
-        return None
+        v = min(u for u, d in indeg.items() if d)
+        walked: set[int] = set()
+        while v not in walked:
+            walked.add(v)
+            v, dst = min(p for p in self.preds[v] if indeg[p]), v
+        return self.shortest_cycle_through(v, dst)
 
     def shortest_cycle_through(self, src: int, dst: int) -> Cycle | None:
         """Shortest cycle using the existing edge src -> dst, via BFS dst => src."""

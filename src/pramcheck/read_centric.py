@@ -40,7 +40,8 @@ from operator import attrgetter
 from .legality import Verdict
 from .model import WRITE, Operation, Trace, UnmatchedReadError, build_read_mapping, visible
 from .model import classify  # noqa: F401 - bench/tracing.py wraps this name
-from .opgraph import PO, WPW, WR, Cycle, OperationGraph, add_rule_a_b, build_dag_schedule
+from .opgraph import PO, WPW, WR, OperationGraph, add_rule_a_b, build_dag_schedule
+from .opgraph import misordered_read_cycle
 
 ALGORITHM = "read-centric"
 
@@ -352,13 +353,9 @@ class ReadCentricChecker:
         for key, w in enumerate(self.key_write):  # reads in program order: first wins
             self.order_key.setdefault(w, key)
 
-        for r in self.reads:  # the focus's section is one run of indices: see Trace
-            d = self.mapping[r.index]
-            if self.ops[d].process == self.focus and d > r.index:
-                nodes = (*range(r.index, d + 1), r.index)
-                tags = (PO,) * (d - r.index) + (WR,)
-                reason = "read precedes its dictating write"
-                return self._verdict(False, cycle=Cycle(nodes=nodes, tags=tags), reason=reason)
+        cycle = misordered_read_cycle(self.reads, self.mapping, self.ops)
+        if cycle is not None:
+            return self._verdict(False, cycle=cycle, reason="read precedes its dictating write")
 
         for r in self.reads:
             verdict = self.settle(r)

@@ -6,7 +6,8 @@ forced write order - whenever some other write w' on the same variable
 precedes a read r, w' must precede r's dictating write - until nothing new
 appears.  The trace is consistent from this focus iff the result is acyclic;
 an acyclic result converts into a legal witness schedule, a cycle is the
-counterexample.
+counterexample: the program-order cycle of the first focus read that precedes
+its own dictating write, as read-centric reports it, else `find_cycle`'s.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import partial
 
 from .legality import Verdict
 from .model import Trace, UnmatchedReadError, build_read_mapping, visible
-from .opgraph import WPW, OperationGraph, add_rule_a_b, build_dag_schedule
+from .opgraph import WPW, OperationGraph, add_rule_a_b, build_dag_schedule, misordered_read_cycle
 
 ALGORITHM = "rw-closure"
 
@@ -41,7 +42,6 @@ def verify_rw_closure(trace: Trace, focus: str) -> Verdict:
             writes_on.setdefault(o.variable, []).append(o.index)
     focus_reads = proj.focus_reads()
 
-    last_added: tuple[int, int] | None = None
     while True:  # each round answers from the graph as it stood at its start
         forced, above_r = [], set()
         for r in focus_reads:  # program order: r's downset holds every earlier read's
@@ -52,12 +52,10 @@ def verify_rw_closure(trace: Trace, focus: str) -> Verdict:
         added = [e for e in forced if graph.add_edge(*e, WPW)]
         if not added:
             break
-        last_added = added[-1]
 
     cycle = graph.find_cycle()
     if cycle is not None:
-        if last_added is not None:
-            cycle = graph.shortest_cycle_through(*last_added) or cycle
+        cycle = misordered_read_cycle(focus_reads, mapping, trace.ops) or cycle
         return Verdict(False, focus, ALGORITHM, cycle=cycle, reason="precedence cycle", graph=graph)
 
     witness = partial(build_dag_schedule, graph, proj)

@@ -122,6 +122,48 @@ def test_acyclic_has_no_cycle():
     assert g.find_cycle() is None
 
 
+def test_find_cycle_makes_one_shortest_cycle_call_per_cyclic_graph(monkeypatch):
+    calls = []
+    through = OperationGraph.shortest_cycle_through
+
+    def counting(self, src, dst):
+        calls.append((src, dst))
+        return through(self, src, dst)
+
+    monkeypatch.setattr(OperationGraph, "shortest_cycle_through", counting)
+    rng = random.Random(31)
+    seen = {True: 0, False: 0}
+    for trial in range(300):
+        n = rng.randrange(1, 12)
+        g, edges = _random_graph(rng, n, density=rng.choice([0.05, 0.1, 0.2, 0.4]))
+        cyclic = any(u in _dfs_reachable(edges, n, u) for u in range(n))
+        calls.clear()
+        c = g.find_cycle()
+        assert (c is not None) is cyclic, trial
+        assert len(calls) == cyclic, trial
+        if cyclic:
+            assert (c.nodes[0], c.nodes[1]) == calls[0]
+            assert all((u, v, tag) in set(g.edges()) for u, v, tag in zip(c.nodes, c.nodes[1:], c.tags))
+        seen[cyclic] += 1
+    assert min(seen.values()) > 50, seen
+
+
+def test_find_cycle_walks_back_from_the_least_leftover_node():
+    """Node 0 lies downstream of two cycles: 2 -> 3 -> 4 -> 5 -> 2, with the
+    shortcut 2 -> 9 -> 5, and 7 <-> 8.  The Kahn pass drains 6 and 1, which
+    feeds 0 and 2.  The walk back takes the least leftover predecessor at
+    each step, 0, 5, 4, 3, 2, and meets 5 again: 5 -> 2 closes it, and the
+    cycle is the shortest through that edge, not the walk's own loop."""
+    g = OperationGraph(_write_ops(10))
+    for u, v, tag in [
+        (6, 1, PO), (1, 0, PO), (1, 2, PO),
+        (2, 3, PO), (3, 4, PO), (4, 5, PO), (5, 2, WPW), (2, 9, WR), (9, 5, WPW),
+        (7, 8, PO), (8, 7, WPW), (5, 0, WR), (7, 0, WR),
+    ]:
+        g.add_edge(u, v, tag)
+    assert g.find_cycle() == Cycle(nodes=(5, 2, 9, 5), tags=(WPW, WR, WPW))
+
+
 def test_shortest_cycle_through_edge():
     g = OperationGraph(_write_ops(5))
     # two cycles through (0 -> 1): a long one via 2,3 and a short one via 4

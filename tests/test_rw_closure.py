@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import random
@@ -15,12 +16,13 @@ from pramcheck import (
     parse_trace,
     verify_rw_closure,
 )
+from pramcheck import rw_closure
 from pramcheck.model import build_read_mapping, visible
 from pramcheck.rw_closure import ALGORITHM, build_dag_schedule
 from pramcheck.oracle import oracle_verify
-from pramcheck.opgraph import OperationGraph, add_rule_a_b
+from pramcheck.opgraph import PO, WR, Cycle, OperationGraph, add_rule_a_b
 from pramcheck.read_centric import verify_read_centric
-from testutil import T, brute_force_consistent
+from testutil import T, brute_force_consistent, chain_trace
 
 # Small traces with verdicts frozen from the independent brute-force search.
 FROZEN = [
@@ -90,6 +92,56 @@ def test_cycle_edges_exist_in_saturated_graph():
     assert not v.consistent and v.cycle is not None
     for u, w in zip(v.cycle.nodes, v.cycle.nodes[1:]):
         assert v.graph.has_edge(u, w)
+
+
+def test_a_misordered_read_gets_the_same_cycle_from_both_verifiers():
+    """p0 reads x 1 before it writes it: both verifiers print the program-order
+    cycle from that read, and each keeps its own reason."""
+    t = T("p1 W z 9\np0 R x 1\np0 R y 2\np0 W y 2\np0 W x 1")
+    rw, rc = verify_rw_closure(t, "p0"), verify_read_centric(t, "p0")
+    assert rw.cycle == rc.cycle == Cycle(nodes=(1, 2, 3, 4, 1), tags=(PO, PO, PO, WR))
+    assert (rw.reason, rc.reason) == ("precedence cycle", "read precedes its dictating write")
+
+
+def _mutated_traces():
+    """Every mutation of the 3-process, 40-op traces of seeds 1-100."""
+    for seed in range(1, 101):
+        base = gen_pram_trace(seed, processes=3, variables=2, ops=40)
+        for kind in MUTATIONS:
+            try:
+                yield mutate_trace(seed, base, kind)
+            except MutationError:
+                pass
+
+
+def test_misordered_read_rejections_get_read_centrics_cycle():
+    misordered = 0
+    for t in _mutated_traces():
+        for focus in t.processes:
+            rc = verify_read_centric(t, focus)
+            if rc.reason == "read precedes its dictating write":
+                assert verify_rw_closure(t, focus).cycle == rc.cycle, (t.rows(), focus)
+                misordered += 1
+    assert misordered == 74  # the corpus is deterministic
+
+
+def test_each_rejection_makes_one_shortest_cycle_call(monkeypatch):
+    calls = []
+    through = OperationGraph.shortest_cycle_through
+
+    def counting(self, src, dst):
+        calls.append((src, dst))
+        return through(self, src, dst)
+
+    monkeypatch.setattr(OperationGraph, "shortest_cycle_through", counting)
+    seen = {True: 0, False: 0}
+    for t in _mutated_traces():
+        for focus in t.processes:
+            calls.clear()
+            v = verify_rw_closure(t, focus)
+            assert len(calls) == (v.cycle is not None), (t.rows(), focus)
+            seen[v.consistent] += 1
+    assert min(seen.values()) > 100, seen
 
 
 # x=1 is written twice: p3's read is ambiguous, p1 and p2 read only y
@@ -207,15 +259,16 @@ def test_build_dag_schedule_covers_all_visible_ops():
     assert check_pram_witness(t, "p2", sched).ok
 
 
-def _rw_closure_digest() -> str:
-    """sha256 over each focus's verdict, reason, cycle, witness and edge list.
+def _rw_closure_digests() -> dict[str, str]:
+    """sha256 over each focus's verdict, reason, cycle, witness and edge list,
+    one hash per part, so a change shows which part it moved.
 
     The traces: 16-process `gen_pram_trace` traces of 1,600 operations (the
     benchmark's `gen-large` shape), seeds 1-2, each also with every mutation
     that applies to it.  Each focus's verdict and witness must equal
     read-centric's.
     """
-    h = hashlib.sha256()
+    hashes = {part: hashlib.sha256() for part in ("verdict", "reason", "cycle", "witness", "edges")}
     for seed in range(1, 3):
         t = gen_pram_trace(seed, processes=16, variables=2, ops=1600, read_fraction=0.35)
         traces = [("none", t)]
@@ -230,16 +283,83 @@ def _rw_closure_digest() -> str:
                 rc = verify_read_centric(trace, focus)
                 assert v.consistent is rc.consistent, (seed, kind, focus)
                 assert v.witness == rc.witness, (seed, kind, focus)
-                cycle = (v.cycle.nodes, v.cycle.tags) if v.cycle is not None else None
-                seq = tuple(v.witness) if v.witness is not None else None
-                edges = sorted(v.graph.edges())
-                row = f"{seed} {kind} {focus} {v.consistent} {v.reason} {cycle} {seq} {edges}"
-                h.update(f"{row}\n".encode())
-    return h.hexdigest()
+                parts = {
+                    "verdict": v.consistent,
+                    "reason": v.reason,
+                    "cycle": (v.cycle.nodes, v.cycle.tags) if v.cycle is not None else None,
+                    "witness": tuple(v.witness) if v.witness is not None else None,
+                    "edges": sorted(v.graph.edges()),
+                }
+                for part, value in parts.items():
+                    hashes[part].update(f"{seed} {kind} {focus} {value}\n".encode())
+    return {part: h.hexdigest() for part, h in hashes.items()}
 
 
 def test_outputs_on_16_process_traces_are_frozen_and_agree_with_read_centric():
-    """Verdicts, cycles, witnesses and the saturated edge list with its tags
-    on 128 foci at the `gen-large` shape: any change to the graph rw-closure
-    builds moves this digest.  Each witness is read-centric's too."""
-    assert _rw_closure_digest() == "6ba7b713656e2586ccb6dea8a45544ca1b456bfb4dd37e9ab3b0db216c78cf59"
+    """Verdicts, reasons, cycles, witnesses and the saturated edge list with
+    its tags on 128 foci at the `gen-large` shape: any change to the graph
+    rw-closure builds moves the edge hash.  Each witness is read-centric's too."""
+    assert _rw_closure_digests() == {
+        "verdict": "59940ce407e9dfa40545b3231f528bff7a153ea53da32285982062b4ff23f283",
+        "reason": "185bc9dcd35307c85d21c46960bb94e27b87790070cfd9500a5e9a3436451a82",
+        "cycle": "0ef3407708d19efa3f2c17f7b5dc1ec56c5c211d4829b1d4a4809e36d4849d7d",
+        "witness": "6f77c6f70b9d0289a0f45006604c5634a69165c13ed112be2151e4ae4b9db135",
+        "edges": "4461f8932ddda8de08783df42b7a33987941273451e76a600f11dbe9687040ae",
+    }
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 40])
+def test_chain_family_is_accepted_with_equal_legal_witnesses(k):
+    t = chain_trace(k)
+    assert t.n == 5 * k + 1
+    if k <= 2:
+        assert brute_force_consistent(t, "f")
+    v, rc = verify_rw_closure(t, "f"), verify_read_centric(t, "f")
+    assert v.consistent and rc.consistent
+    assert v.witness == rc.witness
+    assert check_pram_witness(t, "f", v.witness).ok
+
+
+class _RoundCountingGraph(OperationGraph):
+    """Counts `downset` calls per node: each rw-closure round walks from the
+    focus's first read exactly once, with nothing excluded yet."""
+
+    def __init__(self, ops):
+        super().__init__(ops)
+        self.calls = collections.Counter()
+
+    def downset(self, node, exclude=frozenset()):
+        self.calls[node] += 1
+        return super().downset(node, exclude)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 30])
+def test_rw_closure_takes_k_plus_1_rounds_on_the_chain_family(k, monkeypatch):
+    graphs = []
+
+    def counting(ops):
+        graphs.append(_RoundCountingGraph(ops))
+        return graphs[-1]
+
+    monkeypatch.setattr(rw_closure, "OperationGraph", counting)
+    t = chain_trace(k)
+    v = verify_rw_closure(t, "f")  # the witness is built on first read, after the count
+    assert v.consistent and len(graphs) == 1
+    first_read = t.processes["f"][0].index
+    assert graphs[0].calls[first_read] == k + 1
+    assert sum(graphs[0].calls.values()) == (k + 1) * 2 * (2 * k)  # two walks per read per round
+
+
+def test_chain_family_outputs_are_frozen():
+    """Both polynomial verifiers' verdicts, witnesses and tagged edge lists on
+    the chain family for k = 1..64, where rw-closure needs k + 1 rounds: any
+    change to either graph or witness on this family moves the digest."""
+    h = hashlib.sha256()
+    for k in range(1, 65):
+        t = chain_trace(k)
+        v, rc = verify_rw_closure(t, "f"), verify_read_centric(t, "f")
+        assert v.witness == rc.witness, k
+        for run in (v, rc):
+            h.update(f"{k} {run.algorithm} {run.consistent} {tuple(run.witness)}\n".encode())
+            h.update(f"{sorted(run.graph.edges())}\n".encode())
+    assert h.hexdigest() == "9cff115c418d211e33cc313794de8b199ca5b7833b1a00fb6d957cd3dfb99c86"

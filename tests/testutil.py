@@ -193,6 +193,25 @@ def reread_trace(k: int) -> Trace:
     return Trace.build(rows)
 
 
+def chain_trace(k: int) -> Trace:
+    """The round chain: consistent, 5k + 1 operations over k + 2 processes.
+
+    Process `a` writes `W x_k 0`, ..., `W x_1 0`, then `W z 1`; each `b_i`
+    writes `W x_i 1`, then `W y_i 1`; the focus `f` reads `R y_(i-1) 1`,
+    `R x_i 1` for i = k down to 2, then `R z 1`, `R x_1 1`.  Round i of
+    rw-closure orders `W x_i 0` before `W x_i 1`, and only that edge lets
+    `W x_(i+1) 0` reach the read of `x_(i+1)`: k + 1 rounds in all.
+    """
+    rows = [("a", "W", f"x{i}", 0) for i in range(k, 0, -1)]
+    rows.append(("a", "W", "z", 1))
+    for i in range(1, k + 1):
+        rows += [(f"b{i}", "W", f"x{i}", 1), (f"b{i}", "W", f"y{i}", 1)]
+    for i in range(k, 1, -1):
+        rows += [("f", "R", f"y{i - 1}", 1), ("f", "R", f"x{i}", 1)]
+    rows += [("f", "R", "z", 1), ("f", "R", "x1", 1)]
+    return Trace.build(rows)
+
+
 def random_trace_rows(rng, *, processes, variables, ops, value_pool):
     """Unstructured random rows: reads may be unsatisfiable on purpose."""
     procs = [f"p{i}" for i in range(1, processes + 1)]
