@@ -238,11 +238,11 @@ def oracle_verify(
                     need = rpid[frontier[fl]] if fl >= 0 and rslot[frontier[fl]] >= 0 else -1
                     candidates: list[int] = []
                     later: list[int] = []
-                    seen: list[int] = []
+                    seen: set[int] = set()
                     for li in order:
                         c = cells[li][frontier[li]]
                         if c is not None and c[4] not in seen:
-                            seen.append(c[4])
+                            seen.add(c[4])
                             (candidates if c[3] == need else later).append(li)
                     candidates += later
                     branches, undo = iter(candidates), None

@@ -19,9 +19,9 @@ overwrite-precedence rule needs:
   write.  A new edge w' -> w closes a cycle precisely when w already precedes
   w' in that order, i.e. when pw[w'][var] is at or after w's key.
 
-Every edge that the proactive pass at a read adds ends at the read's
-dictating write d, and a path from d through such an edge returns to d, so
-none of them changes what d reaches: one forward walk from d serves them all.
+`pw` is exact: for every stored edge u -> s, pw[s] holds what u passes on.
+So a new edge's merge walks forward only from operations whose entry grew:
+past an entry that does not grow, none would.
 
 The dictating write's downset is re-walked in reverse topological order
 (`topo_schedule`) only while some write's `rr` has dropped since its last
@@ -84,8 +84,8 @@ class ReadCentricChecker:
        operations preceding no read, which carry only `PO` edges, follow in
        index order; all of it depends on reachability alone.
 
-    The pass walks d's settled forward set once, at its first edge, and every
-    later `last -> d` edge reuses it: no edge into d changes what d reaches.
+    Each `last -> d` edge merges into d, and walks on only from the entries
+    that grow (`update_reachability`).
     """
 
     def __init__(self, trace: Trace, focus: str):
@@ -105,9 +105,9 @@ class ReadCentricChecker:
         self.rr_checked: dict[int, int] = {}  # rr value at the write's last rule check
         self.unchecked: set[int] = set()  # writes whose rr dropped since that check
         self.pw: dict[int, dict[str, int]] = {}  # op -> variable -> preceding write's key
-        read_vars = {r.variable for r in self.reads}
-        # variable the focus reads -> process, in section order -> settled writes on it
-        self.lw = {v: {p: [] for p in self.proj.by_process} for v in read_vars}
+        # variable the focus reads -> one list per process with settled writes
+        # on it, those writes, the lists in section order (by first write)
+        self.lw: dict[str, list[list[int]]] = {r.variable: [] for r in self.reads}
         self.order_key: dict[int, int] = {}  # write -> ordinal of first dictated read
         self.key_write: list[int] = []  # order key -> the write it belongs to
 
@@ -146,16 +146,15 @@ class ReadCentricChecker:
                 known[var] = key
         return known
 
-    def pw_update(self, o: int, targets: set[int]) -> None:
-        """Merge o's preceding-write knowledge, o included, into each target's."""
-        known = self.pw_after(o).items()
-        pw = self.pw
-        for o2 in targets:
-            dst = pw[o2]
-            get = dst.get
-            for var, key in known:
-                if get(var, -1) < key:
-                    dst[var] = key
+    def pw_update(self, known: dict[str, int], o: int) -> bool:
+        """Merge preceding-write knowledge (a `pw_after`) into pw[o]; True if it grew."""
+        dst = self.pw[o]
+        grew = False
+        for var, key in known.items():
+            if dst.get(var, -1) < key:
+                dst[var] = key
+                grew = True
+        return grew
 
     def cycle_detection(self, src: int, dst: int) -> int | None:
         """Does the just-added edge src -> dst close a cycle?
@@ -171,29 +170,26 @@ class ReadCentricChecker:
             return self.key_write[key]
         return None
 
-    def update_reachability(self, src: int, dst: int, reach: set[int] | None = None) -> set[int]:
+    def update_reachability(self, src: int, dst: int) -> None:
         """Propagate the consequences of the new edge src -> dst.
 
         src now reaches whatever dst reaches, and src precedes everything on
         paths from dst up to the read under scrutiny, so their preceding-write
-        entries must learn about src.  `reach` is dst's settled forward set
-        (dst included), walked here when not given; it is returned for reuse
-        while no edge is added out of it.
+        entries must learn about src.  The merge goes on to an operation's
+        successors only if its entry grew: pw is exact, each stored edge
+        u -> s leaving pw[s] holding `pw_after(u)`, so past an entry that
+        already held src's knowledge nothing grows.  Nor does an operation
+        met again, so the walk needs no visited set.
         """
         self.rr[src] = min(self.rr[src], self.rr[dst])
         if self.rr[src] != self.rr_checked[src]:
             self.unchecked.add(src)
-        if reach is None:
-            succs = self.graph.succs  # every stored edge joins settled operations
-            reach = {dst}
-            stack = [dst]
-            while stack:
-                for s in succs[stack.pop()]:
-                    if s not in reach:
-                        reach.add(s)
-                        stack.append(s)
-        self.pw_update(src, reach)
-        return reach
+        known, succs = self.pw_after(src), self.graph.succs  # stored edges join settled ops
+        stack = [dst]
+        while stack:
+            u = stack.pop()
+            if self.pw_update(known, u):
+                stack.extend(succs[u])
 
     # -- per-read processing --------------------------------------------------
 
@@ -226,10 +222,15 @@ class ReadCentricChecker:
                 delta.add(i)
                 if o.kind == WRITE:
                     rr[i] = rr_checked[i] = k
-                    if o.variable in self.lw:  # the focus reads o's variable
-                        self.lw[o.variable][p].append(i)
+                    wl = self.lw.get(o.variable)
+                    if wl is not None:  # the focus reads o's variable
+                        j = bisect_right(wl, [i])  # sections are index runs
+                        if j and self.ops[wl[j - 1][0]].process == p:
+                            wl[j - 1].append(i)
+                        else:
+                            wl.insert(j, [i])
             if prev != r.index:  # d's chain ends at d, which precedes r
-                self.pw_update(prev, {r.index})
+                self.pw_update(pw_after(prev), r.index)
             self.prefix[p] = lo + len(chain)
         self.graph.add_edge(d.index, r.index, WR)
         return delta
@@ -327,19 +328,16 @@ class ReadCentricChecker:
         delta = self.init_reachability(r)
         d = self.mapping[r.index]
         dproc = self.ops[d].process
-        reach = None  # d's settled forward set, once an edge into d needs it
-        for p, ws in self.lw[r.variable].items():  # section order
-            if not ws:
-                continue
+        for ws in self.lw[r.variable]:  # section order
             hit = self.first_cycle_source(ws, d)
             if hit is not None:
                 self.graph.add_edge(hit[0], d, WPW)
                 self.rulec_edges += 1
                 return self._reject_cycle(hit[0], d, hit[1])
             last = ws[-1]  # program order leads the others to it
-            if p != dproc and self.graph.add_edge(last, d, WPW):
+            if self.ops[last].process != dproc and self.graph.add_edge(last, d, WPW):
                 self.rulec_edges += 1
-                reach = self.update_reachability(last, d, reach)
+                self.update_reachability(last, d)
         if self.unchecked and d not in delta:
             return self.topo_schedule(r)
         return None

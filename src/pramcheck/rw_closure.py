@@ -7,7 +7,7 @@ precedes a read r, w' must precede r's dictating write - until nothing new
 appears.  The trace is consistent from this focus iff the result is acyclic;
 an acyclic result converts into a legal witness schedule, a cycle is the
 counterexample: the program-order cycle of the first focus read that precedes
-its own dictating write, as read-centric reports it, else `find_cycle`'s.
+its own dictating write, with read-centric's reason, else `find_cycle`'s.
 """
 
 from __future__ import annotations
@@ -55,8 +55,10 @@ def verify_rw_closure(trace: Trace, focus: str) -> Verdict:
 
     cycle = graph.find_cycle()
     if cycle is not None:
-        cycle = misordered_read_cycle(focus_reads, mapping, trace.ops) or cycle
-        return Verdict(False, focus, ALGORITHM, cycle=cycle, reason="precedence cycle", graph=graph)
+        misordered = misordered_read_cycle(focus_reads, mapping, trace.ops)
+        reason = "precedence cycle" if misordered is None else "read precedes its dictating write"
+        cycle = misordered or cycle
+        return Verdict(False, focus, ALGORITHM, cycle=cycle, reason=reason, graph=graph)
 
     witness = partial(build_dag_schedule, graph, proj)
     return Verdict(True, focus, ALGORITHM, witness=witness, graph=graph)

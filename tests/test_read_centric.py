@@ -25,6 +25,7 @@ from testutil import (
     CrossChecks,
     T,
     brute_force_consistent,
+    chain_trace,
     reread_trace,
     unread_out_edges_off_po,
     verify_read_centric_checked,
@@ -133,45 +134,24 @@ def test_cycle_source_before_the_dictating_write_in_its_own_process():
     assert checker.mapping[15] == 10 and t.ops[6].process == t.ops[10].process == "p2"
 
 
-class _WatchedSuccs(dict):
-    """A successor table that counts the lookups of one node's successors."""
-
-    def __init__(self, table, checker):
-        super().__init__(table)
-        self.checker = checker
-        self.watched = None
-
-    def __getitem__(self, u):
-        if u == self.watched and not self.checker.in_walk:
-            self.checker.per_read[-1]["walks"] += 1
-        return super().__getitem__(u)
-
-
 class _CountingChecker(WalkCountingChecker):
-    """Counts the proactive pass's cycle checks, edges, walks from the dictating
-    write d and pending rule checks, read by read.
-
-    A forward walk from d looks d's successors up once, so the lookups of
-    succs[d] between the read's slice and its re-walk count those walks.
-    """
+    """Counts, read by read, the proactive pass's cycle checks against the
+    processes with settled writes on r's variable, whether one of its edges
+    lowered an rr, and whether a rule check was left pending."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.per_read: list[dict] = []
         self.in_walk = False
-        self.graph.succs = _WatchedSuccs(self.graph.succs, self)
 
     def init_reachability(self, r):
         # an earlier walk can lower a write's rr after checking it
         left = any(self.rr[w] != self.rr_checked[w] for w in self.rr)
-        self.graph.succs.watched = None
         delta = super().init_reachability(r)
-        procs = sum(1 for ws in self.lw[r.variable].values() if ws)
         left = left and self.mapping[r.index] not in delta
         self.per_read.append(
-            {"procs": procs, "checks": 0, "edges": 0, "walks": 0, "dropped": False, "left": left}
+            {"procs": len(self.lw[r.variable]), "checks": 0, "dropped": False, "left": left}
         )
-        self.graph.succs.watched = self.mapping[r.index]
         return delta
 
     def cycle_detection(self, src, dst):
@@ -179,14 +159,11 @@ class _CountingChecker(WalkCountingChecker):
             self.per_read[-1]["checks"] += 1
         return super().cycle_detection(src, dst)
 
-    def update_reachability(self, src, dst, reach=None):
+    def update_reachability(self, src, dst):
         before = self.rr[src]
-        reach = super().update_reachability(src, dst, reach)
-        if not self.in_walk:
-            self.per_read[-1]["edges"] += 1
-            if self.rr[src] != before:
-                self.per_read[-1]["dropped"] = True
-        return reach
+        super().update_reachability(src, dst)
+        if not self.in_walk and self.rr[src] != before:
+            self.per_read[-1]["dropped"] = True
 
     def topo_schedule(self, r):
         self.in_walk = True
@@ -195,14 +172,10 @@ class _CountingChecker(WalkCountingChecker):
         finally:
             self.in_walk = False
 
-    def final_graph(self):
-        self.graph.succs.watched = None
-        return super().final_graph()
-
 
 class _CheckedCountingChecker(CrossChecks, _CountingChecker):
     """Counts as `_CountingChecker` does, the cross-checks' own calls included;
-    the tests that count walks from d take the plain class."""
+    the test that bounds the cycle checks takes the plain class."""
 
 
 def test_rule_c_work_is_bounded_per_process_and_per_dropped_read():
@@ -216,17 +189,61 @@ def test_rule_c_work_is_bounded_per_process_and_per_dropped_read():
     assert checker.topo_calls == sum(x["dropped"] for x in reads) > 0
 
 
-def test_proactive_pass_walks_the_forward_set_of_d_once_per_read():
-    """Every edge the pass adds ends at d, so none changes what d reaches:
-    the walk at the read's first edge serves all its other edges."""
-    for seed in (1, 2):
-        t = gen_pram_trace(seed, processes=16, variables=2, ops=1600, read_fraction=0.35)
-        for focus in ("p1", "p8", "p16"):
-            checker = _CountingChecker(t, focus)
-            assert checker.run().consistent
-            reads = checker.per_read
-            assert [x["walks"] for x in reads] == [min(x["edges"], 1) for x in reads]
-            assert sum(x["edges"] for x in reads) > len(reads)
+class _CountingPw(dict):
+    """A `pw` table that counts the entries looked up in it."""
+
+    lookups = 0
+
+    def __getitem__(self, o):
+        self.lookups += 1
+        return super().__getitem__(o)
+
+
+class _MergeCountingChecker(ReadCentricChecker):
+    """Counts pw merges as the `pw` entries that `pw_update` looks up."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.pw = _CountingPw()
+        self.merges = 0
+
+    def pw_update(self, *args):
+        before = self.pw.lookups
+        grew = super().pw_update(*args)
+        self.merges += self.pw.lookups - before
+        return grew
+
+
+@pytest.mark.parametrize("k", [100, 200, 400])
+def test_pw_merges_on_the_chain_family_are_linear(k):
+    """A new edge's merge goes past an operation only when its entry grew.  On
+    the round chain that is one merge per read's `WR` edge and one per
+    proactive edge: at most 3k.  Merging into the dictating write's whole
+    forward set instead makes 41,396 at k = 200."""
+    checker = _MergeCountingChecker(chain_trace(k), "f")
+    assert checker.run().consistent
+    assert checker.merges <= 3 * k
+
+
+def test_lw_keeps_only_the_processes_that_write_each_variable():
+    """On the round chain each variable the focus reads has one or two
+    writers among the k + 2 processes, and `lw` keeps a list for each writer
+    with a settled write, none for the others."""
+    t = chain_trace(400)
+    checker = ReadCentricChecker(t, "f")
+    assert checker.run().consistent
+    assert len(checker.lw) == 2 * 400
+    for v, lists in checker.lw.items():
+        assert 1 <= len(lists) <= 2, v
+        for ws in lists:
+            owner = t.ops[ws[0]].process
+            assert {(t.ops[w].process, t.ops[w].variable) for w in ws} == {(owner, v)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 50, 200])
+def test_cross_checks_hold_on_the_chain_family(k):
+    """Most of the chain's merges stop at their first entry; pw must stay exact."""
+    assert verify_read_centric_checked(chain_trace(k), "f").consistent
 
 
 def test_witness_sort_takes_only_the_operations_the_reads_reach(monkeypatch):
@@ -399,7 +416,8 @@ def test_agrees_with_rw_closure_on_seeded_traces():
 
 class _SkipsPwAtTheRead(ReadCentricChecker):
     """Planted defect: a read's slice does not pass the end of D(r)'s chain
-    on to r in pw (the `pw_update(prev, {r.index})` of `init_reachability`)."""
+    on to r in pw (the `pw_update(pw_after(prev), r.index)` of
+    `init_reachability`)."""
 
     in_slice = False
 
@@ -410,22 +428,21 @@ class _SkipsPwAtTheRead(ReadCentricChecker):
         finally:
             self.in_slice = False
 
-    def pw_update(self, o, targets):
-        if not self.in_slice:  # the slice's only pw_update is the one at r
-            super().pw_update(o, targets)
+    def pw_update(self, known, o):
+        # the slice's only pw_update is the one at r
+        return not self.in_slice and super().pw_update(known, o)
 
 
 class _KeepsStaleRr(ReadCentricChecker):
     """Planted defect: a new edge src -> dst leaves rr[src] as it was (no
     `rr[src] = min(rr[src], rr[dst])` in `update_reachability`)."""
 
-    def update_reachability(self, src, dst, reach=None):
+    def update_reachability(self, src, dst):
         before, pending = self.rr[src], src in self.unchecked
-        reach = super().update_reachability(src, dst, reach)
+        super().update_reachability(src, dst)
         self.rr[src] = before
         if not pending and before == self.rr_checked[src]:
             self.unchecked.discard(src)
-        return reach
 
 
 @pytest.mark.parametrize("defect", [_SkipsPwAtTheRead, _KeepsStaleRr])

@@ -284,9 +284,9 @@ class CrossChecks:
                 self._check_rr(u)
         return verdict
 
-    def _scan_source(self, by_process: dict[str, list[int]], d: int) -> int | None:
+    def _scan_source(self, by_process: list[list[int]], d: int) -> int | None:
         # The index-order scan the per-process check replaces (edges into d change no hit).
-        for w in sorted(w for ws in by_process.values() for w in ws):
+        for w in sorted(w for ws in by_process for w in ws):
             if w != d and not self.graph.has_edge(w, d) and self.cycle_detection(w, d) is not None:
                 return w
         return None
