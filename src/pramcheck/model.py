@@ -1,9 +1,9 @@
 """Read/write trace model: operations, traces, the text format, and projections.
 
 A trace records, per process, the sequence of read and write operations that
-process issued against a set of shared variables.  Everything downstream (the
-polynomial verifiers, the exponential oracle, the hardness reduction, the
-generator) consumes the immutable types defined here.
+process issued against a set of shared variables.  Everything downstream
+consumes the immutable types defined here.  What depends on the trace alone is
+a cached property of `Trace`, so every focus of one trace shares it.
 """
 
 from __future__ import annotations
@@ -152,6 +152,18 @@ class Trace:
         return table
 
     @functools.cached_property
+    def writes_on(self) -> dict[str, list[int]]:
+        """variable -> indices of the writes on it, in index order; computed once per trace."""
+        writes = sorted((o.variable, o.index) for o in self.ops if o.kind == WRITE)
+        return {v: [i for _, i in run] for v, run in itertools.groupby(writes, lambda w: w[0])}
+
+    @functools.cached_property
+    def write_sections(self) -> dict[str, tuple[Operation, ...]]:
+        """Process -> its writes in program order, for the processes that write; computed once."""
+        writes = ((p, tuple(o for o in s if o.kind == WRITE)) for p, s in self.processes.items())
+        return {p: ws for p, ws in writes if ws}
+
+    @functools.cached_property
     def variant(self) -> Variant:
         """Classification by variable count and write-value uniqueness.
 
@@ -183,13 +195,17 @@ def classify(trace: Trace) -> Variant:
 class VisibleProjection:
     """The operations a focus process must order: all writes plus its own reads.
 
-    `ops` keeps original indices and global order; per-process subsequences
-    therefore preserve program order.
+    `by_process` maps each process with a visible operation, in section order,
+    to them in program order: the focus's section, or the process's shared
+    `Trace.write_sections` entry.  `ops`, built on first read, chains them.
     """
 
     focus: str
-    ops: tuple[Operation, ...]
     by_process: Mapping[str, tuple[Operation, ...]]
+
+    @functools.cached_property
+    def ops(self) -> tuple[Operation, ...]:
+        return tuple(itertools.chain.from_iterable(self.by_process.values()))  # see Trace
 
     def focus_reads(self) -> tuple[Operation, ...]:
         return tuple(o for o in self.by_process.get(self.focus, ()) if o.kind == READ)
@@ -199,13 +215,11 @@ def visible(trace: Trace, focus: str) -> VisibleProjection:
     """Project `trace` onto what `focus` must schedule: every write + its own reads."""
     if focus not in trace.processes:
         raise UnknownProcessError(f"unknown process {focus!r}")
-    by_proc = {
-        p: seq if p == focus else tuple(o for o in seq if o.kind == WRITE)
-        for p, seq in trace.processes.items()
-    }
-    by_proc = {p: seq for p, seq in by_proc.items() if seq}
-    ops = tuple(itertools.chain.from_iterable(by_proc.values()))  # section order: see Trace
-    return VisibleProjection(focus=focus, ops=ops, by_process=by_proc)
+    writes, own = trace.write_sections, trace.processes[focus]
+    if focus in writes:  # its whole section takes the place of its writes
+        return VisibleProjection(focus=focus, by_process={**writes, focus: own})
+    seqs = ((p, own if p == focus else writes.get(p)) for p in trace.processes)
+    return VisibleProjection(focus=focus, by_process={p: seq for p, seq in seqs if seq})
 
 
 def build_read_mapping(trace: Trace, focus: str) -> dict[int, int]:

@@ -3,14 +3,15 @@
 Nodes are operation indices; edges are tagged with why they exist: "PO"
 (program order), "WR" (a write precedes the reads it dictates), or "WpW" (an
 overwritten write must precede the overwriting one).  Both polynomial verifiers
-build their graph here; `downset` and `build_dag_schedule` walk the edges alone.
-A node gets its tables on its first stored edge; a node without them is
-edge-less.  Read-centric stores only the edges of the operations its reads
-settle; `add_rule_a_b` seeds every `PO` and `WR` edge, for rw-closure or on
-the first read of a read-centric verdict's graph.  The graph keeps no
-closure: `downset` walks the edges, so it answers on any graph at any time.
-Every cycle a verifier reports is built here, by `misordered_read_cycle` or
-by `shortest_cycle_through`, which `find_cycle` calls once on a cyclic graph.
+build their graph here.  A graph is its edge tables alone, with no node list:
+`add_edge`, their only writer, gives a node its tables on its first edge, and
+a node without them is edge-less.  Read-centric stores only the edges of the
+operations its reads settle; `add_rule_a_b` seeds every `PO` and `WR` edge,
+for rw-closure or on the first read of a read-centric verdict's graph.  The
+graph keeps no closure: `downset` walks the edges, so it answers on any graph
+at any time.  Every cycle a verifier reports is built here, by
+`misordered_read_cycle` or by `shortest_cycle_through`, which `find_cycle`
+calls once on a cyclic graph.
 """
 
 from __future__ import annotations
@@ -36,14 +37,9 @@ def add_rule_a_b(
     Write-to order: each dictating write before the read it dictates.
     Edges already stored keep their tags.
     """
-    succs, preds = graph.succs, graph.preds
-    for v in set(graph.nodes) - succs.keys():  # tables for the nodes that have none yet
-        succs[v], preds[v] = {}, set()
-    for seq in proj.by_process.values():  # add_edge inlined: it runs once per visible op
-        idx = [o.index for o in seq]
-        for a, b in zip(idx, idx[1:]):
-            succs[a].setdefault(b, PO)
-            preds[b].add(a)
+    for seq in proj.by_process.values():
+        for a, b in zip(seq, seq[1:]):
+            graph.add_edge(a.index, b.index, PO)
     for read_idx, write_idx in mapping.items():
         graph.add_edge(write_idx, read_idx, WR)
     return graph
@@ -86,8 +82,7 @@ def misordered_read_cycle(
 class OperationGraph:
     """A tagged precedence graph over sparse successor and predecessor tables."""
 
-    def __init__(self, ops: Iterable[Operation]):
-        self.nodes: list[int] = sorted(o.index for o in ops)
+    def __init__(self):
         self.succs: dict[int, dict[int, str]] = {}  # node -> successor -> tag
         self.preds: dict[int, set[int]] = {}
 
@@ -219,4 +214,4 @@ def build_dag_schedule(graph: OperationGraph, proj: VisibleProjection) -> Schedu
     block: dict[int, int] = {}
     for b, r in enumerate(proj.focus_reads()):
         block.update(dict.fromkeys(graph.downset(r.index, block.keys()), b))
-    return Schedule(graph.topo_sort(block) + [v for v in graph.nodes if v not in block])
+    return Schedule(graph.topo_sort(block) + [o.index for o in proj.ops if o.index not in block])

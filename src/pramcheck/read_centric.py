@@ -96,7 +96,7 @@ class ReadCentricChecker:
         self.focus = focus
         self.ops = trace.ops  # ops[i].index == i
         self.proj = visible(trace, focus)
-        self.graph = OperationGraph(self.proj.ops)
+        self.graph = OperationGraph()
         self.reads: tuple[Operation, ...] = self.proj.focus_reads()
         self.read_ord: dict[int, int] = {r.index: i for i, r in enumerate(self.reads)}
 

@@ -29,17 +29,11 @@ def verify_rw_closure(trace: Trace, focus: str) -> Verdict:
     dumps and property checks (edge-less when a read has no dictating write).
     """
     proj = visible(trace, focus)
-    graph = OperationGraph(proj.ops)
     try:
         mapping = build_read_mapping(trace, focus)
     except UnmatchedReadError as exc:
-        return Verdict(False, focus, ALGORITHM, reason=str(exc), graph=graph)
-    add_rule_a_b(graph, proj, mapping)
-
-    writes_on: dict[str, list[int]] = {}
-    for o in proj.ops:
-        if o.is_write:
-            writes_on.setdefault(o.variable, []).append(o.index)
+        return Verdict(False, focus, ALGORITHM, reason=str(exc), graph=OperationGraph())
+    graph = add_rule_a_b(OperationGraph(), proj, mapping)
     focus_reads = proj.focus_reads()
 
     while True:  # each round answers from the graph as it stood at its start
@@ -48,7 +42,8 @@ def verify_rw_closure(trace: Trace, focus: str) -> Verdict:
             w = mapping[r.index]
             above_r |= graph.downset(r.index, above_r)
             above_w = graph.downset(w)
-            forced += ((o, w) for o in writes_on[r.variable] if o in above_r and o not in above_w)
+            writes = trace.writes_on[r.variable]
+            forced += ((o, w) for o in writes if o in above_r and o not in above_w)
         added = [e for e in forced if graph.add_edge(*e, WPW)]
         if not added:
             break

@@ -94,11 +94,7 @@ def mutate_trace(seed: int, trace: Trace, kind: str) -> Trace:
     rng = random.Random(seed)
     rows = trace.rows()
     if kind == "swap-write-values":
-        by_var: dict[str, list[int]] = {}
-        for i, (_, k, var, _v) in enumerate(rows):
-            if k == WRITE:
-                by_var.setdefault(var, []).append(i)
-        pools = [idxs for idxs in by_var.values() if len(idxs) >= 2]
+        pools = [idxs for idxs in trace.writes_on.values() if len(idxs) >= 2]
         if not pools:
             raise MutationError("no variable has two writes to swap")
         i, j = rng.sample(rng.choice(sorted(pools)), 2)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import sys
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pramcheck import model
+from pramcheck import gen_pram_trace, model
 from pramcheck.model import (
     _OFF_ROW,
     INT64_MAX,
@@ -25,7 +26,7 @@ from pramcheck.model import (
     serialize_trace,
     visible,
 )
-from testutil import T, random_trace_rows, reference_parse_trace
+from testutil import T, random_trace_rows, reference_parse_trace, reference_visible
 
 
 def test_parse_basic_fields():
@@ -382,6 +383,60 @@ def test_visible_keeps_every_write_and_the_focus_in_section_order(rows, data):
 def test_visible_unknown_focus():
     with pytest.raises(UnknownProcessError):
         visible(T("p1 W x 1"), "nobody")
+
+
+def test_visible_shares_the_traces_write_sections():
+    """Every focus's projection holds each other process's `write_sections`
+    entry itself, not a copy: `visible` filters no operation."""
+    t = gen_pram_trace(3, processes=6, variables=2, ops=120)
+    t = Trace.build([*t.rows(), ("reader", "R", "x", 1)])  # a process with no writes
+    assert "reader" in t.processes and "reader" not in t.write_sections
+    assert list(t.write_sections) == [p for p in t.processes if p != "reader"]
+    for focus in t.processes:
+        proj = visible(t, focus)
+        for p in t.processes:
+            if p != focus and p in t.write_sections:
+                assert proj.by_process[p] is t.write_sections[p]
+        assert proj.by_process[focus] is t.processes[focus]
+
+
+def test_visible_equals_the_plain_filter_on_exhaustive_and_random_traces():
+    """`visible` against `reference_visible`, key order included, on every
+    trace of up to 4 operations and on mutated generator traces."""
+    from test_acceptance import _exhaustive_traces, _generator_traces
+
+    traces = itertools.chain(_exhaustive_traces(4), (t for _, t in _generator_traces(400)))
+    checked = 0
+    for t in traces:
+        for focus in t.processes:
+            proj, want = visible(t, focus), reference_visible(t, focus)
+            assert list(proj.by_process.items()) == list(want.items())
+            assert proj.ops == tuple(itertools.chain.from_iterable(want.values()))
+            checked += 1
+    assert checked > 14000, checked
+    # a focus without writes keeps its place in section order; a process
+    # other than the focus that only reads is dropped
+    t = T("""
+        p1 W x 1
+        f R x 1
+        r R x 1
+        p2 W y 2
+    """)
+    assert list(visible(t, "f").by_process) == ["p1", "f", "p2"]
+    assert list(visible(t, "r").by_process) == ["p1", "r", "p2"]
+    assert list(visible(t, "p2").by_process) == ["p1", "p2"]
+    assert list(reference_visible(t, "f")) == ["p1", "f", "p2"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_PROC, _KIND, _VAR, st.integers(0, 3)), min_size=1, max_size=25))
+def test_writes_on_equals_a_per_variable_filter(rows):
+    trace = Trace.build(rows)
+    variables = {o.variable for o in trace.ops if o.kind == WRITE}
+    assert trace.writes_on.keys() == variables
+    for var in variables:
+        want = [o.index for o in trace.ops if o.kind == WRITE and o.variable == var]
+        assert trace.writes_on[var] == want
 
 
 def test_read_mapping_unique_values():

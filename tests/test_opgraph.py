@@ -12,7 +12,7 @@ def _write_ops(n):
 
 
 def _random_graph(rng, n, density):
-    g = OperationGraph(_write_ops(n))
+    g = OperationGraph()
     edges = set()
     for u in range(n):
         for v in range(n):
@@ -38,7 +38,7 @@ def _dfs_reachable(edges, n, src):
 
 
 def test_edges_and_duplicates():
-    g = OperationGraph(_write_ops(3))
+    g = OperationGraph()
     assert g.add_edge(0, 1, PO)
     assert not g.add_edge(0, 1, WPW)  # second add is a no-op
     assert g.has_edge(0, 1)
@@ -59,7 +59,7 @@ def test_closure_matches_dfs_oracle():
 
 
 def test_reaches_is_reflexive_closure():
-    g = OperationGraph(_write_ops(3))
+    g = OperationGraph()
     g.add_edge(0, 1, PO)
     for src in range(3):
         expect = _dfs_reachable({(0, 1)}, 3, src) | {src}
@@ -68,7 +68,7 @@ def test_reaches_is_reflexive_closure():
 
 
 def test_downset_includes_self_and_ancestors():
-    g = OperationGraph(_write_ops(4))
+    g = OperationGraph()
     g.add_edge(0, 1, PO)
     g.add_edge(1, 2, WPW)
     assert g.downset(2) == {0, 1, 2}
@@ -102,7 +102,7 @@ def test_downset_exclude_subtracts_a_union_of_downsets():
 
 
 def test_cyclic_and_find_cycle():
-    g = OperationGraph(_write_ops(4))
+    g = OperationGraph()
     g.add_edge(0, 1, PO)
     g.add_edge(1, 2, WPW)
     g.add_edge(2, 0, WPW)
@@ -116,7 +116,7 @@ def test_cyclic_and_find_cycle():
 
 
 def test_acyclic_has_no_cycle():
-    g = OperationGraph(_write_ops(3))
+    g = OperationGraph()
     g.add_edge(0, 1, PO)
     g.add_edge(1, 2, PO)
     assert g.find_cycle() is None
@@ -154,7 +154,7 @@ def test_find_cycle_walks_back_from_the_least_leftover_node():
     feeds 0 and 2.  The walk back takes the least leftover predecessor at
     each step, 0, 5, 4, 3, 2, and meets 5 again: 5 -> 2 closes it, and the
     cycle is the shortest through that edge, not the walk's own loop."""
-    g = OperationGraph(_write_ops(10))
+    g = OperationGraph()
     for u, v, tag in [
         (6, 1, PO), (1, 0, PO), (1, 2, PO),
         (2, 3, PO), (3, 4, PO), (4, 5, PO), (5, 2, WPW), (2, 9, WR), (9, 5, WPW),
@@ -165,7 +165,7 @@ def test_find_cycle_walks_back_from_the_least_leftover_node():
 
 
 def test_shortest_cycle_through_edge():
-    g = OperationGraph(_write_ops(5))
+    g = OperationGraph()
     # two cycles through (0 -> 1): a long one via 2,3 and a short one via 4
     g.add_edge(0, 1, WPW)
     g.add_edge(1, 2, PO)
@@ -181,14 +181,14 @@ def test_shortest_cycle_through_edge():
 
 
 def test_topo_sort_breaks_ties_by_index():
-    g = OperationGraph(_write_ops(5))
+    g = OperationGraph()
     g.add_edge(3, 1, PO)
     g.add_edge(3, 0, PO)
     assert g.topo_sort(dict.fromkeys(range(5), 0)) == [2, 3, 0, 1, 4]
 
 
 def test_topo_sort_orders_ready_nodes_by_block_then_index():
-    g = OperationGraph(_write_ops(5))
+    g = OperationGraph()
     g.add_edge(0, 1, PO)
     g.add_edge(3, 2, PO)
     # 3 and 2 form block 0
@@ -206,7 +206,7 @@ def test_dag_schedule_equals_the_per_block_reference_on_random_dags():
         trace = Trace.build(rows)
         proj = visible(trace, rng.choice(rows)[0])
         reads = [r.index for r in proj.focus_reads()]
-        g = OperationGraph(proj.ops)
+        g = OperationGraph()
         add_rule_a_b(g, proj, {})
         # extra edges follow a random interleaving of the processes, so index
         # order is no topological order; as in the verifiers' graphs, each
@@ -226,7 +226,7 @@ def test_dag_schedule_equals_the_per_block_reference_on_random_dags():
 
 
 def test_topo_sort_raises_on_cycle():
-    g = OperationGraph(_write_ops(3))
+    g = OperationGraph()
     g.add_edge(0, 1, PO)
     g.add_edge(1, 0, WPW)
     with pytest.raises(RuntimeError):
@@ -235,7 +235,7 @@ def test_topo_sort_raises_on_cycle():
 
 def test_reachability_queries_require_close():
     """Queries no longer require `close()`: it is a no-op that changes no answer."""
-    g = OperationGraph(_write_ops(2))
+    g = OperationGraph()
     g.add_edge(0, 1, PO)
     before = [[s in g.downset(d) for d in range(2)] for s in range(2)]
     assert before == [[True, True], [False, True]]
@@ -245,7 +245,7 @@ def test_reachability_queries_require_close():
 
 def test_incremental_close_absorbs_new_edges():
     """`downset` follows each edge as soon as it is added."""
-    g = OperationGraph(_write_ops(3))
+    g = OperationGraph()
     assert 0 not in g.downset(1)  # edge-less nodes have no tables yet
     g.add_edge(0, 1, PO)
     assert 0 in g.downset(1) and 0 not in g.downset(2)
@@ -261,7 +261,7 @@ def test_rule_a_b_seeding():
         p2 R y 2
     """)
     proj = visible(t, "p2")
-    g = OperationGraph(proj.ops)
+    g = OperationGraph()
     add_rule_a_b(g, proj, build_read_mapping(t, "p2"))
     assert set(g.edges()) == {
         (0, 1, PO),  # p1's writes in order
@@ -273,7 +273,7 @@ def test_rule_a_b_seeding():
 
 def test_cycle_pretty_names_operations():
     ops = _write_ops(2)
-    g = OperationGraph(ops)
+    g = OperationGraph()
     g.add_edge(0, 1, PO)
     g.add_edge(1, 0, WPW)
     c = g.find_cycle()

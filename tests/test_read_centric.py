@@ -17,7 +17,7 @@ from pramcheck import (
     verify_rw_closure,
 )
 from pramcheck.model import visible
-from pramcheck.opgraph import OperationGraph
+from pramcheck.opgraph import WPW, OperationGraph
 from pramcheck.oracle import oracle_verify
 from pramcheck.read_centric import ALGORITHM, ReadCentricChecker, verify_read_centric
 from testutil import (
@@ -490,9 +490,9 @@ def test_every_cycle_edge_is_in_the_verdict_graph():
         assert v.graph.has_edge(u, w)
 
 
-def _reachability(graph):
-    """Every pair (u, v) with u != v and a path from u to v."""
-    return {(u, v) for v in graph.nodes for u in graph.downset(v) if u != v}
+def _reachability(graph, proj):
+    """Every pair (u, v) of `proj`'s operations with u != v and a path from u to v."""
+    return {(u, o.index) for o in proj.ops for u in graph.downset(o.index) if u != o.index}
 
 
 def test_graph_keeps_rw_closure_reachability():
@@ -518,7 +518,8 @@ def test_graph_keeps_rw_closure_reachability():
                 continue
             saturated = verify_rw_closure(t, focus)
             assert saturated.consistent
-            assert _reachability(sparse.graph) == _reachability(saturated.graph)
+            proj = visible(t, focus)
+            assert _reachability(sparse.graph, proj) == _reachability(saturated.graph, proj)
             checked += 1
 
 
@@ -564,6 +565,11 @@ def test_outputs_where_the_re_walk_runs_often_are_frozen():
     assert digest == "1e60d20bf69ef6ee44012883171e4b818032016f0e4c5ff33b4255b06911c881"
 
 
+def _seeded_edges(graph):
+    """The graph's `PO` and `WR` edges, sorted."""
+    return [e for e in graph.edges() if e[2] != WPW]
+
+
 def test_live_graph_stores_only_the_settled_operations_edges():
     """Each process's settled operations are a program-order prefix, so its
     unsettled suffix needs no stored edges (Jagadish's chain decomposition).
@@ -581,8 +587,24 @@ def test_live_graph_stores_only_the_settled_operations_edges():
         assert all(u in settled for ins in graph.preds.values() for u in ins)
         tables += len(graph.succs)
         visible_ops += len(checker.proj.ops)
-        assert v.graph is graph and graph.succs.keys() == set(graph.nodes)  # completed on read
+        assert v.graph is graph  # completed on read: every PO and WR edge, as rw-closure has
+        closure = verify_rw_closure(t, focus).graph
+        assert _seeded_edges(graph) == _seeded_edges(closure)
     assert tables < 0.2 * visible_ops, (tables, visible_ops)
+
+
+def test_a_run_whose_witness_is_never_read_builds_no_ops_tuple():
+    """`VisibleProjection.ops` is built on first read, and read-centric's run
+    does not read it: only the witness's tail does."""
+    t = gen_pram_trace(1, processes=16, variables=2, ops=1600, read_fraction=0.35)
+    for focus in t.processes:
+        checker = ReadCentricChecker(t, focus)
+        v = checker.run()
+        assert v.consistent and "ops" not in checker.proj.__dict__
+        v.graph
+        assert "ops" not in checker.proj.__dict__
+        v.witness
+        assert "ops" in checker.proj.__dict__
 
 
 def test_witness_and_graph_agree_in_either_read_order():
@@ -607,7 +629,7 @@ def test_witness_and_graph_agree_in_either_read_order():
             seen[first.consistent] += 1
     assert min(seen.values()) > 1000, seen
     unmatched = verify_read_centric(T("p1 W x 1\np2 W x 2\np2 R x 7"), "p2")
-    assert unmatched.reason and unmatched.graph.nodes and list(unmatched.graph.edges()) == []
+    assert unmatched.reason and list(unmatched.graph.edges()) == []
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 60])
@@ -629,4 +651,5 @@ def test_reread_family_graph_matches_rw_closure_and_is_frozen():
     assert len(edges) == 2251
     digest = hashlib.sha256(repr(edges).encode()).hexdigest()
     assert digest == "9e05e8c76e6d8811b3cbb25db66f71e24ddd3e380c136139f969ffbdf71fe7aa"
-    assert _reachability(sparse.graph) == _reachability(saturated.graph)
+    proj = visible(t, "f")
+    assert _reachability(sparse.graph, proj) == _reachability(saturated.graph, proj)

@@ -252,7 +252,7 @@ def test_saturation_property_on_accepting_graphs():
 def test_build_dag_schedule_covers_all_visible_ops():
     t = T("p1 W x 1\np1 W y 2\np2 R y 2\np2 R x 1\np3 W z 9")
     proj = visible(t, "p2")
-    g = OperationGraph(proj.ops)
+    g = OperationGraph()
     add_rule_a_b(g, proj, build_read_mapping(t, "p2"))
     sched = build_dag_schedule(g, proj)
     assert sorted(sched) == sorted(o.index for o in proj.ops)
@@ -324,8 +324,8 @@ class _RoundCountingGraph(OperationGraph):
     """Counts `downset` calls per node: each rw-closure round walks from the
     focus's first read exactly once, with nothing excluded yet."""
 
-    def __init__(self, ops):
-        super().__init__(ops)
+    def __init__(self):
+        super().__init__()
         self.calls = collections.Counter()
 
     def downset(self, node, exclude=frozenset()):
@@ -337,8 +337,8 @@ class _RoundCountingGraph(OperationGraph):
 def test_rw_closure_takes_k_plus_1_rounds_on_the_chain_family(k, monkeypatch):
     graphs = []
 
-    def counting(ops):
-        graphs.append(_RoundCountingGraph(ops))
+    def counting():
+        graphs.append(_RoundCountingGraph())
         return graphs[-1]
 
     monkeypatch.setattr(rw_closure, "OperationGraph", counting)

@@ -7,6 +7,8 @@ dozen operations.  `reference_parse_trace` is the plain line-by-line trace
 parser that `parse_trace`'s whole-text search and columns must agree with, and
 `reference_dag_schedule` builds witnesses block by block, with one
 topological sort per block, as `build_dag_schedule`'s one-pass sort must.
+`reference_visible` is the per-focus filter that `visible`'s shared
+per-trace write sections must agree with.
 `CrossChecks` checks read-centric's incremental bookkeeping against its live
 graph as a run goes.
 """
@@ -20,7 +22,7 @@ from typing import Iterable
 
 from pramcheck import Trace, parse_trace, visible
 from pramcheck.legality import Schedule, Verdict
-from pramcheck.model import INT64_MAX, INT64_MIN, TraceParseError, VisibleProjection
+from pramcheck.model import INT64_MAX, INT64_MIN, Operation, TraceParseError, VisibleProjection
 from pramcheck.opgraph import PO, OperationGraph
 from pramcheck.read_centric import ReadCentricChecker
 
@@ -75,11 +77,24 @@ def reference_parse_trace(text: str | bytes) -> Trace:
     return Trace.build(rows)
 
 
+def reference_visible(trace: Trace, focus: str) -> dict[str, tuple[Operation, ...]]:
+    """`visible(trace, focus).by_process` by a plain filter of `trace.ops`.
+
+    Keeps every write and the focus's reads, grouped by process in index
+    order, which is section order; a process left with nothing is absent.
+    """
+    by_process: dict[str, list[Operation]] = {}
+    for o in trace.ops:
+        if o.kind == "W" or o.process == focus:
+            by_process.setdefault(o.process, []).append(o)
+    return {p: tuple(seq) for p, seq in by_process.items()}
+
+
 def _subset_topo_sort(graph: OperationGraph, subset: Iterable[int]) -> list[int]:
     """Topological order of `subset`, ties by lowest index; edges leaving it are ignored."""
     members = set(subset)
     indeg = {
-        v: sum(1 for p in graph.preds[v] if p in members) for v in members
+        v: sum(1 for p in graph.preds.get(v, ()) if p in members) for v in members
     }
     ready = [v for v in members if indeg[v] == 0]
     heapq.heapify(ready)
@@ -87,7 +102,7 @@ def _subset_topo_sort(graph: OperationGraph, subset: Iterable[int]) -> list[int]
     while ready:
         v = heapq.heappop(ready)
         out.append(v)
-        for s in graph.succs[v]:
+        for s in graph.succs.get(v, ()):
             if s in members:
                 indeg[s] -= 1
                 if indeg[s] == 0:
@@ -110,7 +125,7 @@ def reference_dag_schedule(graph: OperationGraph, proj: VisibleProjection) -> Sc
         delta = graph.downset(r.index, done)
         out.extend(_subset_topo_sort(graph, delta))
         done.update(delta)
-    rest = set(graph.nodes) - done
+    rest = {o.index for o in proj.ops} - done
     out.extend(_subset_topo_sort(graph, rest))
     return Schedule(out)
 
@@ -125,11 +140,11 @@ def unread_out_edges_off_po(
     """
     reached = set().union(*(graph.downset(r.index) for r in proj.focus_reads()))
     return [
-        (v, s, tag)
-        for v in graph.nodes
-        if v not in reached
-        for s, tag in graph.succs.get(v, {}).items()
-        if tag != PO or s < v
+        (o.index, s, tag)
+        for o in proj.ops
+        if o.index not in reached
+        for s, tag in graph.succs.get(o.index, {}).items()
+        if tag != PO or s < o.index
     ]
 
 
