@@ -133,8 +133,9 @@ class OperationGraph:
         """Topological order of `block`'s keys, in one Kahn pass.
 
         Each step takes the ready node v of least (block[v], v).  The keys
-        must be down-closed: each node's predecessors are among them.
-        Callers sort acyclic graphs only; a cycle raises RuntimeError.
+        must be down-closed: each node's predecessors are among them.  On a
+        cyclic graph the order is short: it leaves out every node on a cycle
+        or after one.
         """
         indeg = {v: len(self.preds.get(v, ())) for v in block}
         ready = [(block[v], v) for v, d in indeg.items() if d == 0]
@@ -148,32 +149,24 @@ class OperationGraph:
                     indeg[s] -= 1
                     if indeg[s] == 0:
                         heapq.heappush(ready, (block[s], s))
-        if len(out) != len(indeg):
-            raise RuntimeError("topo_sort met a cycle")
         return out
 
     def find_cycle(self) -> Cycle | None:
         """A shortest cycle through one edge that lies on a cycle, or None if acyclic.
 
-        A Kahn pass that drains every node proves the graph acyclic.  Else a
-        walk back from the least leftover node, each step to its least leftover
-        predecessor (every leftover node has one), repeats a node; the edge
-        that closes the walk lies on a cycle.
+        The nodes `topo_sort` leaves out are those on or after a cycle; none
+        means the graph is acyclic.  Else a walk back from the least leftover
+        node, each step to its least leftover predecessor (every leftover node
+        has one), repeats a node; the edge that closes the walk lies on a cycle.
         """
-        indeg = {v: len(p) for v, p in self.preds.items()}
-        drained = [v for v, d in indeg.items() if not d]
-        for v in drained:  # grows while it is walked
-            for s in self.succs[v]:
-                indeg[s] -= 1
-                if not indeg[s]:
-                    drained.append(s)
-        if len(drained) == len(indeg):
+        left = self.preds.keys() - set(self.topo_sort(dict.fromkeys(self.preds, 0)))
+        if not left:
             return None
-        v = min(u for u, d in indeg.items() if d)
+        v = min(left)
         walked: set[int] = set()
         while v not in walked:
             walked.add(v)
-            v, dst = min(p for p in self.preds[v] if indeg[p]), v
+            v, dst = min(p for p in self.preds[v] if p in left), v
         return self.shortest_cycle_through(v, dst)
 
     def shortest_cycle_through(self, src: int, dst: int) -> Cycle | None:
@@ -209,9 +202,13 @@ def build_dag_schedule(graph: OperationGraph, proj: VisibleProjection) -> Schedu
     keyed by (block, index) schedules the blocks in turn, each in its
     lexicographically smallest topological order.  The operations preceding
     no read follow in index order: in the verifiers' graphs their only
-    out-edges are `PO` edges, which run up in index.
+    out-edges are `PO` edges, which run up in index.  A cyclic graph, whose
+    sort comes out short, raises RuntimeError.
     """
     block: dict[int, int] = {}
     for b, r in enumerate(proj.focus_reads()):
         block.update(dict.fromkeys(graph.downset(r.index, block.keys()), b))
-    return Schedule(graph.topo_sort(block) + [o.index for o in proj.ops if o.index not in block])
+    order = graph.topo_sort(block)
+    if len(order) != len(block):
+        raise RuntimeError("topo_sort met a cycle")
+    return Schedule(order + [o.index for o in proj.ops if o.index not in block])

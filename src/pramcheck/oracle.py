@@ -103,7 +103,7 @@ def oracle_verify(
     """
     proj = visible(trace, focus)
     lanes = list(proj.by_process.values())
-    focus_ops = proj.by_process.get(focus, ())
+    focus_ops = proj.by_process[focus]
     variables = sorted({o.variable for o in proj.ops})
     slot = {v: i for i, v in enumerate(variables)}
     total = len(proj.ops)
@@ -144,7 +144,7 @@ def oracle_verify(
         + [None]
         for lane, sigs in zip(lanes, suffix_sig)
     ]
-    fl = list(proj.by_process).index(focus) if focus_ops else -1
+    fl = list(proj.by_process).index(focus)  # `visible` keeps the focus's whole section
     # the focus lane at each position: the read's slot (-1 at a write, -2 one
     # past the end), and the operation's value, index and pair id
     rslot = [slot[o.variable] if o.kind == READ else -1 for o in focus_ops] + [-2]
@@ -202,16 +202,14 @@ def oracle_verify(
             if enter:
                 # Schedule every enabled read right away: reads do not change
                 # the store, so any solution can be rearranged to take them first.
-                forced = 0
-                if fl >= 0:
-                    f = start = frontier[fl]
+                f = start = frontier[fl]
+                s = rslot[f]
+                while s >= 0 and lastvals[s] == rval[f]:
+                    sched.append(ridx[f])
+                    f += 1
                     s = rslot[f]
-                    while s >= 0 and lastvals[s] == rval[f]:
-                        sched.append(ridx[f])
-                        f += 1
-                        s = rslot[f]
-                    forced = f - start
-                    frontier[fl] = f
+                forced = f - start
+                frontier[fl] = f
                 if len(sched) == total:
                     return Verdict(
                         consistent=True, focus=focus, algorithm=ALGORITHM, witness=Schedule(sched)
@@ -235,7 +233,7 @@ def oracle_verify(
                     # The writes that would enable the focus's next read go
                     # first; of lanes with equal remaining work, only the first
                     # branches.
-                    need = rpid[frontier[fl]] if fl >= 0 and rslot[frontier[fl]] >= 0 else -1
+                    need = rpid[frontier[fl]] if rslot[frontier[fl]] >= 0 else -1
                     candidates: list[int] = []
                     later: list[int] = []
                     seen: set[int] = set()
@@ -260,20 +258,19 @@ def oracle_verify(
                 frontier[li] = f + 1
                 sched.append(index)
                 supply[pid] -= 1
-                enter = True
-                if fl >= 0:  # a starved state is undone on the next turn
-                    f = frontier[fl]
-                    # a run of `val` rides on the store if the focus's next
-                    # operation on slot s, at g, reads it
-                    pos = positions[s]
-                    i = bisect_left(pos, f)
-                    g = pos[i] if i < len(pos) else len(rval)  # past the end, rslot is -2
-                    ride = pid if rslot[g] >= 0 and rval[g] == val else -1
-                    for p, ends in runs[s]:
-                        if supply[p] + (p == ride) < len(ends) - bisect_left(ends, f):
-                            enter = False
-                            dead_ends += 1
-                            break
+                enter = True  # a starved state is undone on the next turn
+                f = frontier[fl]
+                # a run of `val` rides on the store if the focus's next
+                # operation on slot s, at g, reads it
+                pos = positions[s]
+                i = bisect_left(pos, f)
+                g = pos[i] if i < len(pos) else len(rval)  # past the end, rslot is -2
+                ride = pid if rslot[g] >= 0 and rval[g] == val else -1
+                for p, ends in runs[s]:
+                    if supply[p] + (p == ride) < len(ends) - bisect_left(ends, f):
+                        enter = False
+                        dead_ends += 1
+                        break
                 if enter:
                     stack.append((forced, key, branches, undo))
                 break

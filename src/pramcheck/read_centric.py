@@ -7,7 +7,7 @@ settled have no stored edges: a read's slice gets its `PO` and `WR` edges as
 it settles, and every `WpW` edge joins two settled writes.  So that slice is
 two program-order prefixes: the focus's unsettled operations up to r and
 those of D(r)'s process up to D(r).  The verdict's graph gets the other `PO`
-and `WR` edges on its first read.  Two dictionaries carry everything the
+and `WR` edges on its first read.  Three dictionaries carry everything the
 overwrite-precedence rule needs:
 
 * `rr` - per write, the ordinal of the earliest focus read it currently
@@ -15,19 +15,21 @@ overwrite-precedence rule needs:
   reads of its variable, which is exactly when the rule can fire again.
 * `pw` - per operation and variable, the order key of the latest preceding
   write that dictates some read: the ordinal of the first read that write
-  dictates, so a merge compares ints and `key_write` maps a key back to its
+  dictates, so a merge compares ints and the key's read maps it back to its
   write.  A new edge w' -> w closes a cycle precisely when w already precedes
   w' in that order, i.e. when pw[w'][var] is at or after w's key.
+* `pending` - per write whose `rr` dropped since its last rule check, the
+  `rr` it was checked at: the only record that a rule check is pending.
 
 `pw` is exact: for every stored edge u -> s, pw[s] holds what u passes on.
 So a new edge's merge walks forward only from operations whose entry grew:
 past an entry that does not grow, none would.
 
 The dictating write's downset is re-walked in reverse topological order
-(`topo_schedule`) only while some write's `rr` has dropped since its last
-rule check; every write there refreshes `rr` from its successors and gets
-one overwrite-rule check.  The walk keeps no copy of the graph: a rule-C
-edge reaches it through the graph's own tables, where `add_edge` stores it.
+(`topo_schedule`) only while `pending` is non-empty; every write there
+refreshes `rr` from its successors and gets one overwrite-rule check.  The
+walk keeps no copy of the graph: a rule-C edge reaches it through the
+graph's own tables, where `add_edge` stores it.
 """
 
 from __future__ import annotations
@@ -72,10 +74,10 @@ class ReadCentricChecker:
     1. Reachability: src -PO-> ... -> last -WpW-> d, or src -PO-> ... -> d.
     2. `rr`: rr[src] is at or before rr[last], so the edge into d lowers
        rr[src] only if it lowers rr[last], never when d is new at r (rr[d]
-       = r is later than any older rr).  If it does, last joins `unchecked`
+       = r is later than any older rr).  If it does, last joins `pending`
        and `topo_schedule(r)` refreshes rr over d's downset, which holds
-       src.  The walk is skipped while `unchecked` is empty: every rr is
-       then exact and equals rr_checked, so it would change nothing.
+       src.  The walk is skipped while `pending` is empty: every rr is then
+       exact and was checked at its value, so it would change nothing.
     3. `pw`: pw[last] already accounts for src and for pw[src], so the
        operations after d learn the same latest preceding write from last.
     4. Witnesses: `build_dag_schedule`'s blocks are downset differences, one
@@ -102,27 +104,27 @@ class ReadCentricChecker:
 
         self.prefix: dict[str, int] = {}  # process -> length of its settled prefix
         self.rr: dict[int, int] = {}  # write index -> ordinal of earliest reachable focus read
-        self.rr_checked: dict[int, int] = {}  # rr value at the write's last rule check
-        self.unchecked: set[int] = set()  # writes whose rr dropped since that check
+        self.pending: dict[int, int] = {}  # write whose rr dropped -> rr at its last rule check
         self.pw: dict[int, dict[str, int]] = {}  # op -> variable -> preceding write's key
         # variable the focus reads -> one list per process with settled writes
         # on it, those writes, the lists in section order (by first write)
         self.lw: dict[str, list[list[int]]] = {r.variable: [] for r in self.reads}
         self.order_key: dict[int, int] = {}  # write -> ordinal of first dictated read
-        self.key_write: list[int] = []  # order key -> the write it belongs to
 
         self.rulec_edges = 0  # WpW edges added by rule C
 
     # -- shared plumbing -----------------------------------------------------
 
     def _reject_cycle(self, src: int, dst: int, entry: int) -> Verdict:
-        """The edge src -> dst closed a cycle; extract it for the verdict.
+        """Add the forced edge src -> dst, which closes a cycle; extract the cycle.
 
         Detection can fire before the closing precedence is materialized: when
         `entry` (src's latest preceding write on dst's variable) is dictated by
         a read not yet processed, the forced edge dst -> entry is implied but
         absent.  Adding it here makes the counterexample concrete.
         """
+        if self.graph.add_edge(src, dst, WPW):  # a rule check stores its edge first
+            self.rulec_edges += 1
         if entry != dst:
             self.graph.add_edge(dst, entry, WPW)
         cycle = self.graph.shortest_cycle_through(src, dst)
@@ -167,7 +169,7 @@ class ReadCentricChecker:
         var = self.ops[src].variable
         key = self.pw[src].get(var)
         if key is not None and self.order_key[dst] <= key:
-            return self.key_write[key]
+            return self.mapping[self.reads[key].index]
         return None
 
     def update_reachability(self, src: int, dst: int) -> None:
@@ -181,9 +183,9 @@ class ReadCentricChecker:
         already held src's knowledge nothing grows.  Nor does an operation
         met again, so the walk needs no visited set.
         """
-        self.rr[src] = min(self.rr[src], self.rr[dst])
-        if self.rr[src] != self.rr_checked[src]:
-            self.unchecked.add(src)
+        if self.rr[dst] < self.rr[src]:
+            self.pending.setdefault(src, self.rr[src])
+            self.rr[src] = self.rr[dst]
         known, succs = self.pw_after(src), self.graph.succs  # stored edges join settled ops
         stack = [dst]
         while stack:
@@ -193,7 +195,7 @@ class ReadCentricChecker:
 
     # -- per-read processing --------------------------------------------------
 
-    def init_reachability(self, r: Operation) -> set[int]:
+    def init_reachability(self, r: Operation) -> None:
         """Absorb r's new slice: store its edges, seed rr/lw, thread pw along both prefixes.
 
         Each prefix is threaded from its process's last settled operation,
@@ -202,9 +204,8 @@ class ReadCentricChecker:
         """
         d = self.ops[self.mapping[r.index]]
         k = self.read_ord[r.index]
-        rr, rr_checked, pw, pw_after = self.rr, self.rr_checked, self.pw, self.pw_after
+        rr, pw, pw_after = self.rr, self.pw, self.pw_after
         add_edge = self.graph.add_edge
-        delta: set[int] = set()
         for end in (r,) if d.process == self.focus else (r, d):
             p = end.process
             seq = self.proj.by_process[p]
@@ -219,9 +220,8 @@ class ReadCentricChecker:
                     pw[i] = pw_after(prev)
                     add_edge(prev, i, PO)
                 prev = i
-                delta.add(i)
                 if o.kind == WRITE:
-                    rr[i] = rr_checked[i] = k
+                    rr[i] = k
                     wl = self.lw.get(o.variable)
                     if wl is not None:  # the focus reads o's variable
                         j = bisect_right(wl, [i])  # sections are index runs
@@ -233,7 +233,6 @@ class ReadCentricChecker:
                 self.pw_update(pw_after(prev), r.index)
             self.prefix[p] = lo + len(chain)
         self.graph.add_edge(d.index, r.index, WR)
-        return delta
 
     def first_cycle_source(self, ws: list[int], d: int) -> tuple[int, int] | None:
         """(src, entry) for the first write of `ws` whose edge into d closes a cycle, or None."""
@@ -249,7 +248,7 @@ class ReadCentricChecker:
         """First read of src's variable newly reachable from src, as its dictator.
 
         The window is [rr[src], r_old) in focus program order, r_old being the
-        rr value when src was last checked.
+        rr value when src was last checked (`pending[src]`).
         """
         var = self.ops[src].variable
         for r_tmp in self.reads[self.rr[src] : r_old]:
@@ -263,11 +262,8 @@ class ReadCentricChecker:
         Returns the rejecting verdict when the forced edge closes a cycle,
         the edge's target when an edge was added, or None.
         """
-        r_old = self.rr_checked[src]
-        r_new = self.rr[src]
-        self.rr_checked[src] = r_new
-        self.unchecked.discard(src)
-        if r_new == r_old:
+        r_old = self.pending.pop(src, None)
+        if r_old is None:
             return None
         tgt = self.identify_rule_c(src, r_old)
         if tgt is None:
@@ -303,7 +299,9 @@ class ReadCentricChecker:
                 for s in succs[u]:
                     if s in dset:
                         other = self.read_ord[s] if self.ops[s].is_read else self.rr[s]
-                        self.rr[u] = min(self.rr[u], other)
+                        if other < self.rr[u]:
+                            self.pending.setdefault(u, self.rr[u])
+                            self.rr[u] = other
                 tgt = self.apply_rule_c(u)
                 if isinstance(tgt, Verdict):
                     return tgt
@@ -322,23 +320,22 @@ class ReadCentricChecker:
     def settle(self, r: Operation) -> Verdict | None:
         """Process focus read r: its slice, the proactive pass, a re-walk if due.
 
-        Returns the rejecting verdict, or None.  D(r)'s downset is re-walked
-        only while some write's rr dropped since its last rule check.
+        Returns the rejecting verdict, or None.  D(r)'s downset, if settled
+        before r, is re-walked only while a rule check is pending.
         """
-        delta = self.init_reachability(r)
         d = self.mapping[r.index]
+        was_settled = d in self.pw
+        self.init_reachability(r)
         dproc = self.ops[d].process
         for ws in self.lw[r.variable]:  # section order
             hit = self.first_cycle_source(ws, d)
             if hit is not None:
-                self.graph.add_edge(hit[0], d, WPW)
-                self.rulec_edges += 1
                 return self._reject_cycle(hit[0], d, hit[1])
             last = ws[-1]  # program order leads the others to it
             if self.ops[last].process != dproc and self.graph.add_edge(last, d, WPW):
                 self.rulec_edges += 1
                 self.update_reachability(last, d)
-        if self.unchecked and d not in delta:
+        if self.pending and was_settled:
             return self.topo_schedule(r)
         return None
 
@@ -347,9 +344,8 @@ class ReadCentricChecker:
     def run(self) -> Verdict:
         if self.unmatched is not None:  # its graph stays edge-less
             return Verdict(False, self.focus, ALGORITHM, reason=self.unmatched, graph=self.graph)
-        self.key_write = [self.mapping[r.index] for r in self.reads]
-        for key, w in enumerate(self.key_write):  # reads in program order: first wins
-            self.order_key.setdefault(w, key)
+        for key, r in enumerate(self.reads):  # reads in program order: first wins
+            self.order_key.setdefault(self.mapping[r.index], key)
 
         cycle = misordered_read_cycle(self.reads, self.mapping, self.ops)
         if cycle is not None:

@@ -4,7 +4,13 @@ import pytest
 
 from pramcheck.model import Operation, Trace, build_read_mapping, visible
 from pramcheck.opgraph import PO, WPW, WR, Cycle, OperationGraph, add_rule_a_b, build_dag_schedule
-from testutil import T, random_trace_rows, reference_dag_schedule, unread_out_edges_off_po
+from testutil import (
+    T,
+    random_trace_rows,
+    reference_dag_schedule,
+    reference_find_cycle,
+    unread_out_edges_off_po,
+)
 
 
 def _write_ops(n):
@@ -225,12 +231,51 @@ def test_dag_schedule_equals_the_per_block_reference_on_random_dags():
         assert build_dag_schedule(g, proj) == reference_dag_schedule(g, proj)
 
 
-def test_topo_sort_raises_on_cycle():
+def test_topo_sort_leaves_out_the_nodes_a_cycle_reaches():
+    """On a cyclic graph `topo_sort` returns, in topological order, exactly
+    the nodes that no node on a cycle reaches: 0 <-> 1 reaches 2, not 3."""
+    g = OperationGraph()
+    for u, v in [(0, 1), (1, 0), (1, 2), (3, 2), (3, 4)]:
+        g.add_edge(u, v, PO)
+    assert g.topo_sort(dict.fromkeys(range(6), 0)) == [3, 4, 5]
+    rng = random.Random(5)
+    cyclic = 0
+    for trial in range(300):
+        n = rng.randrange(1, 12)
+        g, edges = _random_graph(rng, n, density=rng.choice([0.05, 0.1, 0.2, 0.4]))
+        reach = {u: _dfs_reachable(edges, n, u) for u in range(n)}
+        on_cycle = [u for u in range(n) if u in reach[u]]
+        after = set(on_cycle).union(*(reach[u] for u in on_cycle))
+        order = g.topo_sort(dict.fromkeys(range(n), 0))
+        assert set(order) == set(range(n)) - after and len(order) == len(set(order)), trial
+        pos = {v: i for i, v in enumerate(order)}
+        assert all(pos[u] < pos[v] for u, v in edges if v in pos), trial
+        cyclic += bool(on_cycle)
+    assert 50 < cyclic < 250, cyclic
+
+
+def test_build_dag_schedule_raises_on_a_cyclic_graph():
+    t = T("p1 W x 1\np1 R x 1")
+    proj = visible(t, "p1")
     g = OperationGraph()
     g.add_edge(0, 1, PO)
     g.add_edge(1, 0, WPW)
-    with pytest.raises(RuntimeError):
-        g.topo_sort(dict.fromkeys(range(3), 0))
+    with pytest.raises(RuntimeError, match="met a cycle"):
+        build_dag_schedule(g, proj)
+
+
+def test_find_cycle_equals_the_plain_kahn_reference():
+    """`find_cycle` on the leftover of `topo_sort` equals the same walk back
+    over a plain Kahn pass's leftover, on random cyclic and acyclic graphs."""
+    rng = random.Random(41)
+    seen = {True: 0, False: 0}
+    for trial in range(400):
+        n = rng.randrange(1, 14)
+        g, _ = _random_graph(rng, n, density=rng.choice([0.03, 0.08, 0.15, 0.3]))
+        c = g.find_cycle()
+        assert c == reference_find_cycle(g), trial
+        seen[c is not None] += 1
+    assert min(seen.values()) > 100, seen
 
 
 def test_reachability_queries_require_close():

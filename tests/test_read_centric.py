@@ -146,13 +146,11 @@ class _CountingChecker(WalkCountingChecker):
 
     def init_reachability(self, r):
         # an earlier walk can lower a write's rr after checking it
-        left = any(self.rr[w] != self.rr_checked[w] for w in self.rr)
-        delta = super().init_reachability(r)
-        left = left and self.mapping[r.index] not in delta
+        left = bool(self.pending) and self.mapping[r.index] in self.pw
+        super().init_reachability(r)
         self.per_read.append(
             {"procs": len(self.lw[r.variable]), "checks": 0, "dropped": False, "left": left}
         )
-        return delta
 
     def cycle_detection(self, src, dst):
         if not self.in_walk:
@@ -293,8 +291,7 @@ class _WaitRecordingChecker(ReadCentricChecker):
     def topo_schedule(self, r):
         self.walk = {"checked": [], "edges": []}
         verdict = super().topo_schedule(r)
-        self.walk["unchecked"] = set(self.unchecked)
-        self.walk["rr"], self.walk["rr_checked"] = dict(self.rr), dict(self.rr_checked)
+        self.walk["pending"], self.walk["rr"] = dict(self.pending), dict(self.rr)
         self.walks[r.index], self.walk = self.walk, None
         return verdict
 
@@ -318,8 +315,8 @@ def test_a_write_ordered_before_an_unfinished_write_waits_for_it():
     walk = checker.walks[777]
     assert (473, 770) in walk["edges"]
     assert [u for u in walk["checked"] if u in (473, 770)] == [473, 770, 473]
-    assert 473 not in walk["unchecked"]
-    assert walk["rr_checked"][473] == walk["rr"][473] == 78
+    assert 473 not in walk["pending"]
+    assert walk["rr"][473] == 78
     assert max(checker.walks) == 777  # the last walk: nothing later would repair a miss
 
 
@@ -435,14 +432,14 @@ class _SkipsPwAtTheRead(ReadCentricChecker):
 
 class _KeepsStaleRr(ReadCentricChecker):
     """Planted defect: a new edge src -> dst leaves rr[src] as it was (no
-    `rr[src] = min(rr[src], rr[dst])` in `update_reachability`)."""
+    lowering of rr[src] to rr[dst] in `update_reachability`)."""
 
     def update_reachability(self, src, dst):
-        before, pending = self.rr[src], src in self.unchecked
+        before, pending = self.rr[src], src in self.pending
         super().update_reachability(src, dst)
         self.rr[src] = before
-        if not pending and before == self.rr_checked[src]:
-            self.unchecked.discard(src)
+        if not pending:  # rr did not drop, so no check is due
+            self.pending.pop(src, None)
 
 
 @pytest.mark.parametrize("defect", [_SkipsPwAtTheRead, _KeepsStaleRr])
@@ -523,14 +520,10 @@ def test_graph_keeps_rw_closure_reachability():
             checked += 1
 
 
-def _read_centric_digest(seeds, *, ops: int, mutated: bool) -> str:
-    """sha256 over each focus's verdict, reason, cycle, witness and edge list.
-
-    The traces: 16-process, 2-variable `gen_pram_trace` traces of `ops`
-    operations, one per seed, each also with every mutation that applies to
-    it when `mutated`.
-    """
-    h = hashlib.sha256()
+def _corpus_foci(seeds, *, ops: int, mutated: bool):
+    """(seed, mutation, trace, focus) for every focus of 16-process, 2-variable
+    `gen_pram_trace` traces of `ops` operations, one per seed, each also with
+    every mutation that applies to it when `mutated`."""
     for seed in seeds:
         t = gen_pram_trace(seed, processes=16, variables=2, ops=ops, read_fraction=0.35)
         traces = [("none", t)]
@@ -541,12 +534,20 @@ def _read_centric_digest(seeds, *, ops: int, mutated: bool) -> str:
                 pass
         for kind, trace in traces:
             for focus in trace.processes:
-                v = verify_read_centric(trace, focus)
-                cycle = (v.cycle.nodes, v.cycle.tags) if v.cycle is not None else None
-                seq = tuple(v.witness) if v.witness is not None else None
-                edges = sorted(v.graph.edges())
-                row = f"{seed} {kind} {focus} {v.consistent} {v.reason} {cycle} {seq} {edges}"
-                h.update(f"{row}\n".encode())
+                yield seed, kind, trace, focus
+
+
+def _read_centric_digest(seeds, *, ops: int, mutated: bool) -> str:
+    """sha256 over each focus's verdict, reason, cycle, witness and edge list,
+    on the traces of `_corpus_foci`."""
+    h = hashlib.sha256()
+    for seed, kind, trace, focus in _corpus_foci(seeds, ops=ops, mutated=mutated):
+        v = verify_read_centric(trace, focus)
+        cycle = (v.cycle.nodes, v.cycle.tags) if v.cycle is not None else None
+        seq = tuple(v.witness) if v.witness is not None else None
+        edges = sorted(v.graph.edges())
+        row = f"{seed} {kind} {focus} {v.consistent} {v.reason} {cycle} {seq} {edges}"
+        h.update(f"{row}\n".encode())
     return h.hexdigest()
 
 
@@ -556,6 +557,22 @@ def test_outputs_on_16_process_traces_are_frozen():
     benchmark's `gen-large` shape (1,600 operations), seeds 1-6, mutated."""
     digest = _read_centric_digest(range(1, 7), ops=1600, mutated=True)
     assert digest == "53455ea35043e59115598431781c17ce0844526d2c210909d4b017a0bb27a7b6"
+
+
+def test_rule_work_on_the_16_process_traces_is_frozen():
+    """On the corpus above (384 foci): 12 rejections, 69,192 rule-C edges and
+    89 re-walks.  The digest pins the edges but not which step added them;
+    these totals move if rule work moves between the proactive pass, the
+    re-walks and the rejection path.  The benchmark's per-layer
+    `read_centric.rulec_edges` is read off the same `rulec_edges` counter."""
+    foci = rejected = rulec_edges = topo_calls = 0
+    for _, _, trace, focus in _corpus_foci(range(1, 7), ops=1600, mutated=True):
+        checker = WalkCountingChecker(trace, focus)
+        rejected += not checker.run().consistent
+        rulec_edges += checker.rulec_edges
+        topo_calls += checker.topo_calls
+        foci += 1
+    assert (foci, rejected, rulec_edges, topo_calls) == (384, 12, 69192, 89)
 
 
 def test_outputs_where_the_re_walk_runs_often_are_frozen():

@@ -8,7 +8,8 @@ parser that `parse_trace`'s whole-text search and columns must agree with, and
 `reference_dag_schedule` builds witnesses block by block, with one
 topological sort per block, as `build_dag_schedule`'s one-pass sort must.
 `reference_visible` is the per-focus filter that `visible`'s shared
-per-trace write sections must agree with.
+per-trace write sections must agree with, and `reference_find_cycle` the
+plain Kahn pass that `find_cycle`'s use of `topo_sort` must agree with.
 `CrossChecks` checks read-centric's incremental bookkeeping against its live
 graph as a run goes.
 """
@@ -130,6 +131,29 @@ def reference_dag_schedule(graph: OperationGraph, proj: VisibleProjection) -> Sc
     return Schedule(out)
 
 
+def reference_find_cycle(graph: OperationGraph):
+    """`find_cycle` over a plain Kahn pass of its own: the nodes it never
+    drains are those on or after a cycle.  The walk back from the least of
+    them, each step to its least undrained predecessor, repeats a node, and
+    the cycle is the shortest through the edge that closes the walk."""
+    indeg = {v: len(p) for v, p in graph.preds.items()}
+    queue = [v for v, d in indeg.items() if d == 0]
+    while queue:
+        for s in graph.succs[queue.pop()]:
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                queue.append(s)
+    left = {v for v, d in indeg.items() if d}
+    if not left:
+        return None
+    v = min(left)
+    walked: set[int] = set()
+    while v not in walked:
+        walked.add(v)
+        v, dst = min(p for p in graph.preds[v] if p in left), v
+    return graph.shortest_cycle_through(v, dst)
+
+
 def unread_out_edges_off_po(
     graph: OperationGraph, proj: VisibleProjection
 ) -> list[tuple[int, int, str]]:
@@ -246,7 +270,8 @@ class CrossChecks:
     - `cycle_detection`: pw[src] on src's variable equals a walk over src's
       predecessors that skips the edge under test.
     - `apply_rule_c`, and every write of D(r)'s downset when the re-walk is
-      skipped: rr equals a walk over successors, and was checked at that value.
+      skipped: rr equals a walk over successors, and the write is not
+      `pending`.  At `apply_rule_c`, a pending write's rr is below its entry.
     - `init_reachability`: r's slice is r's downset minus what was settled.
     - `identify_rule_c`: a write never dictates a read it already precedes.
     - the proactive pass finds the source that an index-order scan of every
@@ -258,11 +283,10 @@ class CrossChecks:
 
     def init_reachability(self, r):
         settled = set(self.pw)
-        delta = super().init_reachability(r)
-        assert delta == self.graph.downset(r.index, settled), "slice is not two prefixes"
-        self.delta = delta
+        super().init_reachability(r)
+        self.delta = self.pw.keys() - settled
+        assert self.delta == self.graph.downset(r.index, settled), "slice is not two prefixes"
         self.scan_source = self._scan_source(self.lw[r.variable], self.mapping[r.index])
-        return delta
 
     def cycle_detection(self, src, dst):
         self._check_pw(src, pending=(src, dst))
@@ -282,6 +306,8 @@ class CrossChecks:
 
     def apply_rule_c(self, src):
         self._check_rr(src)
+        if src in self.pending:
+            assert self.pending[src] > self.rr[src], "pending write whose rr did not drop"
         return super().apply_rule_c(src)
 
     def topo_schedule(self, r):
@@ -295,7 +321,7 @@ class CrossChecks:
         d = self.mapping[r.index]
         if verdict is None and not self.walked and d not in self.delta:
             for u in self.graph.downset(d) & self.rr.keys():  # the skipped walk had nothing to do
-                assert self.rr_checked[u] == self.rr[u], "skipped a pending rule check"
+                assert u not in self.pending, "skipped a pending rule check"
                 self._check_rr(u)
         return verdict
 
