@@ -2,9 +2,10 @@
 
 `oracle_verify` searches the space of interleavings of the focus process's
 visible operations directly: writes are always schedulable, a read only when
-the latest scheduled write on its variable holds the read's value.  It is the
-only verifier here that handles duplicate write values, at exponential cost;
-a state budget keeps it honest, and running out of budget is reported as a
+the latest scheduled write on its variable holds the read's value.  The search
+names each (variable, value) pair by a small int, its pair id.  It is the only
+verifier here that handles duplicate write values, at exponential cost; a
+state budget keeps it honest, and running out of budget is reported as a
 distinct Timeout, never as a verdict.
 
 Its set-up is linear in the focus: past one pass over the trace to project
@@ -80,7 +81,7 @@ def oracle_verify(
     """Decide consistency from `focus`'s view by memoized depth-first search.
 
     The search state is the per-process frontier over visible operations plus
-    the last value written per variable; states proven hopeless are memoized.
+    the pair id last written per variable; states proven hopeless are memoized.
     Three safe accelerations: an enabled read is scheduled immediately (reads
     do not change the store, so this loses no schedules), branching prefers
     the write that would enable the focus's next read, and the memo key
@@ -91,6 +92,11 @@ def oracle_verify(
     state, so no recursion limit bounds its depth.  A frame holds the number
     of its state's forced reads, its memo key, its untried branches and the
     write to undo before the next branch.
+
+    After a write of pair p over pair q, the supply bound checks only p and
+    q.  Any other pair on the variable passed at its last write on this path,
+    or, with none, still has all its writes, and has only lost runs since.  A
+    pair short of writes from the start fails at every write there: `starved`.
 
     The loop runs in slices.  Slice j may meet 32 * luby(j) dead ends (states
     found hopeless, and starvation prunes); the next one ends it, and slice
@@ -130,13 +136,13 @@ def oracle_verify(
             sigs[f] = intern.setdefault(key, len(intern))
         suffix_sig.append(sigs)
 
-    # One (variable slot, value, index, pair id, suffix signature) cell per
-    # write, so the search reads no Operation attribute; a focus read and a
-    # lane's end hold None.  Only the focus lane has reads: `visible` keeps
-    # only the writes of every other process, so those lanes are write queues.
+    # One (variable slot, index, pair id, suffix signature) cell per write,
+    # so the search reads no Operation attribute; a focus read and a lane's
+    # end hold None.  Only the focus lane has reads: `visible` keeps only the
+    # writes of every other process, so those lanes are write queues.
     cells = [
         [
-            (slot[o.variable], o.value, o.index, pair_id[(o.variable, o.value)], sig)
+            (slot[o.variable], o.index, pair_id[(o.variable, o.value)], sig)
             if o.kind != READ
             else None
             for o, sig in zip(lane, sigs)
@@ -145,36 +151,31 @@ def oracle_verify(
         for lane, sigs in zip(lanes, suffix_sig)
     ]
     fl = list(proj.by_process).index(focus)  # `visible` keeps the focus's whole section
-    # the focus lane at each position: the read's slot (-1 at a write, -2 one
-    # past the end), and the operation's value, index and pair id
-    rslot = [slot[o.variable] if o.kind == READ else -1 for o in focus_ops] + [-2]
-    rval = [o.value for o in focus_ops]
+    # the focus lane at each position: the read's slot and pair id (-1 at a
+    # write and one past the end), and the operation's index
+    rslot = [slot[o.variable] if o.kind == READ else -1 for o in focus_ops] + [-1]
+    rpid = [pair_id[(o.variable, o.value)] if o.kind == READ else -1 for o in focus_ops] + [-1]
     ridx = [o.index for o in focus_ops]
-    rpid = [pair_id[(o.variable, o.value)] for o in focus_ops]
 
     # Remaining-supply bound: every maximal same-value run among the focus's
     # remaining reads of a variable needs its own write of that value (only
-    # the first run can ride on the current store), so a value whose
+    # the first run can ride on the current store), so a pair whose
     # unscheduled writes fall short of its remaining runs is a dead end.
-    # One backward scan records each slot's focus positions and, for each
-    # pair the focus reads there, the positions where its runs end; a check
-    # counts a pair's remaining runs with one bisect, so it keeps nothing.
-    positions: list[list[int]] = [[] for _ in variables]
-    runs_of: list[dict[int, list[int]]] = [{} for _ in variables]
-    after: dict[int, int | None] = {}  # slot -> the next focus read's value there, None at a write
+    # One backward scan records each slot's focus positions, closed by one
+    # past the end, each read pair's run ends (where the slot's next focus
+    # operation, `pos[-1]`, reads no such pair) and the starved slots.
+    positions: list[list[int]] = [[len(focus_ops)] for _ in variables]
+    ends: list[list[int]] = [[] for _ in all_writes]
+    starved = [False] * len(variables)
     for f in range(len(focus_ops) - 1, -1, -1):
-        op = focus_ops[f]
-        s = slot[op.variable]
-        positions[s].append(f)
-        if op.kind == READ:
-            if after.get(s) != op.value:
-                runs_of[s].setdefault(rpid[f], []).append(f)
-            after[s] = op.value
-        else:
-            after[s] = None
-    for pos in positions:
-        pos.reverse()
-    runs = [[(pid, ends[::-1]) for pid, ends in by_pid.items()] for by_pid in runs_of]
+        pos = positions[slot[focus_ops[f].variable]]
+        p = rpid[f]
+        if p >= 0 and rpid[pos[-1]] != p:
+            ends[p].append(f)
+            starved[rslot[f]] |= len(ends[p]) > all_writes[p]
+        pos.append(f)
+    for seq in itertools.chain(positions, ends):
+        seq.reverse()
 
     failed: set[tuple] = set()
     states = 0
@@ -186,7 +187,7 @@ def oracle_verify(
         if restarts:
             random.Random(f"{focus}:{restarts}").shuffle(order)
         frontier = [0] * len(lanes)
-        lastvals: list[int | None] = [None] * len(variables)
+        store: list[int | None] = [None] * len(variables)  # slot -> last write's pair id
         sched: list[int] = []
         supply = all_writes[:]
         allowed = _UNIT * _luby(restarts)
@@ -204,7 +205,7 @@ def oracle_verify(
                 # the store, so any solution can be rearranged to take them first.
                 f = start = frontier[fl]
                 s = rslot[f]
-                while s >= 0 and lastvals[s] == rval[f]:
+                while s >= 0 and store[s] == rpid[f]:
                     sched.append(ridx[f])
                     f += 1
                     s = rslot[f]
@@ -216,7 +217,7 @@ def oracle_verify(
                     )
                 # the memo key: the lanes' signatures as a multiset, then the store
                 key = sorted(map(getitem, suffix_sig, frontier))
-                key += lastvals
+                key += store
                 key = tuple(key)
                 if key in failed:  # a memoised state fails at once: back to its parent
                     if forced:
@@ -233,15 +234,15 @@ def oracle_verify(
                     # The writes that would enable the focus's next read go
                     # first; of lanes with equal remaining work, only the first
                     # branches.
-                    need = rpid[frontier[fl]] if rslot[frontier[fl]] >= 0 else -1
+                    need = rpid[frontier[fl]]
                     candidates: list[int] = []
                     later: list[int] = []
                     seen: set[int] = set()
                     for li in order:
                         c = cells[li][frontier[li]]
-                        if c is not None and c[4] not in seen:
-                            seen.add(c[4])
-                            (candidates if c[3] == need else later).append(li)
+                        if c is not None and c[3] not in seen:
+                            seen.add(c[3])
+                            (candidates if c[2] == need else later).append(li)
                     candidates += later
                     branches, undo = iter(candidates), None
             if undo is not None:
@@ -249,30 +250,29 @@ def oracle_verify(
                 supply[pid] += 1
                 sched.pop()
                 frontier[li] -= 1
-                lastvals[s] = prev
+                store[s] = prev
             for li in branches:
-                f = frontier[li]
-                s, val, index, pid, _ = cells[li][f]
-                undo = (li, s, lastvals[s], pid)
-                lastvals[s] = val
-                frontier[li] = f + 1
+                s, index, pid, _ = cells[li][frontier[li]]
+                prev = store[s]
+                undo = (li, s, prev, pid)
+                store[s] = pid
+                frontier[li] += 1
                 sched.append(index)
                 supply[pid] -= 1
-                enter = True  # a starved state is undone on the next turn
+                # Only pid and prev can fall short (see the docstring); a run of
+                # pid rides on the store if the focus's next operation on s reads it.
                 f = frontier[fl]
-                # a run of `val` rides on the store if the focus's next
-                # operation on slot s, at g, reads it
                 pos = positions[s]
-                i = bisect_left(pos, f)
-                g = pos[i] if i < len(pos) else len(rval)  # past the end, rslot is -2
-                ride = pid if rslot[g] >= 0 and rval[g] == val else -1
-                for p, ends in runs[s]:
-                    if supply[p] + (p == ride) < len(ends) - bisect_left(ends, f):
-                        enter = False
-                        dead_ends += 1
-                        break
+                ride = rpid[pos[bisect_left(pos, f)]] == pid
+                e = ends[pid]
+                enter = not starved[s] and supply[pid] + ride >= len(e) - bisect_left(e, f)
+                if enter and prev not in (None, pid):
+                    e = ends[prev]
+                    enter = supply[prev] >= len(e) - bisect_left(e, f)
                 if enter:
                     stack.append((forced, key, branches, undo))
+                else:  # a state short of supply is undone on the next turn
+                    dead_ends += 1
                 break
             else:  # every branch failed: the state is hopeless
                 failed.add(key)

@@ -11,8 +11,9 @@ and `WR` edges on its first read.  Three dictionaries carry everything the
 overwrite-precedence rule needs:
 
 * `rr` - per write, the ordinal of the earliest focus read it currently
-  reaches.  A write whose `rr` drops may have become ordered before further
-  reads of its variable, which is exactly when the rule can fire again.
+  reaches, and per focus read its own.  A write whose `rr` drops may have
+  become ordered before further reads of its variable, which is exactly when
+  the rule can fire again.
 * `pw` - per operation and variable, the order key of the latest preceding
   write that dictates some read: the ordinal of the first read that write
   dictates, so a merge compares ints and the key's read maps it back to its
@@ -100,10 +101,10 @@ class ReadCentricChecker:
         self.proj = visible(trace, focus)
         self.graph = OperationGraph()
         self.reads: tuple[Operation, ...] = self.proj.focus_reads()
-        self.read_ord: dict[int, int] = {r.index: i for i, r in enumerate(self.reads)}
 
         self.prefix: dict[str, int] = {}  # process -> length of its settled prefix
-        self.rr: dict[int, int] = {}  # write index -> ordinal of earliest reachable focus read
+        # write -> ordinal of the earliest focus read it reaches; a focus read's is its own
+        self.rr: dict[int, int] = {r.index: k for k, r in enumerate(self.reads)}
         self.pending: dict[int, int] = {}  # write whose rr dropped -> rr at its last rule check
         self.pw: dict[int, dict[str, int]] = {}  # op -> variable -> preceding write's key
         # variable the focus reads -> one list per process with settled writes
@@ -203,8 +204,8 @@ class ReadCentricChecker:
         `WR` edge.  When D(r) is the focus's own, the focus prefix covers it.
         """
         d = self.ops[self.mapping[r.index]]
-        k = self.read_ord[r.index]
         rr, pw, pw_after = self.rr, self.pw, self.pw_after
+        k = rr[r.index]
         add_edge = self.graph.add_edge
         for end in (r,) if d.process == self.focus else (r, d):
             p = end.process
@@ -297,11 +298,9 @@ class ReadCentricChecker:
             u = queue.popleft()
             if self.ops[u].is_write and u not in done:
                 for s in succs[u]:
-                    if s in dset:
-                        other = self.read_ord[s] if self.ops[s].is_read else self.rr[s]
-                        if other < self.rr[u]:
-                            self.pending.setdefault(u, self.rr[u])
-                            self.rr[u] = other
+                    if s in dset and self.rr[s] < self.rr[u]:
+                        self.pending.setdefault(u, self.rr[u])
+                        self.rr[u] = self.rr[s]
                 tgt = self.apply_rule_c(u)
                 if isinstance(tgt, Verdict):
                     return tgt

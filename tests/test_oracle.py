@@ -1,3 +1,4 @@
+import bisect
 import gc
 import hashlib
 import itertools
@@ -165,6 +166,47 @@ def test_only_a_focus_read_lets_a_run_ride_on_the_store():
     assert tuple(v.witness) == (0, 4, 5, 6, 1, 7, 2)
     out = oracle_verify(t, "p2", max_states=4)
     assert isinstance(out, OracleTimeout) and out.states == 5
+
+
+def test_a_write_checks_only_the_two_pairs_it_can_starve(monkeypatch):
+    """One process's k `W x i`/`R x i` pairs: each write bisects the slot's
+    focus positions and the run ends of the pair it writes and the one it
+    overwrites, not those of every pair the focus reads on x, so a full
+    search makes under 3k supply-check bisects, not about k * k."""
+    calls = 0
+
+    def counting_bisect_left(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return bisect.bisect_left(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "bisect_left", counting_bisect_left)
+    for k in (1000, 2000):
+        t = parse_trace("".join(f"p1 W x {i}\np1 R x {i}\n" for i in range(k)))
+        calls = 0
+        out = oracle_verify(t, "p1")
+        assert isinstance(out, Verdict) and out.consistent
+        assert calls <= 3 * k, (k, calls)
+
+
+def test_a_starved_slot_fails_at_every_write():
+    """p4 reads two runs of `x 1` and the trace has one `W x 1`, so no
+    schedule exists and every write on x is a dead end, also p3's first
+    `W x 3`, a pair p4 never reads, which passes its own check.  The search
+    still runs over the writes on y and z; its verdict and its timeouts are
+    pinned.  Without the starved slot, it takes 168 states, not 127."""
+    rows = []
+    for proc, x in (("p1", 1), ("p2", 2), ("p3", 3)):
+        rows += [f"{proc} W y 1", f"{proc} W y 2", f"{proc} W z 1", f"{proc} W x {x}"]
+    rows += ["p4 R y 2", "p4 R y 1", "p4 R z 1", "p4 R y 2", "p4 R x 1", "p4 R x 2", "p4 R x 1"]
+    t = parse_trace("\n".join(rows))
+    for budget, states, restarts in ((1, 2, 0), (3, 4, 0), (50, 51, 2), (126, 127, 5)):
+        out = oracle_verify(t, "p4", max_states=budget)
+        assert isinstance(out, OracleTimeout), budget
+        assert (out.states, out.restarts) == (states, restarts), budget
+    v = oracle_verify(t, "p4", max_states=127)
+    assert isinstance(v, Verdict) and not v.consistent
+    assert v.reason == "search exhausted: no legal schedule exists"
 
 
 def _duplicate_traces():

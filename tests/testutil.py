@@ -281,6 +281,10 @@ class CrossChecks:
     subclass's overrides, which count the checks' own calls too.
     """
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.ordinal = {r.index: k for k, r in enumerate(self.reads)}  # focus read -> ordinal
+
     def init_reachability(self, r):
         settled = set(self.pw)
         super().init_reachability(r)
@@ -340,7 +344,7 @@ class CrossChecks:
                 if s not in seen:
                     seen.add(s)
                     stack.append(s)
-        best = min((self.read_ord[s] for s in seen if self.ops[s].is_read), default=None)
+        best = min((self.ordinal[s] for s in seen if s in self.ordinal), default=None)
         assert self.rr.get(src) == best, (
             f"stale reachable-read for {self.ops[src].pretty()}: "
             f"have {self.rr.get(src)}, graph says {best}"
