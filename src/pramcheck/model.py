@@ -65,7 +65,6 @@ class UnmatchedReadError(Exception):
 
     def __init__(self, read_index: int):
         super().__init__(f"read #{read_index} has no dictating write")
-        self.read_index = read_index
 
 
 class MutationError(ValueError):

@@ -18,13 +18,17 @@ overwrite-precedence rule needs:
   write that dictates some read: the ordinal of the first read that write
   dictates, so a merge compares ints and the key's read maps it back to its
   write.  A new edge w' -> w closes a cycle precisely when w already precedes
-  w' in that order, i.e. when pw[w'][var] is at or after w's key.
+  w' in that order, i.e. when pw[w'][var] is at or after w's key.  A run of
+  consecutive focus reads shares one table: a read passes pw on only to the
+  next focus operation, and pw never falls along program order, so the table
+  is the run's last settled read's, which the write after the run copies.
 * `pending` - per write whose `rr` dropped since its last rule check, the
   `rr` it was checked at: the only record that a rule check is pending.
 
 `pw` is exact: for every stored edge u -> s, pw[s] holds what u passes on.
 So a new edge's merge walks forward only from operations whose entry grew:
-past an entry that does not grow, none would.
+past an entry that does not grow, none would.  From a read that grew, the walk
+goes on at the write after its run (`run_end`), once that write has settled.
 
 The dictating write's downset is re-walked in reverse topological order
 (`topo_schedule`) only while `pending` is non-empty; every write there
@@ -35,7 +39,7 @@ graph's own tables, where `add_edge` stores it.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import partial
 from operator import attrgetter
@@ -56,7 +60,9 @@ class ReadCentricChecker:
     the keys of `pw`, are down-closed: each process's settled operations are
     a program-order prefix, `prefix[process]` long.  Operations not yet
     settled have no stored edges, so r's new slice is the focus's unsettled
-    prefix up to r plus D(r)'s process's up to D(r).
+    prefix up to r plus D(r)'s process's up to D(r).  The focus's reads of
+    each variable are kept as ordinals (`ords`), so rule C finds the first
+    one in its window by a bisect, and each run of reads shares one `pw`.
 
     The proactive overwrite-rule pass at a focus read r (dictating write d)
     orders every settled write on r's variable before d.  Those of each process
@@ -107,9 +113,19 @@ class ReadCentricChecker:
         self.rr: dict[int, int] = {r.index: k for k, r in enumerate(self.reads)}
         self.pending: dict[int, int] = {}  # write whose rr dropped -> rr at its last rule check
         self.pw: dict[int, dict[str, int]] = {}  # op -> variable -> preceding write's key
+        self.run_end: dict[int, int | None] = {}  # focus read -> next focus write, or None
+        after = None
+        for o in reversed(self.proj.by_process[focus]):
+            if o.kind == WRITE:
+                after = o.index
+            else:
+                self.run_end[o.index] = after
+        self.ords: dict[str, list[int]] = {}  # variable -> ordinals of the focus's reads of it
+        for k, r in enumerate(self.reads):
+            self.ords.setdefault(r.variable, []).append(k)
         # variable the focus reads -> one list per process with settled writes
         # on it, those writes, the lists in section order (by first write)
-        self.lw: dict[str, list[list[int]]] = {r.variable: [] for r in self.reads}
+        self.lw: dict[str, list[list[int]]] = {v: [] for v in self.ords}
         self.order_key: dict[int, int] = {}  # write -> ordinal of first dictated read
 
         self.rulec_edges = 0  # WpW edges added by rule C
@@ -191,8 +207,12 @@ class ReadCentricChecker:
         stack = [dst]
         while stack:
             u = stack.pop()
-            if self.pw_update(known, u):
+            if not self.pw_update(known, u):
+                continue
+            if u not in self.run_end:
                 stack.extend(succs[u])
+            elif self.run_end[u] in self.pw:  # past u's run, which shares its table
+                stack.append(self.run_end[u])
 
     # -- per-read processing --------------------------------------------------
 
@@ -204,7 +224,7 @@ class ReadCentricChecker:
         `WR` edge.  When D(r) is the focus's own, the focus prefix covers it.
         """
         d = self.ops[self.mapping[r.index]]
-        rr, pw, pw_after = self.rr, self.pw, self.pw_after
+        rr, pw, pw_after, run_end = self.rr, self.pw, self.pw_after, self.run_end
         k = rr[r.index]
         add_edge = self.graph.add_edge
         for end in (r,) if d.process == self.focus else (r, d):
@@ -217,8 +237,8 @@ class ReadCentricChecker:
                 i = o.index  # i is new to pw and to the graph
                 if prev is None:
                     pw[i] = {}
-                else:
-                    pw[i] = pw_after(prev)
+                else:  # a run of focus reads shares its first read's table
+                    pw[i] = pw[prev] if i in run_end and prev in run_end else pw_after(prev)
                     add_edge(prev, i, PO)
                 prev = i
                 if o.kind == WRITE:
@@ -251,10 +271,10 @@ class ReadCentricChecker:
         The window is [rr[src], r_old) in focus program order, r_old being the
         rr value when src was last checked (`pending[src]`).
         """
-        var = self.ops[src].variable
-        for r_tmp in self.reads[self.rr[src] : r_old]:
-            if r_tmp.variable == var:
-                return self.mapping[r_tmp.index]
+        ords = self.ords.get(self.ops[src].variable, ())
+        j = bisect_left(ords, self.rr[src])
+        if j < len(ords) and ords[j] < r_old:
+            return self.mapping[self.reads[ords[j]].index]
         return None
 
     def apply_rule_c(self, src: int) -> Verdict | int | None:

@@ -1,7 +1,10 @@
+import gc
 import hashlib
 import itertools
 import random
 import re
+import tracemalloc
+from functools import partial
 
 import pytest
 
@@ -9,6 +12,8 @@ from pramcheck import (
     MUTATIONS,
     DuplicateValueError,
     MutationError,
+    Schedule,
+    Trace,
     Verdict,
     check_pram_witness,
     gen_pram_trace,
@@ -18,7 +23,7 @@ from pramcheck import (
 )
 from pramcheck.model import visible
 from pramcheck.opgraph import WPW, OperationGraph
-from pramcheck.oracle import oracle_verify
+from pramcheck.oracle import OracleTimeout, oracle_verify
 from pramcheck.read_centric import ALGORITHM, ReadCentricChecker, verify_read_centric
 from testutil import (
     CheckedReadCentricChecker,
@@ -27,6 +32,7 @@ from testutil import (
     brute_force_consistent,
     chain_trace,
     reread_trace,
+    stale_pw_writes,
     unread_out_edges_off_po,
     verify_read_centric_checked,
 )
@@ -238,10 +244,175 @@ def test_lw_keeps_only_the_processes_that_write_each_variable():
             assert {(t.ops[w].process, t.ops[w].variable) for w in ws} == {(owner, v)}
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 10, 50, 200])
-def test_cross_checks_hold_on_the_chain_family(k):
+# f's `W q 1` after none, half or all of its 2k reads: one run of reads, two
+# runs, or one run before a write
+CHAIN_SHAPES = {"no-focus-write": None, "focus-write-halfway": 1, "trailing-focus-write": 2}
+
+
+def _chain(k: int, shape: str) -> Trace:
+    at = CHAIN_SHAPES[shape]
+    return chain_trace(k, None if at is None else at * k)
+
+
+@pytest.mark.parametrize(
+    "k,shape",
+    [  # the plain chain keeps its ids of one number
+        pytest.param(k, shape, id=f"{k}-{shape}" if CHAIN_SHAPES[shape] else str(k))
+        for shape in CHAIN_SHAPES
+        for k in (1, 2, 3, 10, 50, 200)
+    ],
+)
+def test_cross_checks_hold_on_the_chain_family(k, shape):
     """Most of the chain's merges stop at their first entry; pw must stay exact."""
-    assert verify_read_centric_checked(chain_trace(k), "f").consistent
+    assert verify_read_centric_checked(_chain(k, shape), "f").consistent
+
+
+@pytest.mark.parametrize("shape,runs", zip(CHAIN_SHAPES, (1, 2, 1)))
+def test_each_run_of_focus_reads_shares_one_pw_table(shape, runs):
+    """A read passes pw on only to the next focus operation, so consecutive
+    focus reads share one table: f's 100 reads at k = 50 hold one table per
+    run of reads, not one each."""
+    checker = ReadCentricChecker(_chain(50, shape), "f")
+    assert checker.run().consistent
+    assert len(checker.reads) == 100
+    assert len({id(checker.pw[r.index]) for r in checker.reads}) == runs
+
+
+def _chain_peak_bytes(k: int, shape: str) -> int:
+    """tracemalloc peak of read-centric on `_chain(k, shape)`, focus f; the
+    trace is built before tracing starts."""
+    t = _chain(k, shape)
+    gc.collect()  # empties the free lists, whose reuse tracemalloc does not see
+    tracemalloc.start()
+    try:
+        v = verify_read_centric(t, "f")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.consistent
+    return peak
+
+
+@pytest.mark.parametrize("shape", CHAIN_SHAPES)
+def test_chain_memory_grows_with_the_trace(shape):
+    """With one pw table per run of focus reads, the chain's tables grow with
+    its operations, not with reads x variables: 4.1 -> 8.3 MiB from k = 800
+    to 1,600, against 38.1 -> 144.6 MiB (3.8x) with a table per read."""
+    small, large = _chain_peak_bytes(800, shape), _chain_peak_bytes(1600, shape)
+    assert large / small < 2.5, (small, large)
+
+
+class _StopsAtARun(ReadCentricChecker):
+    """Planted defect: a walk that grows a focus read's table stops there,
+    where it must go on to the write after the read's run (`run_end`)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.run_end = dict.fromkeys(self.run_end)  # no run's write looks settled
+
+
+@pytest.mark.parametrize("seed,processes,focus", [(388344, 4, "p1"), (85121, 3, "p3")])
+def test_pw_check_after_the_run_catches_a_walk_that_stops_at_a_run(seed, processes, focus):
+    """A walk that reaches a run of reads whose write has settled is rare on
+    random foci, about 2 in 3,000 accepted 3- and 4-process, 200-op `gen`
+    foci; these are two of them.  Every settled write's pw matches a walk
+    over the graph after the run; the defect leaves one write short, and
+    `CrossChecks` fails."""
+    t = gen_pram_trace(seed, processes=processes, variables=3, ops=200, read_fraction=0.7)
+    checker = ReadCentricChecker(t, focus)
+    assert checker.run().consistent
+    assert stale_pw_writes(checker) == []
+    assert verify_read_centric_checked(t, focus).consistent
+    defect = _StopsAtARun(t, focus)
+    assert defect.run().consistent
+    assert len(stale_pw_writes(defect)) == 1
+    with pytest.raises(AssertionError, match="stale preceding-write table"):
+        type("CheckedStopsAtARun", (CrossChecks, _StopsAtARun), {})(t, focus).run()
+
+
+def _drop_one_read(t: Trace, focus: str, rng: random.Random) -> tuple[Trace, int] | None:
+    """`t` without one of `focus`'s reads, chosen by `rng`, and that read's
+    index; None when the focus has no read, or nothing besides it."""
+    section = t.processes[focus]
+    reads = [o.index for o in section if o.is_read]
+    if not reads or len(section) == 1:
+        return None
+    j = rng.choice(reads)
+    return Trace.build(row for i, row in enumerate(t.rows()) if i != j), j
+
+
+def _assert_consistent_without_a_read(verify, t: Trace, focus: str, rng: random.Random) -> bool:
+    """If `verify` accepts `focus` on `t` (a Verdict, not a timeout or a
+    refusal), drop one read and check the relation; True if it was checked."""
+    try:
+        v = verify(t, focus)
+    except DuplicateValueError:
+        return False
+    dropped = _drop_one_read(t, focus, rng)
+    if not isinstance(v, Verdict) or not v.consistent or dropped is None:
+        return False
+    smaller, j = dropped
+    w = verify(smaller, focus)
+    assert not isinstance(w, OracleTimeout) and w.consistent, (t.rows(), focus, j)
+    shifted = Schedule(i - (i > j) for i in v.witness if i != j)
+    assert check_pram_witness(smaller, focus, shifted).ok, (t.rows(), focus, j)
+    return True
+
+
+def test_dropping_a_focus_read_keeps_read_centric_consistent():
+    """A metamorphic relation: dropping one focus read keeps a consistent focus
+    consistent.
+
+    Proof: let S be a legal schedule of the focus's view, every write and
+    the focus's reads, each read returning the value of the last write on
+    its variable before it in S.  Take a read r out of S.  Each process's
+    program order still holds.  A read changes no variable, so every other
+    read has the same last write on its variable before it as in S, and
+    returns its value.  So S without r is a legal schedule of the trace
+    without r: that trace's focus is consistent too.
+
+    Dropping a read moves the boundaries of the focus's runs of reads, which
+    share pw tables.  The test runs read-centric on the three chain shapes at
+    k = 400 and on seeded `gen` foci up to 12,800 operations, and checks
+    the old witness without r on the smaller trace too."""
+    rng = random.Random(19)
+    checked = 0
+    for shape in CHAIN_SHAPES:
+        for _ in range(3):
+            checked += _assert_consistent_without_a_read(
+                verify_read_centric, _chain(400, shape), "f", rng
+            )
+    for ops in (1600, 3200, 6400, 12800):
+        t = gen_pram_trace(ops, processes=16, variables=2, ops=ops, read_fraction=0.35)
+        for focus in t.processes:
+            checked += _assert_consistent_without_a_read(verify_read_centric, t, focus, rng)
+    assert checked >= 70, checked
+
+
+def test_dropping_a_focus_read_keeps_every_verifier_consistent():
+    """The relation above for all three verifiers, on small seeded `gen`
+    traces with unique and duplicate values, 60 % of them mutated.  A
+    duplicate-value focus is refused by the polynomial verifiers, and an
+    oracle timeout checks nothing."""
+    verifiers = {
+        "read-centric": verify_read_centric,
+        "rw-closure": verify_rw_closure,
+        "oracle": partial(oracle_verify, max_states=5000),
+    }
+    rng = random.Random(7)
+    checked = dict.fromkeys(verifiers, 0)
+    for _ in range(200):
+        policy = rng.choice(("unique", "duplicate"))
+        t = gen_pram_trace(rng.randrange(10**6), processes=4, variables=2, ops=24, policy=policy)
+        if rng.random() < 0.6:
+            try:
+                t = mutate_trace(rng.randrange(10**6), t, rng.choice(MUTATIONS))
+            except MutationError:
+                pass
+        for focus in t.processes:
+            for name, verify in verifiers.items():
+                checked[name] += _assert_consistent_without_a_read(verify, t, focus, rng)
+    assert min(checked.values()) >= 300, checked
 
 
 def test_witness_sort_takes_only_the_operations_the_reads_reach(monkeypatch):

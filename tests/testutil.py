@@ -232,7 +232,7 @@ def reread_trace(k: int) -> Trace:
     return Trace.build(rows)
 
 
-def chain_trace(k: int) -> Trace:
+def chain_trace(k: int, write_at: int | None = None) -> Trace:
     """The round chain: consistent, 5k + 1 operations over k + 2 processes.
 
     Process `a` writes `W x_k 0`, ..., `W x_1 0`, then `W z 1`; each `b_i`
@@ -240,15 +240,23 @@ def chain_trace(k: int) -> Trace:
     `R x_i 1` for i = k down to 2, then `R z 1`, `R x_1 1`.  Round i of
     rw-closure orders `W x_i 0` before `W x_i 1`, and only that edge lets
     `W x_(i+1) 0` reach the read of `x_(i+1)`: k + 1 rounds in all.
+
+    With `write_at`, `f` also writes `W q 1`, which nothing reads, after its
+    first `write_at` of 2k reads (5k + 2 operations, still consistent):
+    `write_at=k` splits f's reads into two runs, and `write_at=2 * k` puts
+    the write after all of them.
     """
     rows = [("a", "W", f"x{i}", 0) for i in range(k, 0, -1)]
     rows.append(("a", "W", "z", 1))
     for i in range(1, k + 1):
         rows += [(f"b{i}", "W", f"x{i}", 1), (f"b{i}", "W", f"y{i}", 1)]
+    focus = []
     for i in range(k, 1, -1):
-        rows += [("f", "R", f"y{i - 1}", 1), ("f", "R", f"x{i}", 1)]
-    rows += [("f", "R", "z", 1), ("f", "R", "x1", 1)]
-    return Trace.build(rows)
+        focus += [("f", "R", f"y{i - 1}", 1), ("f", "R", f"x{i}", 1)]
+    focus += [("f", "R", "z", 1), ("f", "R", "x1", 1)]
+    if write_at is not None:
+        focus.insert(write_at, ("f", "W", "q", 1))
+    return Trace.build(rows + focus)
 
 
 def random_trace_rows(rng, *, processes, variables, ops, value_pool):
@@ -267,13 +275,17 @@ class CrossChecks:
     dictionaries against the live graph at every use, and both shortcuts
     against the scan and walk they skip.  Every check is an assert.
 
-    - `cycle_detection`: pw[src] on src's variable equals a walk over src's
-      predecessors that skips the edge under test.
+    - `cycle_detection`: pw[src] equals a walk over src's predecessors that
+      skips the edge under test, for every variable.
+    - an accepting `run`: every settled write's pw equals a walk over its
+      predecessors, for every variable (`stale_pw_writes`).
     - `apply_rule_c`, and every write of D(r)'s downset when the re-walk is
       skipped: rr equals a walk over successors, and the write is not
       `pending`.  At `apply_rule_c`, a pending write's rr is below its entry.
     - `init_reachability`: r's slice is r's downset minus what was settled.
-    - `identify_rule_c`: a write never dictates a read it already precedes.
+    - `identify_rule_c`: the bisect finds the read that a scan of the focus's
+      reads in the window finds, and a write never dictates a read it
+      already precedes.
     - the proactive pass finds the source that an index-order scan of every
       settled write on r's variable finds, and misses none.
 
@@ -305,8 +317,16 @@ class CrossChecks:
 
     def identify_rule_c(self, src, r_old):
         tgt = super().identify_rule_c(src, r_old)
+        assert tgt == self._scan_rule_c(src, r_old), "bisect and scan found different reads"
         assert tgt != src, "write found dictating a read it already precedes"
         return tgt
+
+    def run(self):
+        verdict = super().run()
+        if verdict.consistent:  # a rejection's closing edges are not merged
+            stale = stale_pw_writes(self)
+            assert not stale, f"stale preceding-write tables after the run at {stale}"
+        return verdict
 
     def apply_rule_c(self, src):
         self._check_rr(src)
@@ -336,6 +356,14 @@ class CrossChecks:
                 return w
         return None
 
+    def _scan_rule_c(self, src: int, r_old: int) -> int | None:
+        # The slice scan the bisect of `ords` replaces.
+        var = self.ops[src].variable
+        for r_tmp in self.reads[self.rr[src] : r_old]:
+            if r_tmp.variable == var:
+                return self.mapping[r_tmp.index]
+        return None
+
     def _check_rr(self, src: int) -> None:
         seen = {src}
         stack = [src]
@@ -353,24 +381,39 @@ class CrossChecks:
     def _check_pw(self, src: int, pending: tuple[int, int]) -> None:
         # `pending` is an edge just added but not yet absorbed into pw; the
         # reference walk must ignore it (it may close the very cycle under test).
-        var = self.ops[src].variable
-        seen = set()
-        stack = [src]
-        best: int | None = None
-        while stack:
-            u = stack.pop()
-            for p in self.graph.preds[u]:
-                if (p, u) == pending or p in seen:
-                    continue
-                seen.add(p)
-                stack.append(p)
-                if p in self.order_key and self.ops[p].variable == var:
-                    best = max(best, self.order_key[p]) if best is not None else self.order_key[p]
-        key = self.pw[src].get(var)
-        assert key == best, (
-            f"stale preceding-write key for {self.ops[src].pretty()}[{var}]: "
-            f"have {key}, graph says {best}"
+        want = walked_pw(self, src, pending)
+        assert self.pw[src] == want, (
+            f"stale preceding-write table for {self.ops[src].pretty()}: "
+            f"have {self.pw[src]}, graph says {want}"
         )
+
+
+def walked_pw(checker: ReadCentricChecker, src: int, skip=None) -> dict[str, int]:
+    """What pw[src] must hold, by a walk over src's predecessors in the live
+    graph: per variable, the greatest order key of a dictating write that
+    precedes src.  The walk ignores the edge `skip`."""
+    seen = set()
+    stack = [src]
+    want: dict[str, int] = {}
+    while stack:
+        u = stack.pop()
+        for p in checker.graph.preds[u]:
+            if (p, u) == skip or p in seen:
+                continue
+            seen.add(p)
+            stack.append(p)
+            key = checker.order_key.get(p)
+            if key is not None:
+                var = checker.ops[p].variable
+                want[var] = max(want.get(var, key), key)
+    return want
+
+
+def stale_pw_writes(checker: ReadCentricChecker) -> list[int]:
+    """The settled writes whose pw differs from `walked_pw`.  A focus read's
+    table is its whole run's, so reads are left out."""
+    writes = (w for w in sorted(checker.pw) if checker.ops[w].is_write)
+    return [w for w in writes if checker.pw[w] != walked_pw(checker, w)]
 
 
 class CheckedReadCentricChecker(CrossChecks, ReadCentricChecker):
