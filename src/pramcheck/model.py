@@ -159,7 +159,7 @@ class Trace:
     @functools.cached_property
     def write_sections(self) -> dict[str, tuple[Operation, ...]]:
         """Process -> its writes in program order, for the processes that write; computed once."""
-        writes = ((p, tuple(o for o in s if o.kind == WRITE)) for p, s in self.processes.items())
+        writes = ((p, tuple([o for o in s if o.kind == WRITE])) for p, s in self.processes.items())
         return {p: ws for p, ws in writes if ws}
 
     @functools.cached_property
@@ -168,10 +168,11 @@ class Trace:
 
         Multi-variable means at least two distinct variables occur among all
         operations; duplicate means some variable is written the same value
-        twice.  Computed once per trace.
+        twice, so that `writers` has fewer keys than the trace has writes.
+        Computed once per trace.
         """
         multi = len({o.variable for o in self.ops}) >= 2
-        if any(len(ws) > 1 for ws in self.writers.values()):
+        if len(self.writers) < sum(map(len, self.write_sections.values())):
             return Variant.MD if multi else Variant.SD
         return Variant.MU if multi else Variant.SU
 

@@ -91,13 +91,18 @@ class OperationGraph:
     def add_edge(self, src: int, dst: int, tag: str) -> bool:
         """Add src -> dst; returns False (and keeps the old tag) if already present."""
         succs, preds = self.succs, self.preds
-        for v in (src, dst):
-            if v not in succs:
-                succs[v], preds[v] = {}, set()
-        if dst in succs[src]:
+        out = succs.get(src)
+        if out is None:
+            out = succs[src] = {}
+            preds[src] = set()
+        elif dst in out:
             return False
-        succs[src][dst] = tag
-        preds[dst].add(src)
+        ins = preds.get(dst)
+        if ins is None:
+            ins = preds[dst] = set()
+            succs[dst] = {}
+        out[dst] = tag
+        ins.add(src)
         return True
 
     def has_edge(self, src: int, dst: int) -> bool:

@@ -25,10 +25,13 @@ overwrite-precedence rule needs:
 * `pending` - per write whose `rr` dropped since its last rule check, the
   `rr` it was checked at: the only record that a rule check is pending.
 
-`pw` is exact: for every stored edge u -> s, pw[s] holds what u passes on.
-So a new edge's merge walks forward only from operations whose entry grew:
-past an entry that does not grow, none would.  From a read that grew, the walk
-goes on at the write after its run (`run_end`), once that write has settled.
+`pw` is exact but for the edges into D(r) that the proactive pass at r has
+added and not yet walked: for every other stored edge u -> s, pw[s] holds
+what u passes on.  The pass merges what its edges pass on into one dict and
+walks it forward from D(r) once; a rule-C edge is walked on its own.  A walk
+goes on only from operations whose entry grew: past an entry that does not
+grow, none would.  From a read that grew, it goes on at the write after its
+run (`run_end`), once that write has settled.
 
 The dictating write's downset is re-walked in reverse topological order
 (`topo_schedule`) only while `pending` is non-empty; every write there
@@ -81,20 +84,32 @@ class ReadCentricChecker:
     1. Reachability: src -PO-> ... -> last -WpW-> d, or src -PO-> ... -> d.
     2. `rr`: rr[src] is at or before rr[last], so the edge into d lowers
        rr[src] only if it lowers rr[last], never when d is new at r (rr[d]
-       = r is later than any older rr).  If it does, last joins `pending`
-       and `topo_schedule(r)` refreshes rr over d's downset, which holds
-       src.  The walk is skipped while `pending` is empty: every rr is then
-       exact and was checked at its value, so it would change nothing.
+       = r is later than any older rr).  If it does, `lower_rr` puts last
+       in `pending` at once, and `topo_schedule(r)` refreshes rr over d's
+       downset, which holds src.  The walk is skipped while `pending` is
+       empty: every rr is then exact and was checked at its value, so it
+       would change nothing.
     3. `pw`: pw[last] already accounts for src and for pw[src], so the
        operations after d learn the same latest preceding write from last.
+       Each edge's `pw_after(last)` goes into one dict (`pass_on`), which
+       one walk from d merges after the last process (`walk_pw`).  Merges
+       take the maximum per variable, so the tables end as one walk per
+       edge would leave them.
     4. Witnesses: `build_dag_schedule`'s blocks are downset differences, one
        `topo_sort` keyed by (block, index) takes the lexicographically
        smallest linear extension of each read block in turn, and the
        operations preceding no read, which carry only `PO` edges, follow in
        index order; all of it depends on reachability alone.
 
-    Each `last -> d` edge merges into d, and walks on only from the entries
-    that grow (`update_reachability`).
+    Until that walk, pw is short only on operations d reaches.  Each of
+    them other than d already holds a key on r's variable at or above d's,
+    so its check fires with or without the walk, and the tables d does not
+    reach are final.  d is never a source, and when d is ws[-1] its check
+    decides no source: a write of `ws` that fires is unreached by d, and its
+    predecessors are d's too, so d fires as well.  So every source is found
+    as the edge-by-edge walks would find it, and a rejection walks before it
+    reads the source's entry for `_reject_cycle`.  The pass thus walks at
+    most once per read; `update_reachability` is rule C's one-edge path.
     """
 
     def __init__(self, trace: Trace, focus: str):
@@ -189,30 +204,56 @@ class ReadCentricChecker:
             return self.mapping[self.reads[key].index]
         return None
 
-    def update_reachability(self, src: int, dst: int) -> None:
-        """Propagate the consequences of the new edge src -> dst.
+    def pass_on(self, known: dict[str, int], o: int) -> None:
+        """Merge `pw_after(o)`, what every operation after o learns, into `known` uncopied."""
+        for var, key in self.pw[o].items():
+            if known.get(var, -1) < key:
+                known[var] = key
+        key = self.order_key.get(o)
+        if key is not None:  # o dictates a read
+            var = self.ops[o].variable
+            if known.get(var, -1) < key:
+                known[var] = key
 
-        src now reaches whatever dst reaches, and src precedes everything on
-        paths from dst up to the read under scrutiny, so their preceding-write
-        entries must learn about src.  The merge goes on to an operation's
-        successors only if its entry grew: pw is exact, each stored edge
-        u -> s leaving pw[s] holding `pw_after(u)`, so past an entry that
-        already held src's knowledge nothing grows.  Nor does an operation
-        met again, so the walk needs no visited set.
+    def lower_rr(self, src: int, dst: int) -> None:
+        """For the new edge src -> dst: src now reaches dst's earliest read.
+
+        If that lowers rr[src], src joins `pending` at the rr it was last
+        checked at.
         """
         if self.rr[dst] < self.rr[src]:
             self.pending.setdefault(src, self.rr[src])
             self.rr[src] = self.rr[dst]
-        known, succs = self.pw_after(src), self.graph.succs  # stored edges join settled ops
+
+    def walk_pw(self, dst: int, known: dict[str, int]) -> None:
+        """Merge `known`, what new edges into dst pass on, into pw along dst's forward set.
+
+        The merge goes on to an operation's successors only if its entry
+        grew: pw is exact, each walked edge u -> s leaving pw[s] holding
+        `pw_after(u)`, so past an entry that already held the knowledge
+        nothing grows.  Nor does an operation met again, so the walk needs
+        no visited set.
+        """
+        succs, run_end = self.graph.succs, self.run_end  # stored edges join settled ops
         stack = [dst]
         while stack:
             u = stack.pop()
             if not self.pw_update(known, u):
                 continue
-            if u not in self.run_end:
+            if u not in run_end:
                 stack.extend(succs[u])
-            elif self.run_end[u] in self.pw:  # past u's run, which shares its table
-                stack.append(self.run_end[u])
+            elif run_end[u] in self.pw:  # past u's run, which shares its table
+                stack.append(run_end[u])
+
+    def update_reachability(self, src: int, dst: int) -> None:
+        """Propagate the consequences of the one new edge src -> dst (a rule-C edge).
+
+        src now reaches whatever dst reaches (`lower_rr`), and src precedes
+        everything on paths from dst up to the read under scrutiny, so their
+        preceding-write entries must learn about src (`walk_pw`).
+        """
+        self.lower_rr(src, dst)
+        self.walk_pw(dst, self.pw_after(src))
 
     # -- per-read processing --------------------------------------------------
 
@@ -255,14 +296,14 @@ class ReadCentricChecker:
             self.prefix[p] = lo + len(chain)
         self.graph.add_edge(d.index, r.index, WR)
 
-    def first_cycle_source(self, ws: list[int], d: int) -> tuple[int, int] | None:
-        """(src, entry) for the first write of `ws` whose edge into d closes a cycle, or None."""
+    def first_cycle_source(self, ws: list[int], d: int) -> int | None:
+        """The first write of `ws` whose edge into d closes a cycle, or None."""
         if self.cycle_detection(ws[-1], d) is None:
             return None
         for src in ws:
-            entry = self.cycle_detection(src, d)
-            if entry is not None and src != d and not self.graph.has_edge(src, d):
-                return src, entry
+            hit = self.cycle_detection(src, d) is not None
+            if hit and src != d and not self.graph.has_edge(src, d):
+                return src
         return None
 
     def identify_rule_c(self, src: int, r_old: int) -> int | None:
@@ -346,14 +387,19 @@ class ReadCentricChecker:
         was_settled = d in self.pw
         self.init_reachability(r)
         dproc = self.ops[d].process
+        known: dict[str, int] = {}  # what the pass's edges into d pass on, not yet walked
         for ws in self.lw[r.variable]:  # section order
-            hit = self.first_cycle_source(ws, d)
-            if hit is not None:
-                return self._reject_cycle(hit[0], d, hit[1])
+            src = self.first_cycle_source(ws, d)
+            if src is not None:  # its entry is read from the tables with the edges walked
+                self.walk_pw(d, known)
+                return self._reject_cycle(src, d, self.cycle_detection(src, d))
             last = ws[-1]  # program order leads the others to it
             if self.ops[last].process != dproc and self.graph.add_edge(last, d, WPW):
                 self.rulec_edges += 1
-                self.update_reachability(last, d)
+                self.lower_rr(last, d)
+                self.pass_on(known, last)
+        if known:
+            self.walk_pw(d, known)
         if self.pending and was_settled:
             return self.topo_schedule(r)
         return None

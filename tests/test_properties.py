@@ -3,7 +3,9 @@
 Hypothesis draws traces of 2-3 processes, 1-2 variables and at most 10
 operations, with unique or repeated write values.  The witness test adds
 `gen_pram_trace` traces of up to 120 operations.  The profile is fixed and
-derandomized, so every run checks the same examples.
+derandomized, so every run checks the same examples.  The per-trace tables
+`Trace.write_sections` and `Trace.variant` are checked against their first
+definitions on the same traces and on the `gen` ladder.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -19,7 +21,13 @@ from pramcheck import (
     verify_rw_closure,
     visible,
 )
-from testutil import brute_force_consistent, reference_dag_schedule, verify_read_centric_checked
+from testutil import (
+    brute_force_consistent,
+    reference_dag_schedule,
+    reference_variant,
+    reference_write_sections,
+    verify_read_centric_checked,
+)
 
 PROFILE = settings(
     derandomize=True,
@@ -100,3 +108,26 @@ def test_witnesses_equal_the_per_block_reference_schedule(trace):
             if v.consistent:
                 want = reference_dag_schedule(v.graph, visible(trace, focus))
                 assert v.witness == want, v.algorithm
+
+
+def _assert_tables_equal_their_references(trace: Trace) -> None:
+    sections = reference_write_sections(trace)
+    assert list(trace.write_sections.items()) == list(sections.items())
+    assert trace.variant is reference_variant(trace)
+
+
+@PROFILE
+@given(small_traces())
+def test_trace_tables_equal_their_references(trace):
+    _assert_tables_equal_their_references(trace)
+
+
+def test_trace_tables_equal_their_references_on_the_gen_ladder():
+    """Unique and duplicate values, one and two variables, 1,600 to 12,800 ops."""
+    for ops in (1600, 3200, 6400, 12800):
+        for policy in ("unique", "duplicate"):
+            for variables in (1, 2):
+                trace = gen_pram_trace(
+                    ops, processes=16, variables=variables, ops=ops, policy=policy
+                )
+                _assert_tables_equal_their_references(trace)

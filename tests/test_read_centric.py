@@ -163,9 +163,9 @@ class _CountingChecker(WalkCountingChecker):
             self.per_read[-1]["checks"] += 1
         return super().cycle_detection(src, dst)
 
-    def update_reachability(self, src, dst):
+    def lower_rr(self, src, dst):
         before = self.rr[src]
-        super().update_reachability(src, dst)
+        super().lower_rr(src, dst)
         if not self.in_walk and self.rr[src] != before:
             self.per_read[-1]["dropped"] = True
 
@@ -603,14 +603,10 @@ class _SkipsPwAtTheRead(ReadCentricChecker):
 
 class _KeepsStaleRr(ReadCentricChecker):
     """Planted defect: a new edge src -> dst leaves rr[src] as it was (no
-    lowering of rr[src] to rr[dst] in `update_reachability`)."""
+    lowering of rr[src] to rr[dst] in `lower_rr`), so no check is due."""
 
-    def update_reachability(self, src, dst):
-        before, pending = self.rr[src], src in self.pending
-        super().update_reachability(src, dst)
-        self.rr[src] = before
-        if not pending:  # rr did not drop, so no check is due
-            self.pending.pop(src, None)
+    def lower_rr(self, src, dst):
+        pass
 
 
 @pytest.mark.parametrize("defect", [_SkipsPwAtTheRead, _KeepsStaleRr])
@@ -744,6 +740,66 @@ def test_rule_work_on_the_16_process_traces_is_frozen():
         topo_calls += checker.topo_calls
         foci += 1
     assert (foci, rejected, rulec_edges, topo_calls) == (384, 12, 69192, 89)
+
+
+class _ForwardWalkCounter(WalkCountingChecker):
+    """Counts forward walks over `pw`: each `update_reachability`, and each
+    `walk_pw` not made inside one, in the proactive pass or in a re-walk.
+    Also counts the reads settled and the rule-C edges the re-walks add."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.walks = self.settled = self.rewalk_edges = 0
+        self.pass_walks: list[int] = []  # per read settled: walks outside its re-walk
+        self.in_update = self.in_rewalk = False
+
+    def settle(self, r):
+        self.settled += 1
+        self.pass_walks.append(0)
+        return super().settle(r)
+
+    def topo_schedule(self, r):
+        self.in_rewalk = True
+        try:
+            return super().topo_schedule(r)
+        finally:
+            self.in_rewalk = False
+
+    def update_reachability(self, src, dst):
+        self._walked()
+        self.rewalk_edges += self.in_rewalk
+        self.in_update = True
+        try:
+            super().update_reachability(src, dst)
+        finally:
+            self.in_update = False
+
+    def walk_pw(self, dst, known):
+        if not self.in_update:
+            self._walked()
+        super().walk_pw(dst, known)
+
+    def _walked(self):
+        self.walks += 1
+        self.pass_walks[-1] += not self.in_rewalk
+
+
+def test_the_proactive_pass_walks_at_most_once_per_read():
+    """On the corpus above, the proactive pass merges what its edges into
+    D(r) pass on and walks it forward once, so forward walks are at most the
+    reads settled plus the rule-C edges that re-walks add.  One walk per
+    proactive edge makes 69,192 walks, one per rule-C edge."""
+    walks = settled = rewalk_edges = rulec_edges = 0
+    for _, _, trace, focus in _corpus_foci(range(1, 7), ops=1600, mutated=True):
+        checker = _ForwardWalkCounter(trace, focus)
+        checker.run()
+        assert max(checker.pass_walks, default=0) <= 1, focus
+        walks += checker.walks
+        settled += checker.settled
+        rewalk_edges += checker.rewalk_edges
+        rulec_edges += checker.rulec_edges
+    assert rulec_edges == 69192
+    assert walks <= settled + rewalk_edges, (walks, settled, rewalk_edges)
 
 
 def test_outputs_where_the_re_walk_runs_often_are_frozen():

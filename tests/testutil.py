@@ -10,6 +10,8 @@ topological sort per block, as `build_dag_schedule`'s one-pass sort must.
 `reference_visible` is the per-focus filter that `visible`'s shared
 per-trace write sections must agree with, and `reference_find_cycle` the
 plain Kahn pass that `find_cycle`'s use of `topo_sort` must agree with.
+`reference_write_sections` and `reference_variant` are the first
+definitions of `Trace.write_sections` and `Trace.variant`.
 `CrossChecks` checks read-centric's incremental bookkeeping against its live
 graph as a run goes.
 """
@@ -23,7 +25,15 @@ from typing import Iterable
 
 from pramcheck import Trace, parse_trace, visible
 from pramcheck.legality import Schedule, Verdict
-from pramcheck.model import INT64_MAX, INT64_MIN, Operation, TraceParseError, VisibleProjection
+from pramcheck.model import (
+    INT64_MAX,
+    INT64_MIN,
+    WRITE,
+    Operation,
+    TraceParseError,
+    Variant,
+    VisibleProjection,
+)
 from pramcheck.opgraph import PO, OperationGraph
 from pramcheck.read_centric import ReadCentricChecker
 
@@ -89,6 +99,20 @@ def reference_visible(trace: Trace, focus: str) -> dict[str, tuple[Operation, ..
         if o.kind == "W" or o.process == focus:
             by_process.setdefault(o.process, []).append(o)
     return {p: tuple(seq) for p, seq in by_process.items()}
+
+
+def reference_write_sections(trace: Trace) -> dict[str, tuple[Operation, ...]]:
+    """`Trace.write_sections` by a generator expression over each section."""
+    writes = ((p, tuple(o for o in s if o.kind == WRITE)) for p, s in trace.processes.items())
+    return {p: ws for p, ws in writes if ws}
+
+
+def reference_variant(trace: Trace) -> Variant:
+    """`Trace.variant` by a scan of `writers` for a pair written twice."""
+    multi = len({o.variable for o in trace.ops}) >= 2
+    if any(len(ws) > 1 for ws in trace.writers.values()):
+        return Variant.MD if multi else Variant.SD
+    return Variant.MU if multi else Variant.SU
 
 
 def _subset_topo_sort(graph: OperationGraph, subset: Iterable[int]) -> list[int]:
@@ -276,7 +300,9 @@ class CrossChecks:
     against the scan and walk they skip.  Every check is an assert.
 
     - `cycle_detection`: pw[src] equals a walk over src's predecessors that
-      skips the edge under test, for every variable.
+      skips the edges added since the last forward walk (`walk_pw`), for
+      every variable: the proactive pass's edges into D(r), which `lower_rr`
+      records, and the rule-C edge under test, checked before its walk.
     - an accepting `run`: every settled write's pw equals a walk over its
       predecessors, for every variable (`stale_pw_writes`).
     - `apply_rule_c`, and every write of D(r)'s downset when the re-walk is
@@ -296,6 +322,7 @@ class CrossChecks:
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.ordinal = {r.index: k for k, r in enumerate(self.reads)}  # focus read -> ordinal
+        self.unwalked: set[tuple[int, int]] = set()  # edges added since the last forward walk
 
     def init_reachability(self, r):
         settled = set(self.pw)
@@ -305,15 +332,23 @@ class CrossChecks:
         self.scan_source = self._scan_source(self.lw[r.variable], self.mapping[r.index])
 
     def cycle_detection(self, src, dst):
-        self._check_pw(src, pending=(src, dst))
+        self._check_pw(src, unwalked=self.unwalked | {(src, dst)})
         return super().cycle_detection(src, dst)
 
+    def lower_rr(self, src, dst):
+        self.unwalked.add((src, dst))
+        super().lower_rr(src, dst)
+
+    def walk_pw(self, dst, known):
+        super().walk_pw(dst, known)
+        self.unwalked.clear()
+
     def first_cycle_source(self, ws, d):
-        hit = super().first_cycle_source(ws, d)
-        if hit is not None:
-            assert hit[0] == self.scan_source, "per-process check moved the source"
+        src = super().first_cycle_source(ws, d)
+        if src is not None:
+            assert src == self.scan_source, "per-process check moved the source"
             self.scan_source = None
-        return hit
+        return src
 
     def identify_rule_c(self, src, r_old):
         tgt = super().identify_rule_c(src, r_old)
@@ -378,27 +413,27 @@ class CrossChecks:
             f"have {self.rr.get(src)}, graph says {best}"
         )
 
-    def _check_pw(self, src: int, pending: tuple[int, int]) -> None:
-        # `pending` is an edge just added but not yet absorbed into pw; the
-        # reference walk must ignore it (it may close the very cycle under test).
-        want = walked_pw(self, src, pending)
+    def _check_pw(self, src: int, unwalked: set[tuple[int, int]]) -> None:
+        # `unwalked` holds edges already added but not yet absorbed into pw; the
+        # reference walk must ignore them (one may close the very cycle under test).
+        want = walked_pw(self, src, unwalked)
         assert self.pw[src] == want, (
             f"stale preceding-write table for {self.ops[src].pretty()}: "
             f"have {self.pw[src]}, graph says {want}"
         )
 
 
-def walked_pw(checker: ReadCentricChecker, src: int, skip=None) -> dict[str, int]:
+def walked_pw(checker: ReadCentricChecker, src: int, skip=frozenset()) -> dict[str, int]:
     """What pw[src] must hold, by a walk over src's predecessors in the live
     graph: per variable, the greatest order key of a dictating write that
-    precedes src.  The walk ignores the edge `skip`."""
+    precedes src.  The walk ignores the edges in `skip`."""
     seen = set()
     stack = [src]
     want: dict[str, int] = {}
     while stack:
         u = stack.pop()
         for p in checker.graph.preds[u]:
-            if (p, u) == skip or p in seen:
+            if (p, u) in skip or p in seen:
                 continue
             seen.add(p)
             stack.append(p)
