@@ -151,7 +151,8 @@ def _read(path: Path) -> str:
 
 
 def _write_all(outputs: list[tuple[Path, str]]) -> None:
-    """Write every (path, text) pair, or none of them.
+    """Write every (path, text) pair, or none of them; refuse two pairs that
+    name one regular or missing file, where the later write would win.
 
     A target that is missing or an ordinary file is staged: its text goes to a
     temporary file beside it, and the temporary files replace their targets
@@ -170,6 +171,7 @@ def _write_all(outputs: list[tuple[Path, str]]) -> None:
     os.umask(mask)
     staged: list[tuple[Path, str, Path]] = []  # (path given, temporary file, target)
     direct = []  # (path given, text, open file, is an ordinary file)
+    seen = set()  # each target's (device, inode), or its real path if missing
     path = None
     try:
         with contextlib.ExitStack() as opened:
@@ -181,6 +183,10 @@ def _write_all(outputs: list[tuple[Path, str]]) -> None:
                 if st is not None and stat.S_ISDIR(st.st_mode):
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
                 regular = st is not None and stat.S_ISREG(st.st_mode)
+                ident = os.path.realpath(path) if st is None else (st.st_dev, st.st_ino)
+                if ident in seen and (st is None or regular):  # not a device or FIFO
+                    raise ValueError("another output names the same file")
+                seen.add(ident)
                 if st is None or (regular and st.st_nlink == 1):
                     target = Path(os.path.realpath(path))
                     try:

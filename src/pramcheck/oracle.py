@@ -12,11 +12,9 @@ Its set-up is linear in the focus: past one pass over the trace to project
 it, it reads each visible operation a constant number of times before the
 first search state.  Apart from the memo, which the budget bounds, a search's
 memory is linear in the focus too.  `max_states` and `max_seconds` bound the
-search.
-`max_states` counts the distinct search states that the oracle enters and
-has not already proven hopeless; forced reads and memo hits do not count.
-The search keeps its open states on an explicit stack, so it has no depth
-limit.
+search.  `max_states` counts the distinct search states that the oracle enters
+and has not already proven hopeless; forced reads and memo hits do not count.
+The search keeps its open states on an explicit stack: it has no depth limit.
 
 To cut the heavy tail of duplicate-value searches, the search restarts on a
 Luby schedule of dead ends, keeping its memo (Gomes, Selman & Kautz, AAAI
@@ -219,13 +217,8 @@ def oracle_verify(
                 key = sorted(map(getitem, suffix_sig, frontier))
                 key += store
                 key = tuple(key)
-                if key in failed:  # a memoised state fails at once: back to its parent
-                    if forced:
-                        frontier[fl] -= forced
-                        del sched[-forced:]
-                    forced, key, branches, undo = stack.pop()
-                    enter = False
-                else:
+                branches, undo = (), None  # a memoised state has none: it fails at once
+                if key not in failed:
                     states += 1
                     if states > max_states or (
                         deadline is not None and states % 2048 == 0 and time.monotonic() > deadline
@@ -244,7 +237,7 @@ def oracle_verify(
                             seen.add(c[3])
                             (candidates if c[2] == need else later).append(li)
                     candidates += later
-                    branches, undo = iter(candidates), None
+                    branches = iter(candidates)
             if undo is not None:
                 li, s, prev, pid = undo
                 supply[pid] += 1
@@ -274,9 +267,9 @@ def oracle_verify(
                 else:  # a state short of supply is undone on the next turn
                     dead_ends += 1
                 break
-            else:  # every branch failed: the state is hopeless
+            else:  # every branch failed, or a memo hit: back to the parent
+                dead_ends += key not in failed  # a memo hit is no new dead end
                 failed.add(key)
-                dead_ends += 1
                 if forced:
                     frontier[fl] -= forced
                     del sched[-forced:]

@@ -56,6 +56,16 @@ from .opgraph import misordered_read_cycle
 ALGORITHM = "read-centric"
 
 
+def _merge(dst: dict[str, int], known: dict[str, int]) -> bool:
+    """Raise each entry of `dst` to `known`'s; True if any grew."""
+    grew = False
+    for var, key in known.items():
+        if dst.get(var, -1) < key:
+            dst[var] = key
+            grew = True
+    return grew
+
+
 class ReadCentricChecker:
     """One verification run; exposes its dictionaries and counters for tests.
 
@@ -91,8 +101,8 @@ class ReadCentricChecker:
        would change nothing.
     3. `pw`: pw[last] already accounts for src and for pw[src], so the
        operations after d learn the same latest preceding write from last.
-       Each edge's `pw_after(last)` goes into one dict (`pass_on`), which
-       one walk from d merges after the last process (`walk_pw`).  Merges
+       Each edge's `pw_after(last)` is merged into one dict, which one
+       walk from d carries forward after the last process.  Merges
        take the maximum per variable, so the tables end as one walk per
        edge would leave them.
     4. Witnesses: `build_dag_schedule`'s blocks are downset differences, one
@@ -109,7 +119,7 @@ class ReadCentricChecker:
     predecessors are d's too, so d fires as well.  So every source is found
     as the edge-by-edge walks would find it, and a rejection walks before it
     reads the source's entry for `_reject_cycle`.  The pass thus walks at
-    most once per read; `update_reachability` is rule C's one-edge path.
+    most once per read; `update_reachability` is the one forward walk.
     """
 
     def __init__(self, trace: Trace, focus: str):
@@ -182,13 +192,7 @@ class ReadCentricChecker:
 
     def pw_update(self, known: dict[str, int], o: int) -> bool:
         """Merge preceding-write knowledge (a `pw_after`) into pw[o]; True if it grew."""
-        dst = self.pw[o]
-        grew = False
-        for var, key in known.items():
-            if dst.get(var, -1) < key:
-                dst[var] = key
-                grew = True
-        return grew
+        return _merge(self.pw[o], known)
 
     def cycle_detection(self, src: int, dst: int) -> int | None:
         """Does the just-added edge src -> dst close a cycle?
@@ -204,17 +208,6 @@ class ReadCentricChecker:
             return self.mapping[self.reads[key].index]
         return None
 
-    def pass_on(self, known: dict[str, int], o: int) -> None:
-        """Merge `pw_after(o)`, what every operation after o learns, into `known` uncopied."""
-        for var, key in self.pw[o].items():
-            if known.get(var, -1) < key:
-                known[var] = key
-        key = self.order_key.get(o)
-        if key is not None:  # o dictates a read
-            var = self.ops[o].variable
-            if known.get(var, -1) < key:
-                known[var] = key
-
     def lower_rr(self, src: int, dst: int) -> None:
         """For the new edge src -> dst: src now reaches dst's earliest read.
 
@@ -225,7 +218,7 @@ class ReadCentricChecker:
             self.pending.setdefault(src, self.rr[src])
             self.rr[src] = self.rr[dst]
 
-    def walk_pw(self, dst: int, known: dict[str, int]) -> None:
+    def update_reachability(self, dst: int, known: dict[str, int]) -> None:
         """Merge `known`, what new edges into dst pass on, into pw along dst's forward set.
 
         The merge goes on to an operation's successors only if its entry
@@ -244,16 +237,6 @@ class ReadCentricChecker:
                 stack.extend(succs[u])
             elif run_end[u] in self.pw:  # past u's run, which shares its table
                 stack.append(run_end[u])
-
-    def update_reachability(self, src: int, dst: int) -> None:
-        """Propagate the consequences of the one new edge src -> dst (a rule-C edge).
-
-        src now reaches whatever dst reaches (`lower_rr`), and src precedes
-        everything on paths from dst up to the read under scrutiny, so their
-        preceding-write entries must learn about src (`walk_pw`).
-        """
-        self.lower_rr(src, dst)
-        self.walk_pw(dst, self.pw_after(src))
 
     # -- per-read processing --------------------------------------------------
 
@@ -338,7 +321,8 @@ class ReadCentricChecker:
         hit = self.cycle_detection(src, tgt)
         if hit is not None:
             return self._reject_cycle(src, tgt, hit)
-        self.update_reachability(src, tgt)
+        self.lower_rr(src, tgt)
+        self.update_reachability(tgt, self.pw_after(src))
         return tgt
 
     def topo_schedule(self, r: Operation) -> Verdict | None:
@@ -357,7 +341,7 @@ class ReadCentricChecker:
         queue = deque([d])
         while queue:
             u = queue.popleft()
-            if self.ops[u].is_write and u not in done:
+            if self.ops[u].is_write:
                 for s in succs[u]:
                     if s in dset and self.rr[s] < self.rr[u]:
                         self.pending.setdefault(u, self.rr[u])
@@ -391,15 +375,15 @@ class ReadCentricChecker:
         for ws in self.lw[r.variable]:  # section order
             src = self.first_cycle_source(ws, d)
             if src is not None:  # its entry is read from the tables with the edges walked
-                self.walk_pw(d, known)
+                self.update_reachability(d, known)
                 return self._reject_cycle(src, d, self.cycle_detection(src, d))
             last = ws[-1]  # program order leads the others to it
             if self.ops[last].process != dproc and self.graph.add_edge(last, d, WPW):
                 self.rulec_edges += 1
                 self.lower_rr(last, d)
-                self.pass_on(known, last)
+                _merge(known, self.pw_after(last))
         if known:
-            self.walk_pw(d, known)
+            self.update_reachability(d, known)
         if self.pending and was_settled:
             return self.topo_schedule(r)
         return None

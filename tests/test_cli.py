@@ -457,6 +457,52 @@ def test_failed_write_leaves_an_in_place_target_untouched(tmp_path, capsys):
     assert target.read_text() == "old\n"
 
 
+def _refuses_a_file_named_twice(argv, name, capsys):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 64
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {name}: another output names the same file\n"
+
+
+def test_reduce_refuses_one_file_for_trace_and_witness(tmp_path, capsys):
+    f = tmp_path / "f"
+    _refuses_a_file_named_twice([*REDUCE, "-o", str(f), "--with-witness", str(f)], f, capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("focus", [["--focus", "p2"], ["--all"]])
+def test_verify_refuses_one_file_for_witness_and_graph(tmp_path, capsys, focus):
+    """With --all, each focus's two suffixed paths name one file, and the
+    first focus's pair is refused before anything is written."""
+    t = _trace(tmp_path, OK)
+    x = tmp_path / "x"
+    argv = ["verify", str(t), *focus, "--witness-out", str(x), "--dump-graph", str(x)]
+    name = x if focus[0] == "--focus" else tmp_path / "x.p1"
+    _refuses_a_file_named_twice(argv, name, capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.trace"]
+
+
+def test_verify_refuses_two_hard_links_to_one_file(tmp_path, capsys):
+    target, other = tmp_path / "w", tmp_path / "g"
+    target.write_text("old\n")
+    os.link(target, other)
+    argv = ["verify", str(_trace(tmp_path, OK)), "--focus", "p2",
+            "--witness-out", str(target), "--dump-graph", str(other)]
+    _refuses_a_file_named_twice(argv, other, capsys)
+    assert target.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g", "t.trace", "w"]
+
+
+def test_verify_writes_witness_and_graph_to_one_device(tmp_path, capsys):
+    """A device is written in place, never replaced, so two outputs may name it."""
+    rc = main(["verify", str(_trace(tmp_path, OK)), "--focus", "p2",
+               "--witness-out", os.devnull, "--dump-graph", os.devnull])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert f"witness: {os.devnull}" in out and f"graph: {os.devnull}" in out
+
+
 def test_output_beside_no_temporary_file_is_written_in_place(tmp_path, capsys, monkeypatch):
     # an existing file in a directory that takes no new file is still written
     def refuse(*args, **kwargs):

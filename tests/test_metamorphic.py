@@ -11,9 +11,10 @@ focus read, is tested in `test_read_centric.py`.
 The traces: the `gen` ladder of 1,600 to 12,800 operations (16 processes);
 one 1,600-operation trace per mutation kind; the three chain shapes at
 K = 1,000; the re-read family at K = 200, where one read-centric run takes
-0.15 s (3.5 s at K = 1,000); twelve `dup-mix`-shaped duplicate-value
-traces; and 36 small traces, unique and duplicate, each with one mutation.  An oracle run is budgeted, and a timeout on either side skips the
-pair.
+0.15 s (3.5 s at K = 1,000, where a CI step runs the relabelling and
+appended-write checks below); twelve `dup-mix`-shaped duplicate-value
+traces; and 36 small traces, unique and duplicate, each with one mutation.
+An oracle run is budgeted, and a timeout on either side skips the pair.
 """
 
 import functools
@@ -123,6 +124,14 @@ def _rename_variables(t: Trace) -> Trace:
     return Trace.build((p, kind, new[x], v) for p, kind, x, v in t.rows())
 
 
+def _rename_processes(t: Trace) -> tuple[Trace, dict[str, str]]:
+    """Processes renamed one to one, so that their names sort in reverse
+    order, with every row in place; and the renaming."""
+    names = sorted(t.processes)
+    new = {p: f"q{len(names) - i:06d}" for i, p in enumerate(names)}
+    return Trace.build((new[p], kind, x, v) for p, kind, x, v in t.rows()), new
+
+
 def _append_fresh_write(t: Trace, p: str, var: str) -> tuple[Trace, int]:
     """`t` with a write of a value new to `var` at the end of p's section, and its index."""
     rows = t.rows()
@@ -142,13 +151,15 @@ def _add_writer(t: Trace, writes: int = 5) -> Trace:
 
 
 def _assert_relabelling_keeps_evidence(verify, exact: bool, t: Trace, copies, focus: str) -> int:
-    """Relabelled copies of `t`: with `exact`, the same verdict, witness and
-    cycle; else the same verdict, and each witness legal on the copy.
-    Returns the pairs compared."""
+    """Relabelled copies of `t`, each with its renaming of processes (a
+    process it leaves out keeps its name): with `exact`, the same verdict,
+    witness and cycle; else the same verdict, and each witness legal on the
+    copy.  Returns the pairs compared."""
     v = _run(verify, t, focus)
     checked = 0
-    for u in copies:
-        w = _run(verify, u, focus)
+    for u, new in copies:
+        f = new.get(focus, focus)
+        w = _run(verify, u, f)
         if v is None or w is None:
             continue
         if exact:
@@ -156,8 +167,8 @@ def _assert_relabelling_keeps_evidence(verify, exact: bool, t: Trace, copies, fo
         else:
             assert _outcome(w) == _outcome(v), focus
             if isinstance(v, Verdict) and v.consistent:
-                assert check_pram_witness(u, focus, v.witness).ok, focus
-                assert check_pram_witness(u, focus, w.witness).ok, focus
+                assert check_pram_witness(u, f, v.witness).ok, focus
+                assert check_pram_witness(u, f, w.witness).ok, focus
         checked += 1
     return checked
 
@@ -179,7 +190,8 @@ def _assert_added_writes_keep_the_verdict(verify, t, u, focus, shift, added) -> 
 def _check_relabelling(verifiers, cases) -> int:
     checked = 0
     for t, foci_of in cases:
-        copies = (_relabel_values(t, 7), _relabel_values(t, -3), _rename_variables(t))
+        copies = [(_relabel_values(t, 7), {}), (_relabel_values(t, -3), {}), (_rename_variables(t), {})]
+        copies.append(_rename_processes(t))
         for name, foci in foci_of.items():
             for focus in foci:
                 exact = name != "oracle"
@@ -231,9 +243,21 @@ def test_relabelling_keeps_every_verdict_witness_and_cycle():
     orders its variable slots by name, so a renaming can change its search
     and its witness: both witnesses are checked on the renamed trace instead.
     Values go through v -> 7v + 1000 and v -> -3v + 1000, which reverses
-    their order, and variable names are reversed in sort order."""
+    their order, and variable names are reversed in sort order.
+
+    A one-to-one renaming of processes, with the focus mapped along, keeps
+    every verdict too, and the polynomial verifiers' evidence index for
+    index.  Proof: it keeps every row in place, so every index, and every
+    process's operations in the same program order.  Legality of a schedule
+    reads processes only through program order and through which process is
+    the focus, and both are mapped along, so the same schedules are legal
+    and the same writes are candidates.  The polynomial verifiers order
+    processes by where their sections lie in the trace, never by name, so
+    they add the same edges in the same order.  The oracle seeds its restart
+    shuffles with the focus's name, so its witness is checked on the renamed
+    trace instead.  Process names are reversed in sort order."""
     checked = _check_relabelling(VERIFIERS, _cases())
-    assert checked >= 600, checked
+    assert checked >= 800, checked
 
 
 def test_appending_a_fresh_write_keeps_every_verdict():
@@ -308,19 +332,49 @@ def _short_of_the_last_process(t, focus):
     return verify_read_centric(Trace.build(r for r in t.rows() if r[0] != last), focus)
 
 
+class _SectionsByName(dict):
+    """Variable -> a focus-read variable's per-process write lists, handed
+    out sorted by process name; `get` still gives the list itself."""
+
+    def __init__(self, lw, ops):
+        super().__init__(lw)
+        self.ops = ops
+
+    def __getitem__(self, var):
+        return sorted(super().__getitem__(var), key=lambda ws: self.ops[ws[0]].process)
+
+
+class _PassByName(ReadCentricChecker):
+    """Planted defect: the proactive pass visits the processes that wrote on
+    r's variable in name order, where it must in section order.  Only which
+    source a rejection names, and so its cycle, can change."""
+
+    def __init__(self, trace, focus):
+        super().__init__(trace, focus)
+        self.lw = _SectionsByName(self.lw, self.ops)
+
+
+def _passed_by_name(t, focus):
+    return _PassByName(t, focus).run()
+
+
 def _defect_case():
+    """A 1,600-operation trace, and the same with swapped write values, where
+    two processes' writes close a cycle at one read."""
     t = _gen(1, 1600)
-    return ((t, {"read-centric": sorted(t.processes)}),)
+    u = mutate_trace(1, t, "swap-write-values")
+    return tuple((x, {"read-centric": sorted(x.processes)}) for x in (t, u))
 
 
 @pytest.mark.parametrize(
     "check,defect",
     [
         (_check_relabelling, _tied_by_value),
+        (_check_relabelling, _passed_by_name),
         (partial(_check_appended_write, rng=random.Random(5)), _short_of_each_last_operation),
         (_check_added_writer, _short_of_the_last_process),
     ],
-    ids=["relabelling", "appended-write", "added-writer"],
+    ids=["relabelling", "renamed-processes", "appended-write", "added-writer"],
 )
 def test_each_relation_catches_its_planted_defect(check, defect):
     """On a 1,600-operation trace, each relation holds for read-centric and

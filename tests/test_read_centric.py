@@ -743,15 +743,15 @@ def test_rule_work_on_the_16_process_traces_is_frozen():
 
 
 class _ForwardWalkCounter(WalkCountingChecker):
-    """Counts forward walks over `pw`: each `update_reachability`, and each
-    `walk_pw` not made inside one, in the proactive pass or in a re-walk.
-    Also counts the reads settled and the rule-C edges the re-walks add."""
+    """Counts forward walks over `pw`, each an `update_reachability`, in the
+    proactive pass or in a re-walk, where each walks one rule-C edge.  Also
+    counts the reads settled and the rule-C edges the re-walks add."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.walks = self.settled = self.rewalk_edges = 0
         self.pass_walks: list[int] = []  # per read settled: walks outside its re-walk
-        self.in_update = self.in_rewalk = False
+        self.in_rewalk = False
 
     def settle(self, r):
         self.settled += 1
@@ -765,23 +765,11 @@ class _ForwardWalkCounter(WalkCountingChecker):
         finally:
             self.in_rewalk = False
 
-    def update_reachability(self, src, dst):
-        self._walked()
-        self.rewalk_edges += self.in_rewalk
-        self.in_update = True
-        try:
-            super().update_reachability(src, dst)
-        finally:
-            self.in_update = False
-
-    def walk_pw(self, dst, known):
-        if not self.in_update:
-            self._walked()
-        super().walk_pw(dst, known)
-
-    def _walked(self):
+    def update_reachability(self, dst, known):
         self.walks += 1
+        self.rewalk_edges += self.in_rewalk
         self.pass_walks[-1] += not self.in_rewalk
+        super().update_reachability(dst, known)
 
 
 def test_the_proactive_pass_walks_at_most_once_per_read():

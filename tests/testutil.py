@@ -300,9 +300,10 @@ class CrossChecks:
     against the scan and walk they skip.  Every check is an assert.
 
     - `cycle_detection`: pw[src] equals a walk over src's predecessors that
-      skips the edges added since the last forward walk (`walk_pw`), for
-      every variable: the proactive pass's edges into D(r), which `lower_rr`
-      records, and the rule-C edge under test, checked before its walk.
+      skips the edges added since the last forward walk
+      (`update_reachability`), for every variable: the proactive pass's
+      edges into D(r), which `lower_rr` records, and the rule-C edge under
+      test, checked before its walk.
     - an accepting `run`: every settled write's pw equals a walk over its
       predecessors, for every variable (`stale_pw_writes`).
     - `apply_rule_c`, and every write of D(r)'s downset when the re-walk is
@@ -339,8 +340,8 @@ class CrossChecks:
         self.unwalked.add((src, dst))
         super().lower_rr(src, dst)
 
-    def walk_pw(self, dst, known):
-        super().walk_pw(dst, known)
+    def update_reachability(self, dst, known):
+        super().update_reachability(dst, known)
         self.unwalked.clear()
 
     def first_cycle_source(self, ws, d):
